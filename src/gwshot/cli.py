@@ -335,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "limit-sample":

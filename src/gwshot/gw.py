@@ -72,14 +72,6 @@ class PopulationPath:
         object.__setattr__(self, "log_values", lv)
         object.__setattr__(self, "regimes", rg)
 
-    @property
-    def magnitudes(self) -> list[LogMagnitude]:
-        return [LogMagnitude(float(v)) for v in self.log_values]
-
-    @property
-    def regime_trace(self) -> tuple[str, ...]:
-        return tuple("fluid" if r == REGIME_FLUID else "exact" for r in self.regimes)
-
     def __len__(self) -> int:
         return len(self.log_values)
 

@@ -1,14 +1,18 @@
 """The full branching process with immigration and its observables.
 
-At each time k, J_k immigrants found an independent cohort; Y_m totals
-all cohorts alive at time m.  The engine steps every cohort's hybrid
-exact/fluid kernel jointly, one vectorized draw per generation across the
-exact-regime cohorts, and records each cohort's log-size trajectory in a
-matrix row.  Accumulation into Y is a logaddexp fold over rows in
-ascending birth order, which makes the truncated variant (cohorts with
-log J_k above a cutoff excluded) provably <= the full process pointwise,
-seed by seed: the truncated run consumes the random stream identically
-and merely drops rows from the fold.
+At each time k, J_k immigrants join the population.  Offspring are
+i.i.d., so the sum of independent cohorts is itself one Galton-Watson
+population (the branching property) and the engine steps one aggregate
+total, Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}, through the hybrid
+exact/fluid rules of `FluidConfig`: exact draws while the total is at or
+below the exactness threshold, growth by the mean above it, and exact
+re-entry when a subcritical fluid total descends below the threshold.
+A fluid total that cannot descend has a closed-form rest of path.
+
+The truncated process (immigrants with log J_k above a cutoff excluded)
+is a second population T founded by the kept immigrants; the excluded
+ones found a population R on a separate offspring substream, and
+Y = T + R, which makes T <= Y hold seed by seed.
 
 Immigrant draws and offspring draws come from separate counter-based
 substreams of the run seed, so the immigrant sequence is reproducible on
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import streams
-from .gw import FluidConfig, fluid_descent_steps, fluid_fill
+from .gw import FluidConfig
 from .immigration import ImmigrationLaw
 from .lognum import LogMagnitude, as_log_array
 from .offspring import OffspringFamily
@@ -94,95 +98,64 @@ class CoupledPaths:
 
     immigrant_log_j: np.ndarray        # (L,) log J_k
     y_log: np.ndarray                  # (L,) log Y_m
-    truncated_log: np.ndarray | None   # (L,) log of the truncated sum, if requested
+    truncated_log: np.ndarray | None   # (L,) log of the truncated population, if requested
 
 
-def _cohort_matrix(run: GwiRun, immigrant_log_j: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Immigrant log draws and the (L, L) matrix A[k, m] = log cohort_k(m-k).
+def _mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: float) -> np.ndarray:
+    """log X_start.. of X_{m+1} = mu X_m + J_{m+1}, X_start = e^log_start.
 
-    `immigrant_log_j` overrides the immigration draws (deterministic test
-    hook); the offspring stream is consumed identically either way.
+    Closed form m log mu + logaddexp.accumulate(log X_start - start log mu,
+    log J_k - k log mu); `jlog_rest` holds log J_{start+1}, ... .
     """
-    size = run.num_steps + 1
-    if immigrant_log_j is None:
-        imm_rng = streams.substream(run.seed, streams.IMMIGRATION)
-        jlog = run.law.sample_log_j_array(imm_rng, size)
-    else:
-        jlog = np.asarray(immigrant_log_j, dtype=np.float64)
-        if jlog.shape != (size,):
-            raise ValueError(f"immigrant log sequence must have length {size}")
-
-    off_rng = streams.substream(run.seed, streams.OFFSPRING)
-    log_m = math.log(run.config.exactness_threshold)
-    log_mu = math.log(run.family.mean)
-    refine = run.config.refine_on_descent
-
-    matrix = np.full((size, size), _NEG_INF)
-    counts = np.zeros(size, dtype=np.int64)          # exact-regime cohort sizes
-    in_exact = np.zeros(size, dtype=bool)
-    reentries: dict[int, list[tuple[int, int]]] = {}  # time -> [(cohort, count)]
-
-    def start_fluid(k: int, t0: int, log_value: float) -> None:
-        """Fill row k from column t0+1 on; schedule exact re-entry on descent."""
-        remaining = size - 1 - t0
-        if remaining <= 0:
-            return
-        if log_mu >= 0 or not refine:
-            matrix[k, t0 + 1 :] = fluid_fill(log_value, log_mu, remaining)
-            return
-        j = fluid_descent_steps(log_value, log_mu, log_m)
-        if j >= remaining + 1:
-            matrix[k, t0 + 1 :] = fluid_fill(log_value, log_mu, remaining)
-            return
-        if j > 1:
-            matrix[k, t0 + 1 : t0 + j] = fluid_fill(log_value, log_mu, j - 1)
-        count = int(round(math.exp(log_value + j * log_mu)))
-        matrix[k, t0 + j] = math.log(count) if count > 0 else _NEG_INF
-        if count > 0:
-            reentries.setdefault(t0 + j, []).append((k, count))
-
-    for m in range(size):
-        # cohort m is born with J_m individuals at age 0
-        jl = jlog[m]
-        matrix[m, m] = jl
-        if jl <= log_m:
-            counts[m] = int(round(math.exp(jl)))  # J is integer by construction
-            in_exact[m] = True
-        else:
-            start_fluid(m, m, jl)
-
-        # fluid cohorts that descended to the threshold re-enter exactly now
-        for k, count in reentries.pop(m, ()):  # noqa: B020 - deterministic order
-            counts[k] = count
-            in_exact[k] = True
-
-        if m == size - 1:
-            break
-
-        idx = np.nonzero(in_exact)[0]  # ascending cohort index: deterministic draw order
-        if idx.size:
-            nxt = run.family.sample_generations(counts[idx], off_rng)
-            with np.errstate(divide="ignore"):
-                matrix[idx, m + 1] = np.where(nxt > 0, np.log(np.maximum(nxt, 1)), _NEG_INF)
-            counts[idx] = nxt
-            dead = idx[nxt == 0]
-            in_exact[dead] = False
-            big = idx[nxt > run.config.exactness_threshold]
-            for k in big:
-                in_exact[k] = False
-                start_fluid(int(k), m + 1, float(matrix[k, m + 1]))
-
-    return jlog, matrix
+    steps = np.arange(start, start + jlog_rest.shape[0] + 1, dtype=np.float64) * log_mu
+    terms = np.empty(steps.shape[0])
+    terms[0] = log_start - steps[0]
+    np.subtract(jlog_rest, steps[1:], out=terms[1:])
+    return steps + np.logaddexp.accumulate(terms)
 
 
-def _fold_rows(matrix: np.ndarray, include: np.ndarray | None = None) -> np.ndarray:
-    """logaddexp fold of cohort rows in ascending birth order."""
-    size = matrix.shape[0]
+def _population_log_path(
+    family: OffspringFamily, jlog: np.ndarray, config: FluidConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """log Y_0..Y_{L-1} of Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}.
+
+    The total is sampled exactly while it is at most the exactness
+    threshold and grows by the mean above it.  A fluid total that cannot
+    descend back below the threshold (mean >= 1, or refinement off) has
+    the closed-form rest of path `_mean_recursion`; a descending one is
+    rounded and sampled exactly again once it is at or below the threshold.
+    """
+    size = jlog.shape[0]
     out = np.full(size, _NEG_INF)
-    for k in range(size):
-        if include is not None and not include[k]:
-            continue
-        np.logaddexp(out[k:], matrix[k, k:], out=out[k:])
+    threshold = config.exactness_threshold
+    log_m = math.log(threshold)
+    log_mu = math.log(family.mean)
+    descends = log_mu < 0 and config.refine_on_descent
+    count: int | None = 0  # exact-regime total; None while fluid
+    log_value = _NEG_INF   # fluid-regime total
+    for m, jl in enumerate(jlog.tolist()):
+        if count is None:
+            log_value = float(np.logaddexp(log_value + log_mu, jl))
+            if log_value <= log_m:
+                count = int(round(math.exp(log_value)))
+                out[m] = math.log(count) if count else _NEG_INF
+                continue
+        else:
+            if count:
+                count = family.sample_generation(count, rng)
+            if jl <= log_m:
+                count += int(round(math.exp(jl)))  # J is integer by construction
+                if count <= threshold:
+                    out[m] = math.log(count) if count else _NEG_INF
+                    continue
+                log_value = math.log(count)
+            else:
+                log_value = float(np.logaddexp(math.log(count) if count else _NEG_INF, jl))
+            count = None
+            if not descends:
+                out[m:] = _mean_recursion(log_value, m, jlog[m + 1 :], log_mu)
+                break
+        out[m] = log_value
     return out
 
 
@@ -192,21 +165,34 @@ def run_coupled(
     c_n: float | None = None,
     immigrant_log_j: np.ndarray | None = None,
 ) -> CoupledPaths:
-    """One engine pass; optionally also the truncated accumulation.
+    """One engine pass; optionally also the truncated process.
 
-    When `gamma` is given, cohorts with log J_k > gamma * c_n are excluded
-    from the truncated fold (they are still simulated, so the stream
-    consumption — and hence every cohort realization — matches the full run).
+    `immigrant_log_j` overrides the immigration draws (deterministic test
+    hook).  When `gamma` is given, the immigrants with log J_k <= gamma * c_n
+    found the truncated population T on the offspring substream and the
+    excluded ones found a second population R on its own substream;
+    Y = T + R, so T <= Y holds seed by seed.
     """
-    jlog, matrix = _cohort_matrix(run, immigrant_log_j)
-    y_log = _fold_rows(matrix)
-    truncated = None
-    if gamma is not None:
-        if not (0 < gamma < 1):
-            raise ValueError("gamma must lie in (0, 1)")
-        if c_n is None or c_n <= 0:
-            raise ValueError("c_n must be positive")
-        truncated = _fold_rows(matrix, include=jlog <= gamma * c_n)
+    size = run.num_steps + 1
+    if immigrant_log_j is None:
+        jlog = immigrant_log_draws(run)
+    else:
+        jlog = np.asarray(immigrant_log_j, dtype=np.float64)
+        if jlog.shape != (size,):
+            raise ValueError(f"immigrant log sequence must have length {size}")
+    off_rng = streams.substream(run.seed, streams.OFFSPRING)
+    if gamma is None:
+        y_log = _population_log_path(run.family, jlog, run.config, off_rng)
+        return CoupledPaths(immigrant_log_j=jlog, y_log=y_log, truncated_log=None)
+    if not (0 < gamma < 1):
+        raise ValueError("gamma must lie in (0, 1)")
+    if c_n is None or c_n <= 0:
+        raise ValueError("c_n must be positive")
+    kept = jlog <= gamma * c_n
+    truncated = _population_log_path(run.family, np.where(kept, jlog, _NEG_INF), run.config, off_rng)
+    rest_rng = streams.substream(run.seed, streams.EXCLUDED_OFFSPRING)
+    rest = _population_log_path(run.family, np.where(kept, _NEG_INF, jlog), run.config, rest_rng)
+    y_log = np.logaddexp(truncated, rest)
     return CoupledPaths(immigrant_log_j=jlog, y_log=y_log, truncated_log=truncated)
 
 
@@ -234,12 +220,7 @@ def conditional_mean_path(
 ) -> list[LogMagnitude]:
     """Z_m = sum_{k<=m} mu^{m-k} J_k from the coupled immigrant draws."""
     jlog = as_log_array(immigrant_logs)
-    log_mu = math.log(run.family.mean)
-    out = np.empty(jlog.shape[0])
-    acc = _NEG_INF
-    for m, jl in enumerate(jlog):
-        acc = np.logaddexp(acc + log_mu, jl) if m else jl
-        out[m] = acc
+    out = _mean_recursion(_NEG_INF, -1, jlog, math.log(run.family.mean))[1:]  # from Z_{-1} = 0
     return [LogMagnitude(float(v)) for v in out]
 
 

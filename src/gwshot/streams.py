@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "replicate_seed", "IMMIGRATION", "OFFSPRING", "ATOMS", "GENERIC"]
+__all__ = ["substream", "replicate_seed", "IMMIGRATION", "OFFSPRING", "ATOMS", "GENERIC",
+           "EXCLUDED_OFFSPRING"]
 
 # Purpose tags for the second Philox key word.
 IMMIGRATION = 0
 OFFSPRING = 1
 ATOMS = 2
 GENERIC = 3
+# Offspring of the immigrants a truncated run excludes (gwi.run_coupled).
+EXCLUDED_OFFSPRING = 4
 
 _MASK64 = (1 << 64) - 1
 

@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from gwshot import cli
 
@@ -69,6 +71,23 @@ class TestSimulate:
         cfg = write_config(tmp_path, SIM_CONFIG)
         assert cli.main(["simulate", "--config", cfg, "--ci", "--out", str(tmp_path / "z")]) == 2
 
+    def test_long_path_runs_in_bounded_memory(self, tmp_path):
+        # n = 10^5 is 100001 generations: a per-cohort (L x L) engine would
+        # need a 74.5 GiB matrix here
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, n=100_000))
+        out = tmp_path / "long"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--config", cfg, "--seed", "7", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 256 * 2**20
+        rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (100_001, 3)
+        assert np.all(np.isfinite(rows))
+
     def test_bn_norm_resolves(self, tmp_path):
         cfg = dict(SIM_CONFIG, norm="bn")
         path = write_config(tmp_path, cfg)
@@ -126,3 +145,15 @@ class TestVerify:
 
     def test_verify_without_name_exits_2(self):
         assert cli.main(["verify", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit-sample", "verify"])
+def test_nonpositive_jobs_exits_2(tmp_path, capsys, command):
+    config = {"simulate": SIM_CONFIG, "limit-sample": LIMIT_CONFIG,
+              "verify": {"check": "fdd", "overrides": {"mc_samples": 1000}}}[command]
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "jobs"
+    rc = cli.main([command, "--config", cfg, "--seed", "1", "--jobs", "0", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --jobs")
+    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
