@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,13 @@ class CheckReport:
     threshold: float
     passed: bool
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # a check's numpy arithmetic yields np.bool_/np.float64, and json
+        # rejects np.bool_; the report holds plain Python scalars
+        object.__setattr__(self, "statistic", float(self.statistic))
+        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "passed", bool(self.passed))
 
     def to_json(self) -> dict:
         return {
@@ -75,9 +83,9 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
     u = 1.0
     threshold = 0.01
     regimes = {
-        "negative": (-LOG2, lambda x: limit.marginal_cdf_negslope(a, LOG2, u, float(x))),
-        "extremal": (0.0, lambda x: limit.marginal_cdf_extremal(a, b, u, float(x))),
-        "positive": (LOG2, lambda x: limit.marginal_cdf_posslope(a, LOG2, u, float(x))),
+        "negative": (-LOG2, partial(limit.marginal_cdf_negslope, a, LOG2, u)),
+        "extremal": (0.0, partial(limit.marginal_cdf_extremal, a, b, u)),
+        "positive": (LOG2, partial(limit.marginal_cdf_posslope, a, LOG2, u)),
     }
     stats = {}
     for idx, (name, (slope, cdf)) in enumerate(regimes.items()):
@@ -233,30 +241,8 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
     # Monte Carlo joint frequency for the (1, 2) example.  Marks at or
     # below min(x)=1 cannot affect the events, so delta=0.5 is exact.
     rng = streams.substream(streams.replicate_seed(seed, 0), streams.ATOMS)
-    delta = 0.5
-    lam = 2.0 * 1.0 * delta ** (-1.0)
-    hits = 0
-    chunk = 20_000
-    done = 0
-    while done < mc_samples:
-        m = min(chunk, mc_samples - done)
-        nat = rng.poisson(lam, size=m)
-        tot = int(nat.sum())
-        t = rng.uniform(0.0, 2.0, tot)
-        j = limit._pareto_band_marks(1.0, 1.0, delta, math.inf, tot, rng)
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(nat[:-1], out=starts[1:])
-        early = np.where(t <= 1.0, j, -np.inf)
-        if tot:
-            v1 = np.maximum.reduceat(early, np.minimum(starts, tot - 1))
-            v2 = np.maximum.reduceat(j, np.minimum(starts, tot - 1))
-            v1 = np.where(nat > 0, v1, -np.inf)
-            v2 = np.where(nat > 0, v2, -np.inf)
-        else:
-            v1 = v2 = np.full(m, -np.inf)
-        hits += int(np.sum((v1 <= 1.0) & (v2 <= 2.0)))
-        done += m
-    mc_freq = hits / mc_samples
+    values = limit.sample_shot_noise_marginal(1.0, 1.0, 0.0, np.array([1.0, 2.0]), mc_samples, 0.5, rng)
+    mc_freq = int(np.count_nonzero((values[:, 0] <= 1.0) & (values[:, 1] <= 2.0))) / mc_samples
     mc_err = abs(mc_freq - math.exp(-1.5))
 
     passed = sweep_err <= tol_exact and d2_err <= tol_exact and mc_err <= 0.01

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
+
+# Expected atoms over all limit-sample replicates.  Every atom is kept in
+# memory and written to the JSON sidecar, about 150 bytes of memory and 75
+# bytes of JSON each, so a run at the budget peaks near 0.85 GB.
+LIMIT_ATOM_BUDGET = 5_000_000
 
 
 class ConfigError(Exception):
@@ -196,6 +202,8 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
             delta=float(cfg.get("delta", 1e-3)),
         )
         slope = float(cfg["slope"])
+        if not math.isfinite(slope):
+            raise ValueError("slope must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid limit-sample config: {exc}") from exc
     return params, slope
@@ -208,6 +216,11 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
     replicates = int(args.replicates)
     if replicates < 1:
         raise ConfigError("--replicates must be >= 1")
+    if replicates * params.expected_atoms > LIMIT_ATOM_BUDGET:
+        raise ConfigError(
+            f"{replicates} replicates x {params.expected_atoms:.4g} expected atoms each exceed "
+            f"the atom budget of {LIMIT_ATOM_BUDGET:.0e}; raise delta or lower --replicates"
+        )
 
     rows = []
     atom_lists = []

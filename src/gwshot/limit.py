@@ -11,6 +11,22 @@ at least t*s).  Atoms below the truncation level delta contribute at most
 delta on top of the floor, so truncated evaluation is exact to within an
 additive delta.
 
+Paths (`sample_atoms`, `shot_noise_path`) draw every atom above delta.
+Values at a few fixed times (`sample_shot_noise_marginal`) use the LePage
+series instead (LePage, Woodroofe & Zinn 1981): with Gamma_i the arrival
+times of a unit-rate Poisson process, the marks in decreasing order are
+j_i = (a T / Gamma_i)^{1/b}, each with an independent uniform time on
+[0, T].  An atom drawn after atom i has mark at most j_i, so it adds at
+most j_i + max(s, 0) t to the value at t; once that bound is at or below
+the running value (floor included) at every evaluation time, no later
+atom can change any value and drawing stops (the stopping rule of Dombry,
+Engelke & Oesting 2016).  Drawing also stops at the delta cap
+Gamma_i >= a T delta^{-b}, i.e. once marks fall to delta, so the values
+have exactly the law of the delta-truncated atoms above; the stopping
+rule only saves draws.  A sample whose values all sit at the floor never
+meets the rule (marks are positive) and runs to the cap, so the cap also
+bounds the work: at most a T delta^{-b} atoms per sample.
+
 Marginal distributions have closed forms; finite-dimensional ones are
 void probabilities of the measure over a union of wedges, computed by
 adaptive quadrature on the piecewise-affine lower envelope so that this
@@ -43,6 +59,7 @@ __all__ = [
 ]
 
 _SLOPE_EPS = 1e-8  # below this rate the negative/positive-slope CDFs use the s->0 limit
+_ROUND_ATOMS = 1 << 16  # atoms one round of the marginal sampler draws once few samples remain
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,8 @@ class PrmParams:
     delta: float = 1e-3
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.horizon, self.delta))):
+            raise ValueError("a, b, horizon and delta must be finite")
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a and b must be positive")
         if self.horizon < 0:
@@ -64,7 +83,12 @@ class PrmParams:
 
     @property
     def expected_atoms(self) -> float:
-        return self.horizon * self.a * self.delta ** (-self.b)
+        """T a delta^{-b}, or inf when delta^{-b} overflows a float."""
+        try:
+            level = self.delta ** (-self.b)
+        except OverflowError:
+            level = math.inf
+        return self.horizon * self.a * level if self.horizon > 0 else 0.0
 
     def to_config(self) -> dict:
         return {"a": self.a, "b": self.b, "horizon": self.horizon, "delta": self.delta}
@@ -234,41 +258,57 @@ def sample_shot_noise_marginal(
     a: float,
     b: float,
     slope: float,
-    u: float,
+    u: float | np.ndarray,
     count: int,
     delta: float,
     rng: np.random.Generator,
-    max_chunk_atoms: int = 4_000_000,
 ) -> np.ndarray:
-    """`count` independent draws of the process value at time u.
+    """`count` independent draws of the process value at time(s) u.
 
-    Equivalent in law to `shot_noise_value(sample_atoms(...), u)` repeated,
-    but batched: atoms of many replicates are drawn flat and reduced
-    segment-wise.
+    Equal in law to `shot_noise_value(sample_atoms(...), u)` repeated with
+    horizon max(u).  A scalar u gives a 1-d array of length `count`; a 1-d
+    increasing array of times gives a (count, len(u)) array, one row per
+    path.  Atoms come in decreasing mark order (LePage series), and a
+    sample draws atoms only until the stopping rule or the delta cap holds
+    at every time; see the module docstring.
     """
-    params = PrmParams(a=a, b=b, horizon=u, delta=delta)
-    lam = params.expected_atoms
-    floor = slope * u if slope > 0 else 0.0
-    out = np.empty(count)
-    chunk = max(1, int(max_chunk_atoms / max(lam, 1.0)))
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
-        nat = rng.poisson(lam, size=m)
-        total = int(nat.sum())
-        t = rng.uniform(0.0, u, total)
-        j = _pareto_band_marks(a, b, delta, math.inf, total, rng)
-        contrib = j + (u - t) * slope
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(nat[:-1], out=starts[1:])
-        if total:
-            seg = np.maximum.reduceat(contrib, np.minimum(starts, total - 1))
-            seg = np.where(nat > 0, seg, -np.inf)
-        else:
-            seg = np.full(m, -np.inf)
-        out[done : done + m] = np.maximum(seg, floor)
-        done += m
-    return out
+    times = np.asarray(u, dtype=np.float64)
+    scalar = times.ndim == 0
+    times = np.atleast_1d(times)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or times[0] < 0:
+        raise ValueError("evaluation times must be finite, nonnegative, and scalar or 1-d")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("evaluation times must be strictly increasing")
+    if count < 1:
+        raise ValueError("sample count must be >= 1")
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite")
+    horizon = float(times[-1])
+    gamma_cap = PrmParams(a=a, b=b, horizon=horizon, delta=delta).expected_atoms
+    scale = a * horizon
+    rise = max(slope, 0.0) * times  # most a later atom can add above its mark
+    values = np.tile(_floor_value(slope, times), (count, 1))
+    gamma = np.zeros(count)
+    active = np.arange(count)
+    while active.size:
+        # one atom per active sample while many are active, a block of
+        # atoms each once few are left, so rounds stay few at any delta
+        block = max(1, _ROUND_ATOMS // active.size)
+        arrivals = gamma[active, None] + np.cumsum(
+            rng.standard_exponential((active.size, block)), axis=1
+        )
+        marks = (scale / arrivals) ** (1.0 / b)
+        at = rng.uniform(0.0, horizon, arrivals.shape)
+        kept = arrivals < gamma_cap  # marks above delta
+        current = values[active]
+        for k, t in enumerate(times):
+            reach = np.where(kept & (at <= t), marks + (t - at) * slope, -np.inf)
+            np.maximum(current[:, k], reach.max(axis=1), out=current[:, k])
+        values[active] = current
+        gamma[active] = arrivals[:, -1]
+        done = ~kept[:, -1] | np.all(marks[:, -1, None] + rise <= current, axis=1)
+        active = active[~done]
+    return values[:, 0] if scalar else values
 
 
 # ----------------------------------------------------------------------
@@ -276,54 +316,73 @@ def sample_shot_noise_marginal(
 # ----------------------------------------------------------------------
 
 
-def marginal_cdf_negslope(r: float, s: float, u: float, x: float) -> float:
+def _float_if_scalar(out: np.ndarray) -> float | np.ndarray:
+    return float(out) if out.ndim == 0 else out
+
+
+def _extremal_closed_form(a: float, b: float, u: float, x: np.ndarray) -> np.ndarray:
+    """exp(-u a x^{-b}), continued by 0 at x = 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(-u * a * x ** (-b))
+
+
+def marginal_cdf_negslope(r: float, s: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
     """P{sup over t_k <= u of (j_k - (u - t_k) s) <= x} = (x/(x+su))^{r/s}.
 
     r is the mark-intensity constant, s > 0 the decay rate (process slope
     -s).  Near s = 0 the closed form degenerates to 0/0 and the extremal
-    limit e^{-r u / x} is used instead.
+    limit e^{-r u / x} is used instead.  x may be a float or an array;
+    a float x gives a float.
     """
     if r <= 0 or s <= 0:
         raise ValueError("r and s must be positive")
-    if x < 0 or u < 0:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < 0) or u < 0:
         raise ValueError("x and u must be nonnegative")
     if u == 0:
-        return 1.0
-    if x == 0:
-        return 0.0
-    if s < _SLOPE_EPS:
-        return marginal_cdf_extremal(r, 1.0, u, x)
-    return (x / (x + s * u)) ** (r / s)
+        out = np.ones_like(x)
+    elif s < _SLOPE_EPS:
+        out = _extremal_closed_form(r, 1.0, u, x)
+    else:
+        out = (x / (x + s * u)) ** (r / s)
+    return _float_if_scalar(out)
 
 
-def marginal_cdf_extremal(a: float, b: float, u: float, x: float) -> float:
-    """P{max mark on [0, u] <= x} = exp(-u a x^{-b}) for the slope-0 process."""
+def marginal_cdf_extremal(a: float, b: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
+    """P{max mark on [0, u] <= x} = exp(-u a x^{-b}) for the slope-0 process.
+
+    x may be a float or an array; a float x gives a float.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     if u < 0:
         raise ValueError("u must be nonnegative")
-    if x <= 0:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0):
         raise ValueError("x must be positive")
-    return math.exp(-u * a * x ** (-b))
+    return _float_if_scalar(_extremal_closed_form(a, b, u, x))
 
 
-def marginal_cdf_posslope(r: float, s: float, u: float, x: float) -> float:
+def marginal_cdf_posslope(r: float, s: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
     """P{sup over t_k <= u of (j_k + (u - t_k) s) <= x} for growth rate s > 0.
 
     The value sits above the floor u*s almost surely, so the CDF vanishes
-    for x <= u*s and equals ((x - us)/x)^{r/s} beyond it.
+    for x <= u*s and equals ((x - us)/x)^{r/s} beyond it.  x may be a
+    float or an array; a float x gives a float.
     """
     if r <= 0 or s <= 0:
         raise ValueError("r and s must be positive")
-    if x < 0 or u < 0:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < 0) or u < 0:
         raise ValueError("x and u must be nonnegative")
     if u == 0:
-        return 1.0
-    if s < _SLOPE_EPS:
-        return marginal_cdf_extremal(r, 1.0, u, x) if x > 0 else 0.0
-    if x <= u * s:
-        return 0.0
-    return ((x - u * s) / x) ** (r / s)
+        out = np.ones_like(x)
+    elif s < _SLOPE_EPS:
+        out = _extremal_closed_form(r, 1.0, u, x)
+    else:
+        above = np.maximum(x - u * s, 0.0)
+        out = (above / np.where(x > 0, x, 1.0)) ** (r / s)
+    return _float_if_scalar(out)
 
 
 # ----------------------------------------------------------------------

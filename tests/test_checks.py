@@ -1,6 +1,9 @@
 import dataclasses
+import json
 
-from gwshot import checks
+import pytest
+
+from gwshot import checks, limit
 from gwshot.gwi import conditional_mean_path
 from gwshot.offspring import OffspringFamily
 
@@ -15,3 +18,37 @@ def test_proxy_zn_fails_for_a_misspecified_mean(monkeypatch):
     monkeypatch.setattr(checks, "conditional_mean_path", misspecified)
     report = checks.run_check("proxy-zn", seed=42)
     assert report.passed is False
+
+
+_SMOKE_SCALE = {
+    "marginal-limit": {"sample_count": 200},
+    "marginal-prelimit-thm1": {"ns": (10, 20), "replicates": 5},
+    "marginal-prelimit-thm2": {"ns": (10, 20), "replicates": 5},
+    "fdd": {"mc_samples": 1000},
+    "lemma-aux2": {"n": 10, "replicates": 5},
+    "lemma-aux2a": {"n": 10, "replicates": 5},
+    "lemma-aux3": {"ns": (20, 40), "replicates": 5},
+    "proxy-zn": {"n": 10, "replicates": 5},
+}
+
+
+@pytest.mark.parametrize("name", checks.CHECK_NAMES)
+def test_every_report_serializes(name):
+    report = checks.run_check(name, seed=3, **_SMOKE_SCALE[name])
+    payload = json.loads(json.dumps(report.to_json()))
+    assert type(payload["pass"]) is bool
+    assert isinstance(payload["statistic"], float) and isinstance(payload["threshold"], float)
+
+
+def test_marginal_limit_fails_for_a_flipped_slope(monkeypatch):
+    # the check must be able to fail: with the slope sign flipped, the
+    # negative regime draws values >= log 2, where its CDF is only 0.37
+    sampler = limit.sample_shot_noise_marginal
+
+    def flipped(a, b, slope, u, count, delta, rng):
+        return sampler(a, b, -slope, u, count, delta, rng)
+
+    monkeypatch.setattr(limit, "sample_shot_noise_marginal", flipped)
+    report = checks.run_check("marginal-limit", seed=42, sample_count=20_000)
+    assert report.passed is False
+    assert report.details["ks_by_regime"]["extremal"] <= 0.01 < report.statistic

@@ -109,6 +109,38 @@ class TestLimitSample:
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, delta=0.0))
         assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("key", ["a", "b", "horizon", "delta", "slope"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, **{key: value}))
+        out = tmp_path / "nf"
+        assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_atom_budget_exits_2_before_any_draw(self, tmp_path, capsys):
+        # delta = 1e-12 means 1e12 expected atoms: drawing them would need
+        # terabytes, so the budget must stop the run up front
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, delta=1e-12))
+        out = tmp_path / "huge"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 16 * 2**20
+        assert "atom budget" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_atom_budget_counts_replicates(self, tmp_path):
+        # 1000 expected atoms per path, one path more than the budget holds
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, delta=1e-3))
+        replicates = cli.LIMIT_ATOM_BUDGET // 1000 + 1
+        args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
+        assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
+
     def test_atom_count_mean_near_expectation(self, tmp_path):
         # (a,b,T,delta) = (1,1,1,1): atom counts are Poisson(1); check the
         # mean over many replicates of a single invocation within 10%
@@ -142,6 +174,15 @@ class TestVerify:
     def test_positional_check_name(self, tmp_path):
         cfg = write_config(tmp_path, {"overrides": {"mc_samples": 5000}})
         assert cli.main(["verify", "fdd", "--config", cfg, "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize(
+        "check,overrides",
+        [("fdd", {"mc_samples": -5}), ("marginal-limit", {"sample_count": 0})],
+    )
+    def test_nonpositive_sample_count_exits_2(self, tmp_path, capsys, check, overrides):
+        cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
+        assert cli.main(["verify", "--config", cfg, "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_without_name_exits_2(self):
         assert cli.main(["verify", "--seed", "1"]) == 2

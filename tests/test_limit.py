@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from gwshot import streams
 from gwshot.limit import (
@@ -184,6 +185,19 @@ class TestMarginalCdfs:
     def test_small_slope_switches_to_extremal_limit(self):
         assert abs(marginal_cdf_negslope(1.0, 1e-9, 1.0, 1.0) - math.exp(-1.0)) <= 1e-6
 
+    def test_arrays_match_scalars(self):
+        xs = np.array([0.0, 0.3, LOG2, 1.0, 2.0 * LOG2, 5.0])
+        for cdf, s in ((marginal_cdf_negslope, LOG2), (marginal_cdf_posslope, LOG2),
+                       (marginal_cdf_negslope, 1e-9), (marginal_cdf_posslope, 1e-9)):
+            got = cdf(1.5, s, 1.0, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            np.testing.assert_allclose(got, [cdf(1.5, s, 1.0, float(x)) for x in xs], rtol=1e-14)
+        got = marginal_cdf_extremal(2.0, 0.5, 1.0, xs[1:])
+        np.testing.assert_allclose(got, [marginal_cdf_extremal(2.0, 0.5, 1.0, float(x)) for x in xs[1:]], rtol=1e-14)
+        assert isinstance(marginal_cdf_posslope(1.0, LOG2, 1.0, 2.0), float)
+        with pytest.raises(ValueError):
+            marginal_cdf_extremal(1.0, 1.0, 1.0, np.array([1.0, 0.0]))
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             marginal_cdf_negslope(1.0, 1.0, -1.0, 1.0)
@@ -191,6 +205,61 @@ class TestMarginalCdfs:
             marginal_cdf_negslope(1.0, 1.0, 1.0, -1.0)
         with pytest.raises(ValueError):
             marginal_cdf_posslope(0.0, 1.0, 1.0, 1.0)
+
+
+class TestLePageSampler:
+    @pytest.mark.parametrize("a,b,delta", [(1.0, 1.0, 1e-2), (2.0, 0.5, 1e-2), (1.0, 2.0, 0.5)])
+    @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
+    def test_same_law_as_every_atom_above_delta(self, a, b, delta, slope):
+        # the stopping rule only saves draws: values keep the law of the
+        # delta-truncated measure evaluated atom by atom (at delta = 0.5
+        # the cap binds often, so a misplaced cap shows too)
+        n, u = 3000, 1.0
+        params = PrmParams(a=a, b=b, horizon=u, delta=delta)
+        rng = streams.substream(21, streams.ATOMS)
+        brute = [shot_noise_value(ShotNoiseSpec(slope, sample_atoms(params, rng)), u) for _ in range(n)]
+        lepage = sample_shot_noise_marginal(a, b, slope, u, n, delta, streams.substream(22, streams.ATOMS))
+        assert ks_2samp(brute, lepage).pvalue >= 0.01
+
+    @pytest.mark.parametrize(
+        "slope,thresholds,delta",
+        [(0.0, (1.0, 2.0), 0.5), (-LOG2, (0.5, 0.8), 0.25)],
+    )
+    def test_two_times_match_fdd_cdf(self, slope, thresholds, delta):
+        # marks at or below delta < min(x) cannot exceed a threshold when
+        # slope <= 0, so the truncated joint law is the exact one here
+        times, x = np.array([1.0, 2.0]), np.array(thresholds)
+        values = sample_shot_noise_marginal(1.0, 1.0, slope, times, 100_000, delta,
+                                            streams.substream(23, streams.ATOMS))
+        assert values.shape == (100_000, 2)
+        freq = np.mean(np.all(values <= x, axis=1))
+        assert abs(freq - fdd_cdf(1.0, 1.0, slope, times, x)) <= 0.01
+
+    @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
+    def test_tiny_delta_stops_by_the_rule(self, slope):
+        # at delta = 1e-12 the cap allows 1e12 atoms per sample; the
+        # stopping rule ends every sample long before
+        n = 20_000
+        cdf = {-LOG2: lambda x: marginal_cdf_negslope(1.0, LOG2, 1.0, x),
+               0.0: lambda x: marginal_cdf_extremal(1.0, 1.0, 1.0, x),
+               LOG2: lambda x: marginal_cdf_posslope(1.0, LOG2, 1.0, x)}[slope]
+        values = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, n, 1e-12, streams.substream(24, streams.ATOMS))
+        assert ks_distance(Sample(values), cdf) <= dkw_band(n, 0.999)
+
+    def test_zero_time_is_the_floor(self):
+        values = sample_shot_noise_marginal(1.0, 1.0, -1.0, 0.0, 10, 1e-3, streams.substream(25, streams.ATOMS))
+        assert values.shape == (10,) and np.all(values == 0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"count": 0}, {"count": -5}, {"u": np.array([2.0, 1.0])}, {"u": -1.0},
+         {"slope": math.nan}, {"a": math.nan}, {"delta": 0.0}],
+    )
+    def test_rejections(self, kwargs):
+        args = dict(a=1.0, b=1.0, slope=0.0, u=1.0, count=10, delta=1e-3,
+                    rng=streams.substream(26, streams.ATOMS))
+        with pytest.raises(ValueError):
+            sample_shot_noise_marginal(**{**args, **kwargs})
 
 
 class TestTimeReversalIdentity:
@@ -219,7 +288,7 @@ class TestTimeReversalIdentity:
         r, s, u, delta, n = 1.0, LOG2, 1.0, 1e-3, 100_000
 
         def cdf(x):
-            return marginal_cdf_negslope(r, s, u, float(x))
+            return marginal_cdf_negslope(r, s, u, x)
 
         shifted = sample_shot_noise_marginal(r, 1.0, -s, u, n, delta, streams.substream(11, streams.ATOMS))
         records = self._records_form_samples(r, s, u, n, delta, streams.substream(12, streams.ATOMS))
