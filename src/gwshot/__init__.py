@@ -3,7 +3,7 @@ shot noise limits: prelimit simulation at astronomical population scales,
 exact limit sampling up to a controlled truncation error, and statistical
 verification of the limiting laws."""
 
-from .gw import FluidConfig, PopulationPath, limit_profile, normalized_log_path, simulate_cohort
+from .gw import FluidConfig, limit_profile, population_log_path, simulate_cohort
 from .gwi import (
     CoupledPaths,
     GwiRun,
@@ -11,8 +11,7 @@ from .gwi import (
     immigrant_log_draws,
     normalized_observable,
     run_coupled,
-    simulate_y_path,
-    truncated_y_path,
+    run_replicates,
 )
 from .immigration import ImmigrationLaw
 from .limit import (
@@ -39,9 +38,9 @@ __all__ = [
     "LogMagnitude", "lse_add", "scale_pow", "log_plus",
     "OffspringFamily",
     "ImmigrationLaw",
-    "FluidConfig", "PopulationPath", "simulate_cohort", "normalized_log_path", "limit_profile",
-    "GwiRun", "CoupledPaths", "simulate_y_path", "truncated_y_path",
-    "conditional_mean_path", "immigrant_log_draws", "normalized_observable", "run_coupled",
+    "FluidConfig", "population_log_path", "simulate_cohort", "limit_profile",
+    "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
+    "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
     "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_value",
     "shot_noise_path", "marginal_cdf_negslope", "marginal_cdf_extremal",
     "marginal_cdf_posslope", "fdd_cdf",

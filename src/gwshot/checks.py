@@ -21,9 +21,9 @@ import numpy as np
 
 from . import limit, streams
 from .gw import FluidConfig, limit_profile, simulate_cohort
-from .gwi import GwiRun, conditional_mean_path, run_coupled
+from .gwi import GwiRun, conditional_mean_path, run_replicates
 from .immigration import ImmigrationLaw
-from .lognum import LogMagnitude, as_log_array
+from .lognum import LogMagnitude
 from .offspring import OffspringFamily
 from .stats import Sample, ks_distance
 
@@ -115,20 +115,8 @@ def _final_normalized_values(
     block_seed: int,
     norm: float,
 ) -> np.ndarray:
-    config = FluidConfig()
-    out = np.empty(replicates)
-    for rep in range(replicates):
-        run = GwiRun(
-            n=n,
-            horizon=1.0,
-            family=family,
-            law=law,
-            config=config,
-            seed=streams.replicate_seed(block_seed, rep),
-        )
-        bundle = run_coupled(run)
-        out[rep] = max(bundle.y_log[-1], 0.0) / norm
-    return out
+    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block_seed)
+    return np.array([max(bundle.y_log[-1], 0.0) / norm for bundle in run_replicates(run, replicates)])
 
 
 def check_marginal_prelimit_thm1(
@@ -290,8 +278,8 @@ def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> Chec
                 streams.replicate_seed(streams.replicate_seed(seed, fam_idx), rep),
                 streams.OFFSPRING,
             )
-            path = simulate_cohort(family, LogMagnitude(a * n), generations, config, rng)
-            normalized = np.maximum(path.log_values, 0.0) / n
+            logs = simulate_cohort(family, LogMagnitude(a * n), generations, config, rng)
+            normalized = np.maximum(logs, 0.0) / n
             if np.max(np.abs(normalized - profile)) > tol:
                 exceed += 1
         fractions[family.family] = exceed / replicates
@@ -321,8 +309,8 @@ def check_cohort_flatness(seed: int, n: int = 100, replicates: int = 200) -> Che
                 streams.replicate_seed(streams.replicate_seed(seed, 100 + fam_idx), rep),
                 streams.OFFSPRING,
             )
-            path = simulate_cohort(family, LogMagnitude(c_n), generations, config, rng)
-            normalized = np.maximum(path.log_values, 0.0) / c_n
+            logs = simulate_cohort(family, LogMagnitude(c_n), generations, config, rng)
+            normalized = np.maximum(logs, 0.0) / c_n
             if np.max(np.abs(normalized - 1.0)) > tol:
                 exceed += 1
         fractions[family.family] = exceed / replicates
@@ -353,13 +341,9 @@ def _truncated_exceed_frequency(
     block_seed: int,
 ) -> float:
     correction = family.mean if family.mean > 1.0 else None
+    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block_seed)
     exceed = 0
-    for rep in range(replicates):
-        run = GwiRun(
-            n=n, horizon=1.0, family=family, law=law,
-            config=FluidConfig(), seed=streams.replicate_seed(block_seed, rep),
-        )
-        bundle = run_coupled(run, gamma=gamma, c_n=c_n)
+    for bundle in run_replicates(run, replicates, gamma=gamma, c_n=c_n):
         lv = bundle.truncated_log
         if correction is not None:
             lv = lv - np.arange(lv.shape[0]) * math.log(correction)
@@ -410,14 +394,10 @@ def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200)
     family = OffspringFamily.poisson(2.0)
     law = ImmigrationLaw.reciprocal(1.0)
     tol = 0.05
+    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=seed)
     exceed = 0
-    for rep in range(replicates):
-        run = GwiRun(
-            n=n, horizon=1.0, family=family, law=law,
-            config=FluidConfig(), seed=streams.replicate_seed(seed, rep),
-        )
-        bundle = run_coupled(run)
-        z_log = as_log_array(conditional_mean_path(run, bundle.immigrant_log_j))
+    for bundle in run_replicates(run, replicates):
+        z_log = conditional_mean_path(run, bundle.immigrant_log_j)
         diff = abs(max(bundle.y_log[-1], 0.0) - max(z_log[-1], 0.0)) / n
         if diff > tol:
             exceed += 1

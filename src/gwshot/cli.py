@@ -18,14 +18,14 @@ import json
 import math
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__, limit, streams
 from .checks import CHECK_NAMES, run_check
-from .gwi import GwiRun, normalized_observable, run_coupled
+from .gwi import GwiRun, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
 from .gw import FluidConfig
@@ -67,15 +67,11 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return secrets.randbits(63)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: Path, rows, header: tuple[str, ...]) -> None:
+def _write_csv(path: Path, lines: Iterable[str], header: tuple[str, ...]) -> None:
+    """Header, then the finished lines (each ending in LF) as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -129,52 +125,33 @@ def _simulate_correction(parsed: dict) -> float | None:
     return float(corr)
 
 
-def _simulate_replicate(parsed: dict, master_seed: int, replicate: int) -> np.ndarray:
-    run = GwiRun(
-        n=parsed["n"],
-        horizon=parsed["horizon"],
-        family=parsed["family"],
-        law=parsed["law"],
-        config=parsed["fluid"],
-        seed=streams.replicate_seed(master_seed, replicate),
-    )
-    bundle = run_coupled(run)
-    path = normalized_observable(
-        bundle.y_log, _simulate_norm(parsed), parsed["n"], _simulate_correction(parsed)
-    )
-    return np.asarray(path.values, dtype=np.float64)
-
-
-def _simulate_worker(payload: tuple[dict, int, int]) -> tuple[int, np.ndarray]:
-    cfg, master_seed, replicate = payload
-    parsed = _parse_simulate_config(cfg)
-    return replicate, _simulate_replicate(parsed, master_seed, replicate)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     parsed = _parse_simulate_config(cfg)
-    _simulate_norm(parsed)  # validate early, before any work
+    norm = _simulate_norm(parsed)  # validate early, before any work
+    correction = _simulate_correction(parsed)
     seed = _resolve_seed(args)
     replicates = int(args.replicates)
     if replicates < 1:
         raise ConfigError("--replicates must be >= 1")
 
-    if args.jobs > 1:
-        payloads = [(cfg, seed, r) for r in range(replicates)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_simulate_worker, payloads))
-        values = [results[r] for r in range(replicates)]
-    else:
-        values = [_simulate_replicate(parsed, seed, r) for r in range(replicates)]
-
     n = parsed["n"]
-    rows = []
-    for r, obs in enumerate(values):
-        for k, v in enumerate(obs):
-            rows.append((str(r), _format_float(k / n), _format_float(v)))
+    run = GwiRun(
+        n=n,
+        horizon=parsed["horizon"],
+        family=parsed["family"],
+        law=parsed["law"],
+        config=parsed["fluid"],
+        seed=seed,
+    )
+    values = [
+        normalized_observable(bundle.y_log, norm, n, correction).values
+        for bundle in run_replicates(run, replicates, jobs=args.jobs)
+    ]
+    times = [repr(k / n) for k in range(run.num_steps + 1)]
+    lines = (f"{r},{t},{v!r}\n" for r, obs in enumerate(values) for t, v in zip(times, obs.tolist()))
 
-    _write_csv(Path(f"{args.out}.csv"), rows, ("replicate", "t", "value"))
+    _write_csv(Path(f"{args.out}.csv"), lines, ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {
@@ -209,6 +186,14 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     return params, slope
 
 
+def _limit_path_lines(paths: list) -> Iterator[str]:
+    """CSV lines of each path at its breakpoints and at its end time."""
+    for r, path in enumerate(paths):
+        for t, v in zip(path.breakpoints.tolist(), path.values.tolist()):
+            yield f"{r},{t!r},{v!r}\n"
+        yield f"{r},{path.end_time!r},{float(path.value(path.end_time))!r}\n"
+
+
 def cmd_limit_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     params, slope = _parse_limit_config(cfg)
@@ -222,7 +207,7 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
             f"the atom budget of {LIMIT_ATOM_BUDGET:.0e}; raise delta or lower --replicates"
         )
 
-    rows = []
+    paths = []
     atom_lists = []
     for r in range(replicates):
         rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
@@ -232,12 +217,10 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
             jumps = np.diff(np.append(path.values, path.value(path.end_time)))
             if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
                 raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
-        for t, v in zip(path.breakpoints, path.values):
-            rows.append((str(r), _format_float(t), _format_float(v)))
-        rows.append((str(r), _format_float(path.end_time), _format_float(path.value(path.end_time))))
+        paths.append(path)
         atom_lists.append([[float(t), float(j)] for t, j in zip(atoms.times, atoms.marks)])
 
-    _write_csv(Path(f"{args.out}.csv"), rows, ("replicate", "t", "value"))
+    _write_csv(Path(f"{args.out}.csv"), _limit_path_lines(paths), ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {

@@ -1,13 +1,17 @@
-"""Single-cohort branching simulation with a hybrid exact/fluid kernel.
+"""The population kernel: a Galton-Watson population fed by immigrants.
 
-A cohort of m individuals transitions in O(1) through the family's m-fold
-convolution while m stays below the exactness threshold.  Above it the
+`population_log_path` steps Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}
+in log domain.  While the total is at most the exactness threshold it
+transitions in O(1) through the family's m-fold convolution.  Above it the
 relative fluctuation of one generation is O(m^{-1/2}) <= 1e-3, invisible
 on the log/n scale, so the kernel switches to the deterministic fluid
-regime: value -> value * mu per generation, computed in log domain.  On
-subcritical descent the kernel re-enters the exact regime (rounding to the
-nearest integer) so extinction happens at a random time, reproducing the
-kink of the limiting growth profile instead of an artificially sharp one.
+regime: value -> value * mu + J per generation.  On subcritical descent the
+kernel re-enters the exact regime (rounding to the nearest integer) so
+extinction happens at a random time, reproducing the kink of the limiting
+growth profile instead of an artificially sharp one.
+
+By the branching property a lone cohort is the same process with a single
+founding batch and no later immigrants (`simulate_cohort`).
 """
 
 from __future__ import annotations
@@ -19,13 +23,8 @@ import numpy as np
 
 from .lognum import LogMagnitude
 from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
-from .paths import CadlagPath
 
-__all__ = ["FluidConfig", "PopulationPath", "simulate_cohort", "normalized_log_path", "limit_profile",
-           "REGIME_EXACT", "REGIME_FLUID"]
-
-REGIME_EXACT = 0
-REGIME_FLUID = 1
+__all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
 
 _NEG_INF = float("-inf")
 
@@ -57,38 +56,62 @@ class FluidConfig:
         )
 
 
-@dataclass(frozen=True)
-class PopulationPath:
-    """Cohort size per generation (log domain) with per-value regime tags."""
+def mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: float) -> np.ndarray:
+    """log X_start.. of X_{m+1} = mu X_m + J_{m+1}, X_start = e^log_start.
 
-    log_values: np.ndarray  # (G+1,) float64, -inf encodes 0
-    regimes: np.ndarray     # (G+1,) uint8, REGIME_EXACT / REGIME_FLUID
-
-    def __post_init__(self) -> None:
-        lv = np.asarray(self.log_values, dtype=np.float64)
-        rg = np.asarray(self.regimes, dtype=np.uint8)
-        if lv.shape != rg.shape or lv.ndim != 1:
-            raise ValueError("log_values and regimes must be 1-d arrays of equal length")
-        object.__setattr__(self, "log_values", lv)
-        object.__setattr__(self, "regimes", rg)
-
-    def __len__(self) -> int:
-        return len(self.log_values)
+    Closed form m log mu + logaddexp.accumulate(log X_start - start log mu,
+    log J_k - k log mu); `jlog_rest` holds log J_{start+1}, ... .
+    """
+    steps = np.arange(start, start + jlog_rest.shape[0] + 1, dtype=np.float64) * log_mu
+    terms = np.empty(steps.shape[0])
+    terms[0] = log_start - steps[0]
+    np.subtract(jlog_rest, steps[1:], out=terms[1:])
+    return steps + np.logaddexp.accumulate(terms)
 
 
-def fluid_descent_steps(log_value: float, log_mu: float, log_threshold: float) -> int:
-    """Smallest j >= 1 with log_value + j*log_mu <= log_threshold (log_mu < 0)."""
-    j = max(1, math.ceil((log_value - log_threshold) / (-log_mu)))
-    while log_value + j * log_mu > log_threshold:
-        j += 1
-    while j > 1 and log_value + (j - 1) * log_mu <= log_threshold:
-        j -= 1
-    return j
+def population_log_path(
+    family: OffspringFamily, jlog: np.ndarray, config: FluidConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """log Y_0..Y_{L-1} of Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}.
 
-
-def fluid_fill(log_value: float, log_mu: float, steps: int) -> np.ndarray:
-    """Fluid values for offsets 1..steps: scale_pow(log_value, mu, j)."""
-    return log_value + log_mu * np.arange(1, steps + 1, dtype=np.float64)
+    The total is sampled exactly while it is at most the exactness
+    threshold and grows by the mean above it.  A fluid total that cannot
+    descend back below the threshold (mean >= 1, or refinement off) has
+    the closed-form rest of path `mean_recursion`; a descending one is
+    rounded and sampled exactly again once it is at or below the threshold.
+    """
+    size = jlog.shape[0]
+    out = np.full(size, _NEG_INF)
+    threshold = config.exactness_threshold
+    log_m = math.log(threshold)
+    log_mu = math.log(family.mean)
+    descends = log_mu < 0 and config.refine_on_descent
+    count: int | None = 0  # exact-regime total; None while fluid
+    log_value = _NEG_INF   # fluid-regime total
+    for m, jl in enumerate(jlog.tolist()):
+        if count is None:
+            log_value = float(np.logaddexp(log_value + log_mu, jl))
+            if log_value <= log_m:
+                count = int(round(math.exp(log_value)))
+                out[m] = math.log(count) if count else _NEG_INF
+                continue
+        else:
+            if count:
+                count = family.sample_generation(count, rng)
+            if jl <= log_m:
+                count += int(round(math.exp(jl)))  # J is integer by construction
+                if count <= threshold:
+                    out[m] = math.log(count) if count else _NEG_INF
+                    continue
+                log_value = math.log(count)
+            else:
+                log_value = float(np.logaddexp(math.log(count) if count else _NEG_INF, jl))
+            count = None
+            if not descends:
+                out[m:] = mean_recursion(log_value, m, jlog[m + 1 :], log_mu)
+                break
+        out[m] = log_value
+    return out
 
 
 def simulate_cohort(
@@ -97,82 +120,13 @@ def simulate_cohort(
     generations: int,
     config: FluidConfig,
     rng: np.random.Generator,
-) -> PopulationPath:
-    """Total population of one cohort simulated across `generations` steps."""
+) -> np.ndarray:
+    """log of one cohort's size at generations 0..`generations`; -inf encodes 0."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    size = generations + 1
-    logs = np.full(size, _NEG_INF)
-    regimes = np.zeros(size, dtype=np.uint8)
-
-    log_m = math.log(config.exactness_threshold)
-    log_mu = math.log(family.mean)
-
-    if initial.is_zero:
-        logs[0] = _NEG_INF
-        return PopulationPath(logs, regimes)
-
-    # classify the initial value; counts at or below the threshold are rounded
-    count: int | None = None
-    if initial.log_value <= log_m:
-        count = int(round(math.exp(initial.log_value)))
-        logs[0] = math.log(count) if count > 0 else _NEG_INF
-        if count == 0:
-            return PopulationPath(logs, regimes)
-    else:
-        logs[0] = initial.log_value
-        regimes[0] = REGIME_FLUID
-
-    g = 0
-    while g < generations:
-        if count is not None and count <= config.exactness_threshold:
-            nxt = family.sample_generation(count, rng)
-            g += 1
-            logs[g] = math.log(nxt) if nxt > 0 else _NEG_INF
-            regimes[g] = REGIME_EXACT
-            count = nxt
-            if count == 0:
-                break  # extinction is absorbing; tail stays -inf / exact
-            continue
-
-        # fluid regime from the current log value
-        lv = logs[g]
-        remaining = generations - g
-        if log_mu >= 0 or not config.refine_on_descent:
-            logs[g + 1 :] = fluid_fill(lv, log_mu, remaining)
-            regimes[g + 1 :] = REGIME_FLUID
-            g = generations
-            break
-
-        j = fluid_descent_steps(lv, log_mu, log_m)
-        if j >= remaining:
-            logs[g + 1 :] = fluid_fill(lv, log_mu, remaining)
-            regimes[g + 1 :] = REGIME_FLUID
-            g = generations
-            break
-        if j > 1:
-            logs[g + 1 : g + j] = fluid_fill(lv, log_mu, j - 1)
-            regimes[g + 1 : g + j] = REGIME_FLUID
-        # descent below the threshold: round and resume exact sampling
-        count = int(round(math.exp(lv + j * log_mu)))
-        g += j
-        logs[g] = math.log(count) if count > 0 else _NEG_INF
-        regimes[g] = REGIME_FLUID
-        if count == 0:
-            break
-
-    return PopulationPath(logs, regimes)
-
-
-def normalized_log_path(path: PopulationPath, scale: float, time_scale_n: int) -> CadlagPath:
-    """Step function t -> log⁺(values[floor(n t)]) / scale on [0, G/n]."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if time_scale_n < 1:
-        raise ValueError("time scale n must be >= 1")
-    obs = np.maximum(path.log_values, 0.0) / scale
-    times = np.arange(len(path)) / time_scale_n
-    return CadlagPath.step(times, obs)
+    jlog = np.full(generations + 1, _NEG_INF)
+    jlog[0] = initial.log_value
+    return population_log_path(family, jlog, config, rng)
 
 
 def limit_profile(a: float, mu: float, t: float | np.ndarray) -> float | np.ndarray:

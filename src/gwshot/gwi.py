@@ -2,12 +2,8 @@
 
 At each time k, J_k immigrants join the population.  Offspring are
 i.i.d., so the sum of independent cohorts is itself one Galton-Watson
-population (the branching property) and the engine steps one aggregate
-total, Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}, through the hybrid
-exact/fluid rules of `FluidConfig`: exact draws while the total is at or
-below the exactness threshold, growth by the mean above it, and exact
-re-entry when a subcritical fluid total descends below the threshold.
-A fluid total that cannot descend has a closed-form rest of path.
+population (the branching property), and one pass of the population
+kernel `gw.population_log_path` gives the whole path Y.
 
 The truncated process (immigrants with log J_k above a cutoff excluded)
 is a second population T founded by the kept immigrants; the excluded
@@ -17,32 +13,34 @@ Y = T + R, which makes T <= Y hold seed by seed.
 Immigrant draws and offspring draws come from separate counter-based
 substreams of the run seed, so the immigrant sequence is reproducible on
 its own (the coupling point for the conditional-mean proxy Z).
+`run_replicates` derives one run per replicate seed, the one replicate
+loop behind the CLI and the checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
 from . import streams
-from .gw import FluidConfig
+from .gw import FluidConfig, mean_recursion, population_log_path
 from .immigration import ImmigrationLaw
-from .lognum import LogMagnitude, as_log_array
 from .offspring import OffspringFamily
 from .paths import CadlagPath
 
 __all__ = [
     "GwiRun",
     "CoupledPaths",
-    "simulate_y_path",
-    "truncated_y_path",
     "conditional_mean_path",
     "immigrant_log_draws",
     "normalized_observable",
     "run_coupled",
+    "run_replicates",
 ]
 
 _NEG_INF = float("-inf")
@@ -101,64 +99,6 @@ class CoupledPaths:
     truncated_log: np.ndarray | None   # (L,) log of the truncated population, if requested
 
 
-def _mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: float) -> np.ndarray:
-    """log X_start.. of X_{m+1} = mu X_m + J_{m+1}, X_start = e^log_start.
-
-    Closed form m log mu + logaddexp.accumulate(log X_start - start log mu,
-    log J_k - k log mu); `jlog_rest` holds log J_{start+1}, ... .
-    """
-    steps = np.arange(start, start + jlog_rest.shape[0] + 1, dtype=np.float64) * log_mu
-    terms = np.empty(steps.shape[0])
-    terms[0] = log_start - steps[0]
-    np.subtract(jlog_rest, steps[1:], out=terms[1:])
-    return steps + np.logaddexp.accumulate(terms)
-
-
-def _population_log_path(
-    family: OffspringFamily, jlog: np.ndarray, config: FluidConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """log Y_0..Y_{L-1} of Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}.
-
-    The total is sampled exactly while it is at most the exactness
-    threshold and grows by the mean above it.  A fluid total that cannot
-    descend back below the threshold (mean >= 1, or refinement off) has
-    the closed-form rest of path `_mean_recursion`; a descending one is
-    rounded and sampled exactly again once it is at or below the threshold.
-    """
-    size = jlog.shape[0]
-    out = np.full(size, _NEG_INF)
-    threshold = config.exactness_threshold
-    log_m = math.log(threshold)
-    log_mu = math.log(family.mean)
-    descends = log_mu < 0 and config.refine_on_descent
-    count: int | None = 0  # exact-regime total; None while fluid
-    log_value = _NEG_INF   # fluid-regime total
-    for m, jl in enumerate(jlog.tolist()):
-        if count is None:
-            log_value = float(np.logaddexp(log_value + log_mu, jl))
-            if log_value <= log_m:
-                count = int(round(math.exp(log_value)))
-                out[m] = math.log(count) if count else _NEG_INF
-                continue
-        else:
-            if count:
-                count = family.sample_generation(count, rng)
-            if jl <= log_m:
-                count += int(round(math.exp(jl)))  # J is integer by construction
-                if count <= threshold:
-                    out[m] = math.log(count) if count else _NEG_INF
-                    continue
-                log_value = math.log(count)
-            else:
-                log_value = float(np.logaddexp(math.log(count) if count else _NEG_INF, jl))
-            count = None
-            if not descends:
-                out[m:] = _mean_recursion(log_value, m, jlog[m + 1 :], log_mu)
-                break
-        out[m] = log_value
-    return out
-
-
 def run_coupled(
     run: GwiRun,
     gamma: float | None = None,
@@ -182,31 +122,18 @@ def run_coupled(
             raise ValueError(f"immigrant log sequence must have length {size}")
     off_rng = streams.substream(run.seed, streams.OFFSPRING)
     if gamma is None:
-        y_log = _population_log_path(run.family, jlog, run.config, off_rng)
+        y_log = population_log_path(run.family, jlog, run.config, off_rng)
         return CoupledPaths(immigrant_log_j=jlog, y_log=y_log, truncated_log=None)
     if not (0 < gamma < 1):
         raise ValueError("gamma must lie in (0, 1)")
     if c_n is None or c_n <= 0:
         raise ValueError("c_n must be positive")
     kept = jlog <= gamma * c_n
-    truncated = _population_log_path(run.family, np.where(kept, jlog, _NEG_INF), run.config, off_rng)
+    truncated = population_log_path(run.family, np.where(kept, jlog, _NEG_INF), run.config, off_rng)
     rest_rng = streams.substream(run.seed, streams.EXCLUDED_OFFSPRING)
-    rest = _population_log_path(run.family, np.where(kept, _NEG_INF, jlog), run.config, rest_rng)
+    rest = population_log_path(run.family, np.where(kept, _NEG_INF, jlog), run.config, rest_rng)
     y_log = np.logaddexp(truncated, rest)
     return CoupledPaths(immigrant_log_j=jlog, y_log=y_log, truncated_log=truncated)
-
-
-def simulate_y_path(run: GwiRun, immigrant_log_j: np.ndarray | None = None) -> list[LogMagnitude]:
-    """Y_0..Y_[nT] in log domain; identical seeds reproduce identical output."""
-    bundle = run_coupled(run, immigrant_log_j=immigrant_log_j)
-    return [LogMagnitude(float(v)) for v in bundle.y_log]
-
-
-def truncated_y_path(run: GwiRun, gamma: float, c_n: float) -> list[LogMagnitude]:
-    """The immigration process keeping only cohorts with log J_k <= gamma*c_n."""
-    bundle = run_coupled(run, gamma=gamma, c_n=c_n)
-    assert bundle.truncated_log is not None
-    return [LogMagnitude(float(v)) for v in bundle.truncated_log]
 
 
 def immigrant_log_draws(run: GwiRun) -> np.ndarray:
@@ -215,29 +142,49 @@ def immigrant_log_draws(run: GwiRun) -> np.ndarray:
     return run.law.sample_log_j_array(imm_rng, run.num_steps + 1)
 
 
-def conditional_mean_path(
-    run: GwiRun, immigrant_logs: Sequence[LogMagnitude] | np.ndarray
-) -> list[LogMagnitude]:
-    """Z_m = sum_{k<=m} mu^{m-k} J_k from the coupled immigrant draws."""
-    jlog = as_log_array(immigrant_logs)
-    out = _mean_recursion(_NEG_INF, -1, jlog, math.log(run.family.mean))[1:]  # from Z_{-1} = 0
-    return [LogMagnitude(float(v)) for v in out]
+def run_replicates(
+    run: GwiRun,
+    replicates: int,
+    gamma: float | None = None,
+    c_n: float | None = None,
+    jobs: int = 1,
+) -> Iterator[CoupledPaths]:
+    """`run_coupled` for replicate r = 0.. of `run`, in order.
+
+    Replicate r runs with seed `replicate_seed(run.seed, r)`, so the output
+    does not depend on `jobs`; `jobs > 1` spreads the replicates over that
+    many worker processes.
+    """
+    runs = (replace(run, seed=streams.replicate_seed(run.seed, r)) for r in range(replicates))
+    one = partial(run_coupled, gamma=gamma, c_n=c_n)
+    if jobs <= 1:
+        yield from map(one, runs)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(one, runs)
+
+
+def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:
+    """log Z_m, Z_m = sum_{k<=m} mu^{m-k} J_k, from the coupled immigrant draws."""
+    jlog = np.asarray(immigrant_log_j, dtype=np.float64)
+    return mean_recursion(_NEG_INF, -1, jlog, math.log(run.family.mean))[1:]  # from Z_{-1} = 0
 
 
 def normalized_observable(
-    values: Sequence[LogMagnitude] | np.ndarray,
+    log_values: np.ndarray,
     norm: float,
     n: int,
     supercritical_correction: float | None = None,
 ) -> CadlagPath:
     """Step path t -> log⁺(values[floor(n t)] * mu^{-floor(n t)}) / norm.
 
-    The correction factor (pass mu > 1) removes the deterministic mean
-    growth so supercritical observables have a nondegenerate limit.
+    `log_values` holds the log of the values.  The correction factor (pass
+    mu > 1) removes the deterministic mean growth so supercritical
+    observables have a nondegenerate limit.
     """
     if norm <= 0:
         raise ValueError("norm must be positive")
-    lv = as_log_array(values)
+    lv = np.asarray(log_values, dtype=np.float64)
     if supercritical_correction is not None:
         if supercritical_correction <= 0:
             raise ValueError("correction mean must be positive")

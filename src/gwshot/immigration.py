@@ -15,12 +15,9 @@ value, so J is integer, J >= 1, and log J differs from V by at most 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lognum import LogMagnitude
 
 __all__ = ["ImmigrationLaw", "FLOOR_EXACT_LOG"]
 
@@ -126,13 +123,8 @@ class ImmigrationLaw:
         u = 1.0 - rng.random(size)
         return self.inverse_tail(u)
 
-    def sample_log_j(self, rng: np.random.Generator) -> LogMagnitude:
-        """log J for one immigrant batch, J = max(1, floor(e^V))."""
-        v = float(self.sample_tail_value(rng))
-        return LogMagnitude(_floor_log_scalar(v))
-
     def sample_log_j_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized log J draws as a float64 log-value array."""
+        """log J draws, J = max(1, floor(e^V)), as a float64 log-value array."""
         v = np.atleast_1d(self.sample_tail_value(rng, size))
         return floored_log(v)
 
@@ -183,13 +175,6 @@ class ImmigrationLaw:
         if variant == "pareto_log_sv":
             return ImmigrationLaw.pareto_log_sv()
         raise ValueError(f"unknown immigration variant {variant!r}")
-
-
-def _floor_log_scalar(v: float) -> float:
-    if v <= FLOOR_EXACT_LOG:
-        j = max(1, math.floor(math.exp(v)))
-        return math.log(j)
-    return v
 
 
 def floored_log(v: np.ndarray) -> np.ndarray:

@@ -351,16 +351,19 @@ def marginal_cdf_negslope(r: float, s: float, u: float, x: float | np.ndarray) -
 def marginal_cdf_extremal(a: float, b: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
     """P{max mark on [0, u] <= x} = exp(-u a x^{-b}) for the slope-0 process.
 
-    x may be a float or an array; a float x gives a float.
+    The value is positive almost surely for u > 0, so the CDF is 0 at
+    x = 0; with no time (u = 0) it is 1.  x may be a float or an array;
+    a float x gives a float.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     if u < 0:
         raise ValueError("u must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
-    return _float_if_scalar(_extremal_closed_form(a, b, u, x))
+    if np.any(x < 0):
+        raise ValueError("x must be nonnegative")
+    out = np.ones_like(x) if u == 0 else _extremal_closed_form(a, b, u, x)
+    return _float_if_scalar(out)
 
 
 def marginal_cdf_posslope(r: float, s: float, u: float, x: float | np.ndarray) -> float | np.ndarray:

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "LogMagnitude",
@@ -23,7 +20,6 @@ __all__ = [
     "lse_add",
     "scale_pow",
     "log_plus",
-    "as_log_array",
     "encode",
     "decode",
 ]
@@ -100,14 +96,6 @@ def scale_pow(x: LogMagnitude, mu: float, m: int) -> LogMagnitude:
 def log_plus(x: LogMagnitude) -> float:
     """log⁺ of the represented value: max(log v, 0), with log⁺ 0 = 0."""
     return max(x.log_value, 0.0)
-
-
-def as_log_array(values: Sequence[LogMagnitude] | Iterable[float] | np.ndarray) -> np.ndarray:
-    """Log-value float64 array from LogMagnitudes or raw log floats."""
-    seq = list(values) if not isinstance(values, np.ndarray) else values
-    if len(seq) > 0 and isinstance(seq[0], LogMagnitude):
-        return np.array([v.log_value for v in seq], dtype=np.float64)
-    return np.asarray(seq, dtype=np.float64)
 
 
 def encode(x: LogMagnitude) -> str:

@@ -61,16 +61,17 @@ def ecdf(sample: Sample, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def ks_distance(sample: Sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact one-sample Kolmogorov-Smirnov statistic against a CDF callable."""
+    """Exact one-sample Kolmogorov-Smirnov statistic against a CDF callable.
+
+    The CDF is called once, on the whole sample array, and must return an
+    array of the same shape.
+    """
     if len(sample) == 0:
         raise ValueError("empty sample")
     xs = sample.values
-    try:
-        f = np.asarray(cdf(xs), dtype=np.float64)
-        if f.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(float(v))) for v in xs])
+    f = np.asarray(cdf(xs), dtype=np.float64)
+    if f.shape != xs.shape:
+        raise ValueError(f"cdf must be vectorised: shape {f.shape} for a sample of shape {xs.shape}")
     n = len(xs)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n

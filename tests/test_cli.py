@@ -171,6 +171,15 @@ class TestVerify:
         cfg = write_config(tmp_path, {"check": "marginal-limit", "overrides": {"sample_count": 200}})
         assert cli.main(["verify", "--config", cfg, "--seed", "8"]) == 4
 
+    def test_large_delta_fails_the_check_instead_of_erroring(self, tmp_path, capsys):
+        # at delta = 5 most slope-0 values are 0 (no atom above delta); the
+        # extremal CDF is 0 there, so the check reports a failure, exit 4
+        cfg = write_config(tmp_path, {"check": "marginal-limit",
+                                      "overrides": {"sample_count": 1000, "delta": 5.0}})
+        assert cli.main(["verify", "--config", cfg, "--seed", "20250809"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False and report["statistic"] > 0.5
+
     def test_positional_check_name(self, tmp_path):
         cfg = write_config(tmp_path, {"overrides": {"mc_samples": 5000}})
         assert cli.main(["verify", "fdd", "--config", cfg, "--seed", "2"]) == 0

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from gwshot import streams
-from gwshot.gw import (
-    FluidConfig,
-    REGIME_EXACT,
-    REGIME_FLUID,
-    limit_profile,
-    normalized_log_path,
-    simulate_cohort,
-)
+from gwshot.gw import FluidConfig, limit_profile, population_log_path, simulate_cohort
+from gwshot.gwi import normalized_observable
 from gwshot.lognum import LogMagnitude, ZERO
 from gwshot.offspring import OffspringFamily
 
 LOG2 = math.log(2.0)
+# log of the default exactness threshold: values at or below it are exact counts
+LOG_THRESHOLD = math.log(FluidConfig().exactness_threshold)
 
 
 class TestFluidConfig:
@@ -32,22 +28,20 @@ class TestFluidConfig:
 class TestSimulateCohort:
     def test_zero_initial_is_absorbing(self):
         rng = streams.substream(1)
-        path = simulate_cohort(OffspringFamily.binary(0.5), ZERO, 50, FluidConfig(), rng)
-        assert np.all(path.log_values == -math.inf)
+        logs = simulate_cohort(OffspringFamily.binary(0.5), ZERO, 50, FluidConfig(), rng)
+        assert logs.shape == (51,) and np.all(logs == -math.inf)
 
     def test_extinction_is_absorbing(self):
         rng = streams.substream(2)
-        path = simulate_cohort(OffspringFamily.geometric(0.2), LogMagnitude.from_value(3), 200, FluidConfig(), rng)
-        logs = path.log_values
+        logs = simulate_cohort(OffspringFamily.geometric(0.2), LogMagnitude.from_value(3), 200, FluidConfig(), rng)
         dead = np.nonzero(logs == -math.inf)[0]
         assert dead.size > 0
         assert np.all(logs[dead[0]:] == -math.inf)
 
     def test_critical_fluid_fixed_point(self):
         rng = streams.substream(3)
-        path = simulate_cohort(OffspringFamily.binary(0.5), LogMagnitude(20.0), 100, FluidConfig(), rng)
-        assert np.all(path.log_values == 20.0)
-        assert np.all(path.regimes == REGIME_FLUID)
+        logs = simulate_cohort(OffspringFamily.binary(0.5), LogMagnitude(20.0), 100, FluidConfig(), rng)
+        assert np.all(logs == 20.0)
 
     def test_subcritical_descent_reenters_exact_and_dies(self):
         # log decays by log 2 per generation from 30; the threshold log(1e6)
@@ -57,13 +51,15 @@ class TestSimulateCohort:
         entries = []
         for rep in range(1000):
             rng = streams.substream(streams.replicate_seed(400, rep), streams.OFFSPRING)
-            path = simulate_cohort(family, LogMagnitude(30.0), 100, FluidConfig(), rng)
-            exact_tags = np.nonzero(path.regimes == REGIME_EXACT)[0]
-            assert exact_tags.size > 0
-            entries.append(exact_tags[0])
-            fluid_part = path.log_values[1:entries[-1] - 1]
-            np.testing.assert_allclose(np.diff(fluid_part), -LOG2, atol=1e-9)
-            if path.log_values[-1] == -math.inf:
+            logs = simulate_cohort(family, LogMagnitude(30.0), 100, FluidConfig(), rng)
+            exact = np.nonzero(logs <= LOG_THRESHOLD)[0]
+            assert exact.size > 0
+            entries.append(exact[0])
+            # the re-entry value is a rounded count, an integer
+            count = math.exp(logs[exact[0]])
+            assert abs(count - round(count)) < 1e-6
+            np.testing.assert_allclose(np.diff(logs[:exact[0]]), -LOG2, atol=1e-9)
+            if logs[-1] == -math.inf:
                 extinct += 1
         assert 23 <= np.median(entries) <= 27
         assert extinct >= 990  # spec example: extinct by G=100 in >= 99% of runs
@@ -72,37 +68,44 @@ class TestSimulateCohort:
         fam = OffspringFamily.poisson(1.1)
         a = simulate_cohort(fam, LogMagnitude.from_value(10), 300, FluidConfig(), streams.substream(9))
         b = simulate_cohort(fam, LogMagnitude.from_value(10), 300, FluidConfig(), streams.substream(9))
-        assert np.array_equal(a.log_values, b.log_values)
-        assert np.array_equal(a.regimes, b.regimes)
+        assert np.array_equal(a, b)
 
     def test_monotone_fluid_coupling(self):
         # raising the initial by a factor e shifts every fluid value up by 1
         fam = OffspringFamily.poisson(2.0)
         lo = simulate_cohort(fam, LogMagnitude(20.0), 50, FluidConfig(), streams.substream(10))
         hi = simulate_cohort(fam, LogMagnitude(21.0), 50, FluidConfig(), streams.substream(10))
-        both_fluid = (lo.regimes == REGIME_FLUID) & (hi.regimes == REGIME_FLUID)
+        both_fluid = (lo > LOG_THRESHOLD) & (hi > LOG_THRESHOLD)
         assert both_fluid.any()
-        assert np.all(hi.log_values[both_fluid] >= lo.log_values[both_fluid])
+        np.testing.assert_allclose(hi[both_fluid] - lo[both_fluid], 1.0, atol=1e-9)
 
     def test_refine_off_keeps_decaying(self):
         fam = OffspringFamily.geometric(0.5)
         cfg = FluidConfig(refine_on_descent=False)
-        path = simulate_cohort(fam, LogMagnitude(30.0), 100, cfg, streams.substream(11))
-        np.testing.assert_allclose(np.diff(path.log_values), -LOG2, atol=1e-9)
-        assert np.all(path.regimes[1:] == REGIME_FLUID)
+        logs = simulate_cohort(fam, LogMagnitude(30.0), 100, cfg, streams.substream(11))
+        np.testing.assert_allclose(np.diff(logs), -LOG2, atol=1e-9)
+        assert logs[-1] < 0.0  # far below one individual, never rounded back to a count
+
+    def test_cohort_is_the_population_with_one_founding_batch(self):
+        fam = OffspringFamily.geometric(0.5)
+        jlog = np.full(61, -math.inf)
+        jlog[0] = 17.0
+        via_cohort = simulate_cohort(fam, LogMagnitude(17.0), 60, FluidConfig(), streams.substream(14))
+        via_kernel = population_log_path(fam, jlog, FluidConfig(), streams.substream(14))
+        assert np.array_equal(via_cohort, via_kernel)
 
 
 class TestNormalizedLogPath:
     def test_zero_path_maps_to_zero_function(self):
         rng = streams.substream(12)
-        path = simulate_cohort(OffspringFamily.binary(0.5), ZERO, 10, FluidConfig(), rng)
-        f = normalized_log_path(path, scale=10.0, time_scale_n=10)
+        logs = simulate_cohort(OffspringFamily.binary(0.5), ZERO, 10, FluidConfig(), rng)
+        f = normalized_observable(logs, norm=10.0, n=10)
         assert np.all(np.asarray(f.value(np.linspace(0, 1, 21))) == 0.0)
 
     def test_constant_path_normalizes_to_one(self):
         rng = streams.substream(13)
-        path = simulate_cohort(OffspringFamily.binary(0.5), LogMagnitude(30.0), 30, FluidConfig(), rng)
-        f = normalized_log_path(path, scale=30.0, time_scale_n=30)
+        logs = simulate_cohort(OffspringFamily.binary(0.5), LogMagnitude(30.0), 30, FluidConfig(), rng)
+        f = normalized_observable(logs, norm=30.0, n=30)
         assert f.value(0.0) == 1.0 and f.value(1.0) == 1.0
         assert f.breakpoints[1] == pytest.approx(1.0 / 30.0)
 
@@ -116,8 +119,8 @@ class TestNormalizedLogPath:
             bad = 0
             for rep in range(reps):
                 rng = streams.substream(streams.replicate_seed(500, rep), streams.OFFSPRING)
-                path = simulate_cohort(family, LogMagnitude(float(n)), int(n * horizon), FluidConfig(), rng)
-                normalized = np.maximum(path.log_values, 0.0) / n
+                logs = simulate_cohort(family, LogMagnitude(float(n)), int(n * horizon), FluidConfig(), rng)
+                normalized = np.maximum(logs, 0.0) / n
                 if np.max(np.abs(normalized - profile)) > 0.1:
                     bad += 1
             assert bad <= reps // 10

@@ -11,11 +11,9 @@ from gwshot.gwi import (
     immigrant_log_draws,
     normalized_observable,
     run_coupled,
-    simulate_y_path,
-    truncated_y_path,
+    run_replicates,
 )
 from gwshot.immigration import ImmigrationLaw
-from gwshot.lognum import as_log_array
 from gwshot.offspring import OffspringFamily
 
 LOG2 = math.log(2.0)
@@ -31,9 +29,9 @@ def _run(n=30, horizon=1.0, family=CRITICAL, law=RECIP, seed=0):
 class TestRunDescriptor:
     def test_zero_horizon_yields_initial_immigrants_only(self):
         run = _run(n=1, horizon=0.0, seed=5)
-        path = simulate_y_path(run)
-        assert len(path) == 1
-        assert path[0].log_value == immigrant_log_draws(run)[0]
+        y_log = run_coupled(run).y_log
+        assert y_log.shape == (1,)
+        assert y_log[0] == immigrant_log_draws(run)[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,15 +67,19 @@ class TestDeterminismAndCoupling:
         # J = 1 cohorts always survive the cutoff since gamma*c_n >= 0
         run = _run(n=10, seed=1)
         ones = np.zeros(11)
-        full = as_log_array(simulate_y_path(run, immigrant_log_j=ones))
+        full = run_coupled(run, immigrant_log_j=ones).y_log
         bundle = run_coupled(run, gamma=0.5, c_n=10.0, immigrant_log_j=ones)
         assert np.array_equal(bundle.truncated_log, full)
 
-    def test_truncated_op_matches_coupled_bundle(self):
+
+class TestRunReplicates:
+    def test_replicate_seeds_and_order(self):
         run = _run(n=20, seed=17)
-        via_op = as_log_array(truncated_y_path(run, gamma=0.2, c_n=20.0))
-        bundle = run_coupled(run, gamma=0.2, c_n=20.0)
-        assert np.array_equal(via_op, bundle.truncated_log)
+        got = list(run_replicates(run, 3, gamma=0.2, c_n=20.0))
+        for r, bundle in enumerate(got):
+            want = run_coupled(_run(n=20, seed=streams.replicate_seed(17, r)), gamma=0.2, c_n=20.0)
+            assert np.array_equal(bundle.y_log, want.y_log)
+            assert np.array_equal(bundle.truncated_log, want.truncated_log)
 
 
 class TestMeanIdentities:
@@ -91,7 +93,7 @@ class TestMeanIdentities:
         for rep in range(reps):
             run = GwiRun(n=n, horizon=1.0, family=family, law=RECIP,
                          config=FluidConfig(), seed=streams.replicate_seed(700, rep))
-            y = np.exp(as_log_array(simulate_y_path(run, immigrant_log_j=ones)))
+            y = np.exp(run_coupled(run, immigrant_log_j=ones).y_log)
             total += y
             total_sq += y * y
         mean = total / reps
@@ -107,13 +109,13 @@ class TestMeanIdentities:
         law = ImmigrationLaw.reciprocal(0.2)
         jlog = law.sample_log_j_array(streams.substream(42, streams.IMMIGRATION), n + 1)
         jlog = np.minimum(jlog, 8.0)  # keep counts in comfortably exact range
-        z = np.exp(as_log_array(conditional_mean_path(_run(n=n, family=family, law=law), jlog)))
+        z = np.exp(conditional_mean_path(_run(n=n, family=family, law=law), jlog))
         total = np.zeros(n + 1)
         total_sq = np.zeros(n + 1)
         for rep in range(reps):
             run = GwiRun(n=n, horizon=1.0, family=family, law=law,
                          config=FluidConfig(), seed=streams.replicate_seed(800, rep))
-            y = np.exp(as_log_array(simulate_y_path(run, immigrant_log_j=jlog)))
+            y = np.exp(run_coupled(run, immigrant_log_j=jlog).y_log)
             total += y
             total_sq += y * y
         mean = total / reps
@@ -126,12 +128,12 @@ class TestConditionalMeanPath:
         run = _run(n=3, family=OffspringFamily.poisson(2.0))
         jlog = np.array([10.0, -math.inf, -math.inf, -math.inf])
         z = conditional_mean_path(run, jlog)
-        assert z[3].log_value == pytest.approx(10.0 + 3 * LOG2, rel=1e-12)
+        assert z[3] == pytest.approx(10.0 + 3 * LOG2, rel=1e-12)
 
     def test_critical_is_running_sum(self):
         run = _run(n=4)
         z = conditional_mean_path(run, np.zeros(5))  # J = 1 each step
-        values = np.exp(as_log_array(z))
+        values = np.exp(z)
         np.testing.assert_allclose(values, np.arange(1, 6), rtol=1e-12)
 
 

@@ -172,8 +172,10 @@ class TestMarginalCdfs:
     def test_extremal_values(self):
         assert marginal_cdf_extremal(1.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
         assert marginal_cdf_extremal(1.0, 1.0, 0.0, 3.0) == 1.0
+        assert marginal_cdf_extremal(1.0, 1.0, 1.0, 0.0) == 0.0  # the value is > 0 a.s.
+        assert marginal_cdf_extremal(1.0, 1.0, 0.0, 0.0) == 1.0  # no time, no atom
         with pytest.raises(ValueError):
-            marginal_cdf_extremal(1.0, 1.0, 1.0, 0.0)
+            marginal_cdf_extremal(1.0, 1.0, 1.0, -1.0)
 
     def test_posslope_values(self):
         assert marginal_cdf_posslope(1.0, LOG2, 1.0, 0.5 * LOG2) == 0.0
@@ -192,11 +194,12 @@ class TestMarginalCdfs:
             got = cdf(1.5, s, 1.0, xs)
             assert isinstance(got, np.ndarray) and got.shape == xs.shape
             np.testing.assert_allclose(got, [cdf(1.5, s, 1.0, float(x)) for x in xs], rtol=1e-14)
-        got = marginal_cdf_extremal(2.0, 0.5, 1.0, xs[1:])
-        np.testing.assert_allclose(got, [marginal_cdf_extremal(2.0, 0.5, 1.0, float(x)) for x in xs[1:]], rtol=1e-14)
+        got = marginal_cdf_extremal(2.0, 0.5, 1.0, xs)
+        np.testing.assert_allclose(got, [marginal_cdf_extremal(2.0, 0.5, 1.0, float(x)) for x in xs], rtol=1e-14)
+        assert got[0] == 0.0
         assert isinstance(marginal_cdf_posslope(1.0, LOG2, 1.0, 2.0), float)
         with pytest.raises(ValueError):
-            marginal_cdf_extremal(1.0, 1.0, 1.0, np.array([1.0, 0.0]))
+            marginal_cdf_extremal(1.0, 1.0, 1.0, np.array([1.0, -1e-300]))
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gwshot.lognum import LogMagnitude, ZERO, as_log_array, decode, encode, log_plus, lse_add, scale_pow
+from gwshot.lognum import LogMagnitude, ZERO, decode, encode, log_plus, lse_add, scale_pow
 
 LOG2 = math.log(2.0)
 
@@ -114,10 +114,3 @@ class TestLogPlus:
             s = lse_add(x, y)
             assert log_plus(x) <= log_plus(s)
             assert log_plus(s) <= log_plus(x) + log_plus(y) + 2 * LOG2
-
-
-def test_as_log_array_accepts_both_forms():
-    xs = [LogMagnitude(1.0), ZERO, LogMagnitude(-3.0)]
-    arr = as_log_array(xs)
-    assert arr.tolist() == [1.0, -math.inf, -3.0]
-    assert as_log_array(np.array([0.5, 1.5])).tolist() == [0.5, 1.5]

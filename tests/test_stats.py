@@ -47,6 +47,21 @@ class TestKsDistance:
     def test_degenerate_single_point(self):
         assert ks_distance(Sample(np.array([0.5])), lambda x: np.clip(x, 0, 1)) == pytest.approx(0.5)
 
+    def test_scalar_only_cdf_raises_at_once(self):
+        # a CDF must be vectorised: it is called once, on the whole sample
+        calls = []
+
+        def scalar_cdf(x):
+            calls.append(x)
+            return min(max(float(x), 0.0), 1.0)
+
+        sample = Sample(np.linspace(0.1, 0.9, 1000))
+        with pytest.raises(TypeError):
+            ks_distance(sample, scalar_cdf)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="vectorised"):
+            ks_distance(sample, lambda x: 0.5)
+
     def test_uniform_sample_within_dkw_band_with_margin(self):
         # true exceedance probability of the 99% band is ~0.9%; doubling the
         # nominal frequency bound makes the check numerically stable
