@@ -19,7 +19,7 @@ import math
 import secrets
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,8 +36,9 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 # Expected atoms over all limit-sample replicates.  Every atom is kept in
-# memory and written to the JSON sidecar, about 150 bytes of memory and 75
-# bytes of JSON each, so a run at the budget peaks near 0.85 GB.
+# memory as two float64s and written to the JSON sidecar: about 16 bytes of
+# memory and 75 bytes of JSON each, so a run at the budget peaks near
+# 0.17 GB and writes a sidecar of about 0.37 GB.
 LIMIT_ATOM_BUDGET = 5_000_000
 
 
@@ -74,10 +75,39 @@ def _write_csv(path: Path, lines: Iterable[str], header: tuple[str, ...]) -> Non
         fh.writelines(lines)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> None:
+    """`payload` pretty-printed with sorted keys, plus an "atoms" key when
+    `atoms` holds (times, marks) arrays of finite floats: one [[t, j], ...]
+    list per replicate, in the bytes `json.dump` writes for those lists."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        if not atoms:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        else:
+            fields = dict(payload, atoms=None)
+            for i, key in enumerate(sorted(fields)):
+                fh.write(("," if i else "{") + "\n  " + json.dumps(key) + ": ")
+                if key == "atoms":
+                    fh.writelines(_json_atom_lists(atoms))
+                else:  # json escapes newlines in strings: each one here is layout
+                    fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+            fh.write("\n}")
         fh.write("\n")
+
+
+_ATOM_PAIR = "[\n        %r,\n        %r\n      ]"
+
+
+def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it out."""
+    yield "["
+    for r, (times, marks) in enumerate(atoms):
+        yield ("," if r else "") + "\n    "
+        if len(times):
+            pairs = map(_ATOM_PAIR.__mod__, zip(times.tolist(), marks.tolist()))
+            yield "[\n      " + ",\n      ".join(pairs) + "\n    ]"
+        else:
+            yield "[]"
+    yield "\n  ]"
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +211,7 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
         slope = float(cfg["slope"])
         if not math.isfinite(slope):
             raise ValueError("slope must be finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid limit-sample config: {exc}") from exc
     return params, slope
 
@@ -208,17 +238,24 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
         )
 
     paths = []
-    atom_lists = []
+    atom_arrays = []
     for r in range(replicates):
         rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
         atoms = limit.sample_atoms(params, rng)
         path = limit.shot_noise_path(limit.ShotNoiseSpec(slope=slope, atoms=atoms))
+        end_value = path.value(path.end_time)
+        if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
+                and math.isfinite(end_value)):
+            raise ConfigError(
+                f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
+                "raise b or delta, or lower |slope| x horizon"
+            )
         if slope == 0.0:
-            jumps = np.diff(np.append(path.values, path.value(path.end_time)))
+            jumps = np.diff(np.append(path.values, end_value))
             if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
                 raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
         paths.append(path)
-        atom_lists.append([[float(t), float(j)] for t, j in zip(atoms.times, atoms.marks)])
+        atom_arrays.append((atoms.times, atoms.marks))
 
     _write_csv(Path(f"{args.out}.csv"), _limit_path_lines(paths), ("replicate", "t", "value"))
     _write_json(
@@ -228,10 +265,10 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
             "params": cfg,
             "replicate_count": replicates,
             "seed": seed,
-            "atom_counts": [len(a) for a in atom_lists],
-            "atoms": atom_lists,
+            "atom_counts": [len(times) for times, _ in atom_arrays],
             "version": __version__,
         },
+        atoms=atom_arrays,
     )
     return EXIT_OK
 

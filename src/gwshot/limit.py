@@ -84,11 +84,13 @@ class PrmParams:
     @property
     def expected_atoms(self) -> float:
         """T a delta^{-b}, or inf when delta^{-b} overflows a float."""
+        if self.horizon == 0:
+            return 0.0
         try:
             level = self.delta ** (-self.b)
         except OverflowError:
-            level = math.inf
-        return self.horizon * self.a * level if self.horizon > 0 else 0.0
+            return math.inf  # even where T a underflows to 0
+        return self.horizon * self.a * level
 
     def to_config(self) -> dict:
         return {"a": self.a, "b": self.b, "horizon": self.horizon, "delta": self.delta}
@@ -144,6 +146,8 @@ def sample_atoms_band(
     a: float, b: float, horizon: float, lo: float, hi: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and marks of the atoms with marks in (lo, hi] on [0, horizon]."""
+    if horizon == 0.0:  # no atoms, even where lo^{-b} overflows
+        return np.empty(0), np.empty(0)
     hi_pow = 0.0 if math.isinf(hi) else hi ** (-b)
     intensity = horizon * a * (lo ** (-b) - hi_pow)
     count = int(rng.poisson(intensity))
@@ -184,63 +188,52 @@ def shot_noise_path(spec: ShotNoiseSpec, grid: np.ndarray | None = None) -> Cadl
     is itself affine with slope s, clamped at the floor; breakpoints sit at
     record atom times and at clamp crossings.  Grid times, when given, are
     inserted as extra breakpoints (the function is unchanged).
+
+    In time order, atom k's response is s t + c_k with c_k = j_k - s t_k,
+    so the path after t_k follows the running maximum of the c's: the
+    records are the atoms whose c_k beats every earlier one (and beats 0
+    for s > 0, where the floor is s t).  A record's value is s t_k + c_k,
+    clamped at 0 for s <= 0; for s < 0 the line s t + c_k meets the clamp
+    at t = -c_k / s, a breakpoint when it comes before the next record.
+    Of several records at one time the last (largest) one stands.
     """
     s = spec.slope
     end = spec.atoms.params.horizon
     order = np.argsort(spec.atoms.times, kind="stable")
     times = spec.atoms.times[order]
     marks = spec.atoms.marks[order]
+    inside = np.searchsorted(times, end, side="right")  # atoms with t_k <= horizon
+    times, marks = times[:inside], marks[:inside]
 
-    bps: list[float] = [0.0]
-    vals: list[float] = [0.0]
-    slopes: list[float] = [s if s > 0 else 0.0]
-
-    def push(t: float, v: float, k: float) -> None:
-        if t >= bps[-1] and t <= end:
-            if t == bps[-1]:
-                vals[-1], slopes[-1] = v, k
-            else:
-                bps.append(t)
-                vals.append(v)
-                slopes.append(k)
-
+    c = marks - s * times
+    start = 0.0 if s > 0 else -np.inf
+    best_before = np.maximum.accumulate(np.concatenate(([start], c)))[:-1]
+    record = c > best_before
+    t, c = times[record], c[record]
+    v = s * t + c
     if s > 0:
-        # v(t) = s t + max(0, C): slope s throughout, jumps at positive records
-        c_eff = 0.0
-        for t_k, j_k in zip(times, marks):
-            if t_k > end:
-                break
-            c = j_k - s * t_k
-            if c > c_eff:
-                push(float(t_k), float(s * t_k + c), s)
-                c_eff = c
+        vals, slopes = v, np.full_like(v, s)
     else:
-        # v(t) = max(0, s t + C): affine decay (or flat for s = 0) then clamp
-        c = -math.inf
-        prev = 0.0
-        for idx in range(len(times) + 1):
-            seg_end = float(times[idx]) if idx < len(times) else end
-            if seg_end > prev and c > -math.inf:
-                # emit the clamp crossing inside (prev, seg_end), if any
-                if s < 0 and vals[-1] > 0.0:
-                    t_x = -c / s
-                    if prev < t_x < seg_end:
-                        push(t_x, 0.0, 0.0)
-            if idx == len(times):
-                break
-            t_k, j_k = float(times[idx]), float(marks[idx])
-            if t_k > end:
-                break
-            c_new = j_k - s * t_k
-            if c_new > c:
-                c = c_new
-                push(t_k, max(0.0, s * t_k + c), s if s < 0 else 0.0)
-                if s < 0 and s * t_k + c <= 0.0:
-                    # record already below the clamp (cannot happen for fresh atoms)
-                    push(t_k, 0.0, 0.0)
-            prev = max(prev, t_k)
+        above = v > 0.0
+        vals = np.where(above, v, 0.0)
+        slopes = np.zeros_like(v)
+        if s < 0:
+            slopes[above] = s
+            t_x = -c / s
+            cross = above & (t < t_x) & (t_x < np.append(t[1:], end))
+            after = np.flatnonzero(cross) + 1
+            t = np.insert(t, after, t_x[cross])
+            vals = np.insert(vals, after, 0.0)
+            slopes = np.insert(slopes, after, 0.0)
 
-    path = CadlagPath(np.array(bps), np.array(vals), np.array(slopes), end)
+    bps = np.concatenate(([0.0], t))
+    last_at_time = np.append(bps[1:] != bps[:-1], True)
+    path = CadlagPath(
+        bps[last_at_time],
+        np.concatenate(([0.0], vals))[last_at_time],
+        np.concatenate(([s if s > 0 else 0.0], slopes))[last_at_time],
+        end,
+    )
     if grid is not None and len(grid):
         path = _insert_breakpoints(path, np.asarray(grid, dtype=np.float64))
     return path

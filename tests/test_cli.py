@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gwshot import cli
 
@@ -151,6 +158,103 @@ class TestLimitSample:
         ) == 0
         meta = json.loads((tmp_path / "pois.json").read_text(encoding="utf-8"))
         assert abs(np.mean(meta["atom_counts"]) - 1.0) <= 0.1
+
+    @pytest.mark.parametrize(
+        "config,replicates,seed,form",
+        [
+            ({"a": 1.0, "b": 1.0, "slope": -0.693, "horizon": 1.0, "delta": 1e-3}, 3, 11, "e-"),
+            (dict(LIMIT_CONFIG, delta=1.0), 40, 3, None),  # mostly 0 or 1 atom
+            (dict(LIMIT_CONFIG, horizon=0.0), 3, 3, None),  # every atom list empty
+            ({"a": 100.0, "b": 0.1, "slope": 0.5, "horizon": 1.0, "delta": 0.05}, 3, 4, "e+"),
+        ],
+        ids=["default", "delta-1", "horizon-0", "exponent-marks"],
+    )
+    def test_sidecar_bytes_match_json_dump(self, tmp_path, config, replicates, seed, form):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "side"
+        args = ["limit-sample", "--config", cfg, "--seed", str(seed), "--replicates", str(replicates)]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        text = out.with_suffix(".json").read_text(encoding="utf-8")
+        meta = json.loads(text)
+        assert text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        assert meta["atom_counts"] == [len(a) for a in meta["atoms"]]
+        if config["horizon"] == 0.0:
+            assert meta["atoms"] == [[]] * replicates
+        if config.get("delta") == 1.0:
+            assert {0, 1} <= set(meta["atom_counts"])
+        if form is not None:  # floats printed in exponent form are covered
+            assert form in text
+
+    def test_replicates_are_a_prefix_of_a_longer_run(self, tmp_path):
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693))
+        runs = {}
+        for replicates in (3, 5):
+            out = tmp_path / f"r{replicates}"
+            args = ["limit-sample", "--config", cfg, "--seed", "17", "--replicates", str(replicates)]
+            assert cli.main(args + ["--out", str(out)]) == 0
+            meta = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            rows = out.with_suffix(".csv").read_text(encoding="utf-8").splitlines()[1:]
+            runs[replicates] = meta["atoms"], [r for r in rows if int(r.split(",")[0]) < 3]
+        assert runs[3][0] == runs[5][0][:3]
+        assert runs[3][1] == runs[5][1]
+
+    def test_overflowing_marks_exit_2_without_output(self, tmp_path, capsys):
+        # b = 0.003 puts marks delta * u^(-1/b) above the float range for
+        # about 12% of the atoms; writing them would put inf in the outputs
+        cfg = write_config(tmp_path, {"a": 1.0, "b": 0.003, "slope": 0.3, "horizon": 2.0, "delta": 1.0})
+        out = tmp_path / "over"
+        args = ["limit-sample", "--config", cfg, "--seed", "5", "--replicates", "200"]
+        with np.errstate(over="ignore"):
+            assert cli.main(args + ["--out", str(out)]) == 2
+        assert "overflows the float range" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+_MISSING = object()
+_ODD_VALUES = [0.0, -1.0, -1e300, 1e300, 1.7e308, 5e-324, 10**400,
+               math.nan, math.inf, -math.inf, "abc", "0.5", None, _MISSING]
+
+
+def _limit_param(valid):
+    # odd values a quarter of the time, so that about a fifth of the
+    # configs run to exit 0
+    return st.one_of(valid, valid, valid, st.sampled_from(_ODD_VALUES))
+
+
+# The valid ranges keep a run at or below 4 * 4 * 0.2^-3 * 5 = 10^4 expected
+# atoms; the odd values either fail validation, overflow, exceed the atom
+# budget or give a handful of atoms.
+_LIMIT_CONFIGS = st.fixed_dictionaries({
+    "a": _limit_param(st.floats(0.01, 4.0)),
+    "b": _limit_param(st.floats(0.1, 3.0)),
+    "horizon": _limit_param(st.floats(0.0, 4.0)),
+    "delta": _limit_param(st.floats(0.2, 5.0)),
+    "slope": _limit_param(st.floats(-3.0, 3.0)),
+})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_LIMIT_CONFIGS, st.integers(1, 5))
+def test_limit_sample_config_fuzz(config, replicates):
+    config = {k: v for k, v in config.items() if v is not _MISSING}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        out = Path(tmp) / "fz"
+        err = io.StringIO()
+        args = ["limit-sample", "--config", cfg, "--seed", "3", "--replicates", str(replicates)]
+        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            rc = cli.main(args + ["--out", str(out)])
+        event(f"exit {rc}")
+        if rc == 0:
+            rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
+            assert rows.shape[1] == 3 and np.all(np.isfinite(rows))
+            meta = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            assert len(meta["atoms"]) == replicates
+            assert meta["atom_counts"] == [len(a) for a in meta["atoms"]]
+        else:
+            assert rc == 2
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+            assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 
 class TestVerify:

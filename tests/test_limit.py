@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from gwshot import streams
@@ -130,6 +132,97 @@ class TestShotNoisePath:
         assert set(np.round(grid, 12)).issubset(set(np.round(refined.breakpoints, 12)))
         ts = np.linspace(0, 2, 101)
         np.testing.assert_allclose(refined.value(ts), base.value(ts), atol=1e-12)
+
+
+PATH_SLOPES = [-2.0, -LOG2, -1e-9, 0.0, 1e-9, LOG2, 2.0]
+
+
+@st.composite
+def path_specs(draw):
+    """Small atom sets with ties in time and in mark, atoms at 0 and at the
+    horizon, and the empty set; plus a few evaluation times."""
+    horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    slope = draw(st.sampled_from(PATH_SLOPES))
+    n = draw(st.integers(0, 10))
+    times = st.one_of(st.sampled_from([0.0, horizon / 2, horizon]), st.floats(0.0, horizon))
+    marks = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 4.0))
+    atoms = draw(st.lists(st.tuples(times, marks), min_size=n, max_size=n))
+    probes = draw(st.lists(st.floats(0.0, horizon), max_size=5))
+    return _spec(slope, atoms, horizon=horizon), probes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(path_specs())
+def test_path_matches_pointwise_oracle(case):
+    spec, probes = case
+    path = shot_noise_path(spec)
+    horizon = spec.atoms.params.horizon
+    ts = np.concatenate([spec.atoms.times, probes, [horizon]])
+    expected = [shot_noise_value(spec, float(t)) for t in ts]
+    np.testing.assert_allclose(path.value(ts), expected, rtol=0, atol=1e-9)
+    # the path only jumps up, at atom times
+    at = spec.atoms.times
+    assert np.all(path.left_limit(at) <= path.value(at) + 1e-9)
+    if spec.slope == 0.0:
+        # exact arithmetic: every breakpoint after 0 is a strict record
+        inner = path.breakpoints[1:]
+        assert np.all(path.left_limit(inner) < path.value(inner))
+
+
+def _loop_path(spec):
+    """The per-atom loop the record scan replaced, condensed, kept as its
+    bit-exact reference: breakpoints, values and slopes as lists."""
+    s, end = spec.slope, spec.atoms.params.horizon
+    order = np.argsort(spec.atoms.times, kind="stable")
+    bps, vals, slopes = [0.0], [0.0], [s if s > 0 else 0.0]
+
+    def push(t, v, k):
+        if bps[-1] <= t <= end:
+            if t == bps[-1]:
+                vals[-1], slopes[-1] = v, k
+            else:
+                bps.append(t)
+                vals.append(v)
+                slopes.append(k)
+
+    best, prev = (0.0 if s > 0 else -math.inf), 0.0
+    for t_k, j_k in zip(spec.atoms.times[order].tolist() + [math.inf],
+                        spec.atoms.marks[order].tolist() + [0.0]):
+        seg_end = min(t_k, end)
+        if s < 0 and vals[-1] > 0.0 and best > -math.inf and prev < -best / s < seg_end:
+            push(-best / s, 0.0, 0.0)  # clamp crossing before this atom
+        if t_k > end:
+            break
+        c = j_k - s * t_k
+        if c > best:
+            best = c
+            v = s * t_k + c
+            if s > 0:
+                push(t_k, v, s)
+            else:
+                push(t_k, max(0.0, v), s if s < 0 and v > 0.0 else 0.0)
+        prev = max(prev, t_k)
+    return bps, vals, slopes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(path_specs())
+def test_path_is_bit_equal_to_the_loop_reference(case):
+    spec, _ = case
+    path = shot_noise_path(spec)
+    bps, vals, slopes = _loop_path(spec)
+    assert path.breakpoints.tolist() == bps
+    assert path.values.tolist() == vals
+    assert path.slopes.tolist() == slopes
+
+
+@pytest.mark.parametrize("slope", [-5.0, -LOG2, 0.0, 1e-9, LOG2])
+def test_sampled_paths_are_bit_equal_to_the_loop_reference(slope):
+    rng = streams.substream(8, streams.ATOMS)
+    for _ in range(20):
+        spec = ShotNoiseSpec(slope=slope, atoms=sample_atoms(PrmParams(2.0, 0.5, 3.0, 0.01), rng))
+        path = shot_noise_path(spec)
+        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(spec)
 
 
 class TestTruncationRefinement:
