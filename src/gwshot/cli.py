@@ -239,23 +239,25 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
 
     paths = []
     atom_arrays = []
-    for r in range(replicates):
-        rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
-        atoms = limit.sample_atoms(params, rng)
-        path = limit.shot_noise_path(limit.ShotNoiseSpec(slope=slope, atoms=atoms))
-        end_value = path.value(path.end_time)
-        if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
-                and math.isfinite(end_value)):
-            raise ConfigError(
-                f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
-                "raise b or delta, or lower |slope| x horizon"
-            )
-        if slope == 0.0:
-            jumps = np.diff(np.append(path.values, end_value))
-            if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
-                raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
-        paths.append(path)
-        atom_arrays.append((atoms.times, atoms.marks))
+    # an overflow is reported by the finiteness check below, as one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(replicates):
+            rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
+            atoms = limit.sample_atoms(params, rng)
+            path = limit.shot_noise_path(limit.ShotNoiseSpec(slope=slope, atoms=atoms))
+            end_value = path.value(path.end_time)
+            if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
+                    and math.isfinite(end_value)):
+                raise ConfigError(
+                    f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
+                    "raise b or delta, or lower |slope| x horizon"
+                )
+            if slope == 0.0:
+                jumps = np.diff(np.append(path.values, end_value))
+                if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
+                    raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
+            paths.append(path)
+            atom_arrays.append((atoms.times, atoms.marks))
 
     _write_csv(Path(f"{args.out}.csv"), _limit_path_lines(paths), ("replicate", "t", "value"))
     _write_json(

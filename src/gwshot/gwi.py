@@ -20,7 +20,6 @@ loop behind the CLI and the checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterator
@@ -160,6 +159,8 @@ def run_replicates(
     if jobs <= 1:
         yield from map(one, runs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~20 ms to import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(one, runs)
 

@@ -28,9 +28,9 @@ meets the rule (marks are positive) and runs to the cap, so the cap also
 bounds the work: at most a T delta^{-b} atoms per sample.
 
 Marginal distributions have closed forms; finite-dimensional ones are
-void probabilities of the measure over a union of wedges, computed by
-adaptive quadrature on the piecewise-affine lower envelope so that this
-oracle stays independent of both the sampler and the closed forms.
+void probabilities of the measure over a union of wedges, integrated in
+closed form over the piecewise-affine lower envelope, so that this oracle
+stays independent of both the sampler and the marginal closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .paths import CadlagPath
 
@@ -398,8 +397,8 @@ def fdd_cdf(
     The exceedance region is A = union_i {(t, y): t <= u_i, y > h_i(t)}
     with h_i(t) = x_i - s (u_i - t).  All boundary lines share slope s, so
     between consecutive u_i the lower envelope is the active line with the
-    smallest intercept; Lambda integrates a * envelope^{-b} piecewise with
-    adaptive quadrature (absolute tolerance 1e-10).
+    smallest intercept; Lambda integrates a * envelope^{-b} piecewise in
+    closed form (`_wedge_measure`).
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -428,9 +427,22 @@ def fdd_cdf(
         lo, hi = edges[i], edges[i + 1]
         if hi <= lo:
             continue
-        c = suffix_min[i]
-        piece, _ = integrate.quad(
-            lambda t, c=c: a * (c + slope * t) ** (-b), lo, hi, epsabs=1e-12, epsrel=1e-12
-        )
-        total += piece
+        total += _wedge_measure(a, b, slope, suffix_min[i], lo, hi)
     return math.exp(-total)
+
+
+def _wedge_measure(a: float, b: float, s: float, c: float, lo: float, hi: float) -> float:
+    """Integral of a (c + s t)^{-b} over [lo, hi], where c + s t > 0.
+
+    With x0 = c + s lo, x1 = c + s hi and l = log(x1 / x0), computed as
+    log1p(s (hi - lo) / x0), the antiderivative gives (a/s) l for b = 1 and
+    (a/s) x0^{1-b} expm1((1-b) l) / (1-b) otherwise; log1p and expm1 keep
+    full relative precision as s -> 0, where log x1 - log x0 cancels.
+    """
+    if s == 0.0:
+        return a * c ** (-b) * (hi - lo)
+    x0 = c + s * lo
+    ell = math.log1p(s * (hi - lo) / x0)
+    if b == 1.0:
+        return a / s * ell
+    return a / s * x0 ** (1.0 - b) * math.expm1((1.0 - b) * ell) / (1.0 - b)

@@ -10,6 +10,7 @@ scheduling order when replicates run in parallel.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence  # numpy 2 loads it lazily: load it here, not at the first draw
 
 __all__ = ["substream", "replicate_seed", "IMMIGRATION", "OFFSPRING", "ATOMS", "GENERIC",
            "EXCLUDED_OFFSPRING"]
@@ -25,13 +26,13 @@ EXCLUDED_OFFSPRING = 4
 _MASK64 = (1 << 64) - 1
 
 
-def substream(seed: int, purpose: int = GENERIC) -> np.random.Generator:
+def substream(seed: int, purpose: int = GENERIC) -> Generator:
     """Independent generator for (seed, purpose)."""
     key = np.array([seed & _MASK64, purpose & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def replicate_seed(master_seed: int, index: int) -> int:
     """Well-mixed 64-bit seed for replicate `index` under a master seed."""
-    ss = np.random.SeedSequence(entropy=master_seed & _MASK64, spawn_key=(index,))
+    ss = SeedSequence(entropy=master_seed & _MASK64, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])

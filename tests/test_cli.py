@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -198,16 +201,26 @@ class TestLimitSample:
         assert runs[3][0] == runs[5][0][:3]
         assert runs[3][1] == runs[5][1]
 
-    def test_overflowing_marks_exit_2_without_output(self, tmp_path, capsys):
+    def test_overflowing_marks_exit_2_without_output(self, tmp_path):
         # b = 0.003 puts marks delta * u^(-1/b) above the float range for
-        # about 12% of the atoms; writing them would put inf in the outputs
-        cfg = write_config(tmp_path, {"a": 1.0, "b": 0.003, "slope": 0.3, "horizon": 2.0, "delta": 1.0})
-        out = tmp_path / "over"
-        args = ["limit-sample", "--config", cfg, "--seed", "5", "--replicates", "200"]
-        with np.errstate(over="ignore"):
-            assert cli.main(args + ["--out", str(out)]) == 2
-        assert "overflows the float range" in capsys.readouterr().err
-        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+        # about 12% of the atoms; the huge slope overflows s * t instead,
+        # and both together give inf - inf.  A fresh interpreter, so that
+        # stderr is exactly what a user sees, numpy warnings included
+        for i, config in enumerate([
+            {"a": 1.0, "b": 0.003, "slope": 0.3, "horizon": 2.0, "delta": 1.0},
+            {"a": 1.0, "b": 1.0, "slope": 1.7e308, "horizon": 2.0, "delta": 0.1},
+            {"a": 1.0, "b": 0.003, "slope": -1.7e308, "horizon": 2.0, "delta": 1.0},
+        ]):
+            cfg = write_config(tmp_path, config, name=f"config{i}.json")
+            out = tmp_path / f"over{i}"
+            args = ["limit-sample", "--config", cfg, "--seed", "5", "--replicates", "200", "--out", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "gwshot.cli", *args], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+            assert proc.returncode == 2
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            assert "overflows the float range" in lines[0]
+            assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 
 _MISSING = object()
@@ -233,6 +246,7 @@ _LIMIT_CONFIGS = st.fixed_dictionaries({
 })
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print above the error line
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_LIMIT_CONFIGS, st.integers(1, 5))
 def test_limit_sample_config_fuzz(config, replicates):
@@ -242,7 +256,7 @@ def test_limit_sample_config_fuzz(config, replicates):
         out = Path(tmp) / "fz"
         err = io.StringIO()
         args = ["limit-sample", "--config", cfg, "--seed", "3", "--replicates", str(replicates)]
-        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        with contextlib.redirect_stderr(err):
             rc = cli.main(args + ["--out", str(out)])
         event(f"exit {rc}")
         if rc == 0:
@@ -253,7 +267,8 @@ def test_limit_sample_config_fuzz(config, replicates):
             assert meta["atom_counts"] == [len(a) for a in meta["atoms"]]
         else:
             assert rc == 2
-            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
             assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 

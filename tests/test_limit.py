@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.stats import ks_2samp
 
 from gwshot import streams
@@ -425,3 +426,43 @@ class TestFddCdf:
 
     def test_zero_time_is_certain(self):
         assert fdd_cdf(1, 1, -1.0, np.array([0.0]), np.array([0.5])) == 1.0
+
+    @staticmethod
+    def _quad_reference(a, b, s, u, x):
+        """exp(-Lambda) with Lambda by quadrature of a h(t)^{-b}, where the
+        envelope h(t) = min over u_j >= t of x_j - s (u_j - t) is taken
+        pointwise; h is affine between consecutive times."""
+        def integrand(t):
+            h = min(xj - s * (uj - t) for uj, xj in zip(u, x) if uj >= t)
+            return a * h ** (-b)
+
+        edges = [0.0, *u]
+        total = sum(
+            integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        return math.exp(-total)
+
+    def test_closed_form_matches_quadrature(self):
+        # slopes cycle through 0, +-1e-9 (where log x1 - log x0 loses about
+        # 3e-7 to cancellation) and N(0, 4); b alternates between 1 and
+        # U(0.2, 3); 1-4 times with thresholds in any order, so the
+        # envelope is often not the last line (a non-monotone envelope)
+        rng = np.random.default_rng(20250809)
+        slopes = (0.0, 1e-9, -1e-9, None)
+        errors, binding = [], 0
+        for case in range(1200):
+            a = rng.uniform(0.2, 3.0)
+            b = 1.0 if case % 2 else rng.uniform(0.2, 3.0)
+            s = slopes[case % 4]
+            s = rng.normal(0.0, 2.0) if s is None else s
+            d = 1 + case // 4 % 4
+            u = np.cumsum(rng.uniform(0.05, 1.5, d))
+            x = np.maximum(s * u, 0.0) + rng.uniform(0.2, 4.0, d)
+            intercepts = x - s * u  # a later line below an earlier one binds early
+            binding += bool(np.any(np.minimum.accumulate(intercepts[::-1])[::-1] < intercepts))
+            want = self._quad_reference(a, b, s, u.tolist(), x.tolist())
+            errors.append(abs(fdd_cdf(a, b, s, u, x) - want))
+        errors = np.array(errors)
+        assert np.all(errors <= 1e-12), f"{np.count_nonzero(~(errors <= 1e-12))} cases off, worst {errors.max()}"
+        assert binding >= 200
