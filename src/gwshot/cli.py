@@ -41,6 +41,14 @@ EXIT_VERIFY = 4
 # 0.17 GB and writes a sidecar of about 0.37 GB.
 LIMIT_ATOM_BUDGET = 5_000_000
 
+# Rows over all simulate replicates, replicates x ([n*horizon] + 1).  Each
+# value is kept as a float64 until the finiteness check has passed, and a
+# CSV row is about 31 bytes, so many short replicates at the budget hold
+# about 0.08 GB of values and write a CSV of about 0.31 GB.  One path of
+# the full length peaks near 1.3 GB: about 130 bytes per row of engine
+# arrays and formatted time cells.
+SIMULATE_ROW_BUDGET = 10_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -69,7 +77,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _write_csv(path: Path, lines: Iterable[str], header: tuple[str, ...]) -> None:
-    """Header, then the finished lines (each ending in LF) as given."""
+    """Header, then the given text, whole lines each ending in LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
@@ -126,23 +134,29 @@ def _parse_simulate_config(cfg: dict) -> dict:
             "norm_spec": cfg.get("norm", "n"),
             "correction": cfg.get("supercritical_correction", False),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+        if not math.isfinite(parsed["n"] * parsed["horizon"]):
+            raise ValueError("horizon and n x horizon must be finite")
+    # AttributeError: a section that is not an object
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
     return parsed
 
 
 def _simulate_norm(parsed: dict) -> float:
     spec = parsed["norm_spec"]
-    if spec == "n":
-        return float(parsed["n"])
-    if spec == "bn":
-        return float(parsed["law"].norming_bn(parsed["n"]))
     try:
-        value = float(spec)
+        if spec == "n":
+            value = float(parsed["n"])
+        elif spec == "bn":
+            value = float(parsed["law"].norming_bn(parsed["n"]))
+        else:
+            value = float(spec)
+    except OverflowError as exc:
+        raise ConfigError(f"norm {spec!r} exceeds the float range") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid norm {spec!r}: expected 'n', 'bn', or a number") from exc
-    if value <= 0:
-        raise ConfigError("norm must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"norm must be finite and positive, got {value!r}")
     return value
 
 
@@ -150,9 +164,36 @@ def _simulate_correction(parsed: dict) -> float | None:
     corr = parsed["correction"]
     if corr is False or corr is None:
         return None
-    if corr is True:
-        return float(parsed["family"].mean)
-    return float(corr)
+    try:
+        value = float(parsed["family"].mean if corr is True else corr)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid supercritical_correction {corr!r}: expected true, false or a mean") from exc
+    if not 0 < value < math.inf:
+        raise ConfigError(f"supercritical_correction must be finite and positive, got {value!r}")
+    return value
+
+
+_ROW_BLOCK = 1 << 16  # rows per string the writer yields, which bounds its memory on long paths
+
+
+def _simulate_rows(values: Sequence[np.ndarray], n: int) -> Iterator[str]:
+    """CSV rows `r,k/n,value` of each replicate's values, a block at a time.
+
+    A path is constant over long stretches (a fluid total, a record in the
+    extremal regime), so each run of equal values is formatted once.  Runs
+    go by bit pattern, not by ==: -0.0 == 0.0, but the two print apart.
+    """
+    size = len(values[0])
+    parts = np.empty(3 * size, dtype=object)  # "r,", "t,", "value\n" per row
+    parts[1::3] = [repr(k / n) + "," for k in range(size)]
+    for r, obs in enumerate(values):
+        bits = obs.view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        cells = np.array([repr(v) + "\n" for v in obs[starts].tolist()], dtype=object)
+        parts[0::3] = f"{r},"
+        parts[2::3] = np.repeat(cells, np.diff(starts, append=size))
+        for lo in range(0, 3 * size, 3 * _ROW_BLOCK):
+            yield "".join(parts[lo : lo + 3 * _ROW_BLOCK].tolist())
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -174,14 +215,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config=parsed["fluid"],
         seed=seed,
     )
-    values = [
-        normalized_observable(bundle.y_log, norm, n, correction).values
-        for bundle in run_replicates(run, replicates, jobs=args.jobs)
-    ]
-    times = [repr(k / n) for k in range(run.num_steps + 1)]
-    lines = (f"{r},{t},{v!r}\n" for r, obs in enumerate(values) for t, v in zip(times, obs.tolist()))
+    if replicates * (run.num_steps + 1) > SIMULATE_ROW_BUDGET:
+        raise ConfigError(
+            f"{replicates} replicates x {run.num_steps + 1} rows each exceed the row budget of "
+            f"{SIMULATE_ROW_BUDGET:.0e}; lower n x horizon or --replicates"
+        )
 
-    _write_csv(Path(f"{args.out}.csv"), lines, ("replicate", "t", "value"))
+    values = []
+    # an overflow is reported by the finiteness check below, as one error line
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for r, bundle in enumerate(run_replicates(run, replicates, jobs=args.jobs)):
+            obs = normalized_observable(bundle.y_log, norm, n, correction).values
+            if not np.isfinite(obs).all():
+                raise ConfigError(
+                    f"replicate {r} has a value outside the float range (log Y / norm); "
+                    "lower the immigration scale or raise norm"
+                )
+            values.append(obs)
+
+    _write_csv(Path(f"{args.out}.csv"), _simulate_rows(values, n), ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {

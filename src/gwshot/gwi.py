@@ -152,7 +152,7 @@ def run_replicates(
 
     Replicate r runs with seed `replicate_seed(run.seed, r)`, so the output
     does not depend on `jobs`; `jobs > 1` spreads the replicates over that
-    many worker processes.
+    many worker processes, which take the caller's numpy error state.
     """
     runs = (replace(run, seed=streams.replicate_seed(run.seed, r)) for r in range(replicates))
     one = partial(run_coupled, gamma=gamma, c_n=c_n)
@@ -161,7 +161,7 @@ def run_replicates(
         return
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~20 ms to import
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=partial(np.seterr, **np.geterr())) as pool:
         yield from pool.map(one, runs)
 
 

@@ -144,6 +144,8 @@ class ImmigrationLaw:
         lo, hi = 1e-12, 4.0
         while _sv_tail_ratio(hi) > target:
             hi *= 2.0
+            if np.isinf(hi):
+                raise OverflowError(f"b_n for n = {n} exceeds the float range")
         # bisect to relative tolerance 1e-12 (approx 2 extra decades of margin
         # versus the 1e-9 residual requirement)
         while (hi - lo) > 1e-13 * lo:

@@ -8,13 +8,17 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gwshot import cli
+from gwshot.gwi import GwiRun, normalized_observable, run_replicates
+from gwshot.immigration import ImmigrationLaw
+from gwshot.offspring import OffspringFamily
 
 SIM_CONFIG = {
     "n": 10,
@@ -32,6 +36,21 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def reference_rows(values, n):
+    """The CSV rows of simulate as one f-string per row: the reference bytes."""
+    times = [repr(k / n) for k in range(len(values[0]))]
+    return "".join(f"{r},{t},{v!r}\n" for r, obs in enumerate(values) for t, v in zip(times, obs.tolist()))
+
+
+def run_cli(args, start_method=None):
+    """`cli.main(args)` in a fresh interpreter, so that stderr is what a user sees."""
+    code = "import sys; from gwshot import cli; sys.exit(cli.main(sys.argv[1:]))"
+    if start_method is not None:  # of the --jobs worker processes
+        code = f"import multiprocessing; multiprocessing.set_start_method({start_method!r}); {code}"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
 
 
 class TestSimulate:
@@ -102,6 +121,135 @@ class TestSimulate:
         cfg = dict(SIM_CONFIG, norm="bn")
         path = write_config(tmp_path, cfg)
         assert cli.main(["simulate", "--config", path, "--seed", "3", "--out", str(tmp_path / "bn")]) == 0
+
+    @pytest.mark.parametrize(
+        "offspring,correction",
+        [({"family": "binary", "mean": 1.0}, False),
+         ({"family": "geometric", "mean": 0.5}, False),
+         ({"family": "poisson", "mean": 2.0}, True)],
+        ids=["critical", "subcritical", "supercritical"],
+    )
+    def test_csv_bytes_match_the_engine(self, tmp_path, offspring, correction):
+        config = dict(SIM_CONFIG, n=800, offspring=offspring, supercritical_correction=correction)
+        out = tmp_path / "ref"
+        args = ["simulate", "--config", write_config(tmp_path, config), "--seed", "31", "--replicates", "4"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        run = GwiRun(n=800, horizon=1.0, family=OffspringFamily.from_config(offspring),
+                     law=ImmigrationLaw.reciprocal(1.0), seed=31)
+        mean = offspring["mean"] if correction else None
+        values = [normalized_observable(b.y_log, 800.0, 800, mean).values for b in run_replicates(run, 4)]
+        expected = "replicate,t,value\n" + reference_rows(values, 800)
+        assert out.with_suffix(".csv").read_bytes() == expected.encode("utf-8")
+        runs = sum(1 + np.count_nonzero(np.diff(v.view(np.int64))) for v in values)
+        if offspring["family"] == "geometric":  # small exact totals: few repeats
+            assert runs > 0.5 * 4 * 801
+        else:  # a fluid stretch of the (corrected) path is constant: long runs
+            assert runs < 0.5 * 4 * 801
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"horizon": math.inf},
+            {"horizon": math.nan},
+            {"n": math.inf},  # what JSON reads for 1e400
+            {"n": 10**400},
+            {"n": 1e308, "horizon": 2.0},  # n x horizon overflows
+            {"norm": "NaN"},
+            {"norm": "Infinity"},
+            {"norm": 10**400},
+            {"norm": "bn", "horizon": 0.0, "n": 100_000,
+             "immigration": {"variant": "pareto_log", "alpha": 0.01}},  # b_n = n^100
+            {"norm": "bn", "horizon": 0.0, "n": 1.7e308,
+             "immigration": {"variant": "pareto_log_sv"}},  # b_n bisection beyond the float range
+            {"supercritical_correction": math.nan},
+            {"supercritical_correction": 0.0},
+            {"supercritical_correction": [2.0]},
+            {"supercritical_correction": 10**400},
+            {"fluid": 1.0},
+            {"immigration": {"variant": "reciprocal", "c": 1e308}},  # J above the float range
+            {"norm": 1e-320},  # log Y / norm above the float range
+            {"offspring": {"family": "poisson", "mean": 1e308}},
+        ],
+        ids=["horizon-inf", "horizon-nan", "n-inf", "n-int-1e400", "n-horizon-overflow", "norm-nan",
+             "norm-inf", "norm-int-1e400", "bn-overflow", "bn-sv-overflow", "correction-nan",
+             "correction-0", "correction-list", "correction-int-1e400", "fluid-number",
+             "immigration-overflow", "norm-denormal", "poisson-overflow"],
+    )
+    def test_rejected_config_exits_2_without_output(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, **change))
+        out = tmp_path / "bad"
+        args = ["simulate", "--config", cfg, "--seed", "1", "--replicates", "2", "--out", str(out)]
+        assert cli.main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_row_budget_exits_2_before_any_work(self, tmp_path, capsys):
+        # 1e18 rows: the engine would ask for exbibytes
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, n=1e9, horizon=1e9))
+        out = tmp_path / "huge"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 16 * 2**20
+        assert "row budget" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_row_budget_counts_replicates(self, tmp_path):
+        # 11 rows per path, one path more than the budget holds
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        replicates = cli.SIMULATE_ROW_BUDGET // 11 + 1
+        args = ["simulate", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
+        assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
+
+    @pytest.mark.parametrize("jobs,start_method", [("1", None), ("2", "fork"), ("2", "spawn")])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, jobs, start_method):
+        # worker processes must not print numpy warnings above the error line
+        # either; spawned ones do not inherit the caller's numpy error state
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, immigration={"variant": "reciprocal", "c": 1e308}))
+        out = tmp_path / "over"
+        proc = run_cli(["simulate", "--config", cfg, "--seed", "1", "--replicates", "2",
+                        "--jobs", jobs, "--out", str(out)], start_method)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "outside the float range" in lines[0], proc.stderr
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+# Equal neighbours, signed zeros, subnormals, exponent forms, nan and
+# 17-digit floats, so that a path holds runs of equal values
+_WRITER_POOL = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1e22, math.nan, 0.1 + 0.2, 1 / 3, 2 / 3, math.pi * 1e-7]
+
+
+@st.composite
+def _writer_paths(draw):
+    size = draw(st.integers(1, 40))
+    value = st.one_of(st.sampled_from(_WRITER_POOL), st.floats(allow_nan=False, allow_infinity=False))
+    kinds = {
+        "pool": st.lists(value, min_size=size, max_size=size),
+        "all-equal": value.map(lambda v: [v] * size),
+        "no-repeats": st.lists(st.floats(allow_nan=False), min_size=size, max_size=size, unique=True),
+    }
+    paths = draw(st.lists(st.sampled_from(list(kinds)).flatmap(kinds.get), min_size=1, max_size=4))
+    return [np.array(p, dtype=np.float64) for p in paths], draw(st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_writer_paths(), st.sampled_from([1, 2, 7, cli._ROW_BLOCK]))
+@example(([np.array([0.0, -0.0])], 1), cli._ROW_BLOCK)  # equal under ==, printed apart
+@example(([np.array([-0.0, 0.0, 0.0, -0.0])], 3), 2)
+@example(([np.array([math.nan] * 3), np.array([1e22] * 3)], 5), 1)
+def test_simulate_rows_match_the_per_row_format(paths, block):
+    values, n = paths
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        chunks = list(cli._simulate_rows(values, n))
+    assert "".join(chunks) == reference_rows(values, n)
+    assert all(c.endswith("\n") and c.count("\n") <= block for c in chunks)
 
 
 class TestLimitSample:
@@ -214,8 +362,7 @@ class TestLimitSample:
             cfg = write_config(tmp_path, config, name=f"config{i}.json")
             out = tmp_path / f"over{i}"
             args = ["limit-sample", "--config", cfg, "--seed", "5", "--replicates", "200", "--out", str(out)]
-            proc = subprocess.run([sys.executable, "-m", "gwshot.cli", *args], capture_output=True, text=True,
-                                  env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+            proc = run_cli(args)
             assert proc.returncode == 2
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -265,6 +412,69 @@ def test_limit_sample_config_fuzz(config, replicates):
             meta = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
             assert len(meta["atoms"]) == replicates
             assert meta["atom_counts"] == [len(a) for a in meta["atoms"]]
+        else:
+            assert rc == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+# Every key of the simulate schema, sections included.  The valid ranges
+# keep a run at or below 3 replicates x 101 rows.
+_SIM_KEYS = {
+    ("n",): st.integers(1, 50),
+    ("horizon",): st.floats(0.0, 2.0),
+    ("offspring",): None,
+    ("offspring", "family"): st.sampled_from(["poisson", "binary", "geometric"]),
+    ("offspring", "mean"): st.floats(0.1, 1.9),
+    ("immigration",): None,
+    ("immigration", "variant"): st.sampled_from(["reciprocal", "pareto_log", "pareto_log_sv"]),
+    ("immigration", "c"): st.floats(0.1, 3.0),
+    ("immigration", "alpha"): st.floats(0.2, 0.9),
+    ("fluid",): None,
+    ("fluid", "exactness_threshold"): st.sampled_from([1_000, 1_000_000]),
+    ("fluid", "refine_on_descent"): st.booleans(),
+    ("norm",): st.one_of(st.sampled_from(["n", "bn"]), st.floats(0.1, 100.0)),
+    ("supercritical_correction",): st.one_of(st.booleans(), st.floats(0.5, 2.0)),
+}
+
+
+@st.composite
+def _sim_configs(draw):
+    # Up to two keys take an odd value.  An odd draw for each of these
+    # fourteen keys independently, as for limit-sample, would leave almost
+    # no config valid; this way about half of the configs exit 0.
+    odd = draw(st.sets(st.sampled_from(list(_SIM_KEYS)), max_size=2))
+    config = {}
+    for key, valid in _SIM_KEYS.items():
+        section = config if len(key) == 1 else config.get(key[0])
+        if not isinstance(section, dict):
+            continue  # a leaf of a section that is itself odd or missing
+        value = draw(st.sampled_from(_ODD_VALUES)) if key in odd else {} if valid is None else draw(valid)
+        if value is not _MISSING:
+            section[key[-1]] = value
+    return config
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print above the error line
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sim_configs(), st.integers(1, 3))
+def test_simulate_config_fuzz(config, replicates):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        out = Path(tmp) / "fz"
+        err = io.StringIO()
+        args = ["simulate", "--config", cfg, "--seed", "3", "--replicates", str(replicates)]
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(args + ["--out", str(out)])
+        event(f"exit {rc}")
+        if rc == 0:
+            rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
+            steps = math.floor(int(config["n"]) * float(config["horizon"]) + 1e-9)
+            assert rows.shape == (replicates * (steps + 1), 3)
+            assert np.all(np.isfinite(rows))
+            meta = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            assert meta["replicate_count"] == replicates
         else:
             assert rc == 2
             lines = err.getvalue().splitlines()

@@ -98,3 +98,8 @@ class TestNorming:
     def test_strictly_increasing(self, law):
         values = [law.norming_bn(n) for n in (1, 2, 5, 10, 100, 10**4)]
         assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
+
+    def test_sv_solver_beyond_the_float_range_raises(self):
+        # b_n near 7e308: the bracket doubles to inf, where the bisection never ends
+        with pytest.raises(OverflowError):
+            ImmigrationLaw.pareto_log_sv().norming_bn(10**306)
