@@ -72,6 +72,16 @@ def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray
     return cdf
 
 
+def _require_scale(replicates: int, ns: tuple[int, ...]) -> None:
+    """Reject an override scale that leaves the statistic empty."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    if not ns:
+        raise ValueError("ns must hold at least one n")
+    if min(ns) < 1:
+        raise ValueError(f"every n must be >= 1, got {min(ns)!r}")
+
+
 # ----------------------------------------------------------------------
 # Limit-sampler marginals (three slope regimes)
 # ----------------------------------------------------------------------
@@ -127,6 +137,7 @@ def check_marginal_prelimit_thm1(
     KS(log⁺Y_n / n, exp(-1/x)) must not increase along the n-ladder (0.02
     slack between consecutive rungs) and must end below 0.15.
     """
+    _require_scale(replicates, ns)
     family = OffspringFamily.binary(0.5)
     law = ImmigrationLaw.reciprocal(1.0)
     cdf = _frechet_cdf(1.0, 1.0)
@@ -157,6 +168,7 @@ def check_marginal_prelimit_thm2(
     KS(log⁺Y_n / b_n, exp(-x^(-1/2))) <= 0.15 at the top rung, and the
     coarser rung is no better than 0.02 beyond it.
     """
+    _require_scale(replicates, ns)
     family = OffspringFamily.geometric(0.5)
     law = ImmigrationLaw.pareto_log(0.5)
     cdf = _frechet_cdf(1.0, 0.5)
@@ -263,6 +275,7 @@ _PROFILE_FAMILIES = (
 
 def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
     """A cohort of ~e^n individuals follows (a + t log mu)^+ on the log/n scale."""
+    _require_scale(replicates, (n,))
     a = 1.0
     horizon = 3.0
     tol = 0.1
@@ -296,6 +309,7 @@ def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> Chec
 
 def check_cohort_flatness(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
     """A cohort of e^(n^2) individuals is flat at 1 on the log/n^2 scale."""
+    _require_scale(replicates, (n,))
     c_n = float(n) ** 2
     horizon = 3.0
     tol = 0.05
@@ -358,6 +372,7 @@ def check_truncation_negligible(
 ) -> CheckReport:
     """Cohorts founded while immigration is not extremely active stay below
     gamma + delta on the normalized log scale, more surely as n grows."""
+    _require_scale(replicates, ns)
     gamma, slack = 0.2, 0.1
     level = gamma + slack
     branches = {
@@ -391,6 +406,7 @@ def check_truncation_negligible(
 def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
     """log⁺Y_n stays within 0.05*n of log⁺Z_n, Z the conditional mean given
     the immigrant counts, in at least 90% of coupled replicates."""
+    _require_scale(replicates, (n,))
     family = OffspringFamily.poisson(2.0)
     law = ImmigrationLaw.reciprocal(1.0)
     tol = 0.05

@@ -10,6 +10,11 @@ kernel re-enters the exact regime (rounding to the nearest integer) so
 extinction happens at a random time, reproducing the kink of the limiting
 growth profile instead of an artificially sharp one.
 
+The per-generation steps run on Python scalars: an exact generation is one
+scalar draw (`OffspringFamily.sample_generation`), a fluid one is a libm
+`_logaddexp`, bit for bit `np.logaddexp`, and a total that is extinct with
+no immigrant left is not stepped at all.
+
 By the branching property a lone cohort is the same process with a single
 founding batch and no later immigrants (`simulate_cohort`).
 """
@@ -27,6 +32,7 @@ from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 __all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
 
 _NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,22 @@ def mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: 
     return steps + np.logaddexp.accumulate(terms)
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) on Python floats, bit for bit `np.logaddexp`.
+
+    A line-for-line copy of numpy's `npy_logaddexp` on the libm
+    `log1p`/`exp` behind `math`, without the cost of a ufunc call.
+    """
+    if x == y:  # infinities of the same sign
+        return x + _LOG2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
+
+
 def population_log_path(
     family: OffspringFamily, jlog: np.ndarray, config: FluidConfig, rng: np.random.Generator
 ) -> np.ndarray:
@@ -79,6 +101,8 @@ def population_log_path(
     descend back below the threshold (mean >= 1, or refinement off) has
     the closed-form rest of path `mean_recursion`; a descending one is
     rounded and sampled exactly again once it is at or below the threshold.
+    An exact total of 0 with no immigrant left stays 0: the rest of the
+    path is -inf without a step.
     """
     size = jlog.shape[0]
     out = np.full(size, _NEG_INF)
@@ -86,11 +110,13 @@ def population_log_path(
     log_m = math.log(threshold)
     log_mu = math.log(family.mean)
     descends = log_mu < 0 and config.refine_on_descent
+    arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped
+    last_arrival = int(arrivals[-1]) if arrivals.size else -1
     count: int | None = 0  # exact-regime total; None while fluid
     log_value = _NEG_INF   # fluid-regime total
     for m, jl in enumerate(jlog.tolist()):
         if count is None:
-            log_value = float(np.logaddexp(log_value + log_mu, jl))
+            log_value = _logaddexp(log_value + log_mu, jl)
             if log_value <= log_m:
                 count = int(round(math.exp(log_value)))
                 out[m] = math.log(count) if count else _NEG_INF
@@ -98,6 +124,8 @@ def population_log_path(
         else:
             if count:
                 count = family.sample_generation(count, rng)
+            elif m > last_arrival:
+                break
             if jl <= log_m:
                 count += int(round(math.exp(jl)))  # J is integer by construction
                 if count <= threshold:
@@ -105,7 +133,7 @@ def population_log_path(
                     continue
                 log_value = math.log(count)
             else:
-                log_value = float(np.logaddexp(math.log(count) if count else _NEG_INF, jl))
+                log_value = _logaddexp(math.log(count) if count else _NEG_INF, jl)
             count = None
             if not descends:
                 out[m:] = mean_recursion(log_value, m, jlog[m + 1 :], log_mu)

@@ -8,6 +8,10 @@ share the interface of the growth theory:
 * geometric(mean mu, P{X=k}=(1-q)q^k with q=mu/(1+mu)): generation is
   NegativeBinomial(m, 1-q), the sum of m geometrics.
 
+`sample_generation` draws one generation as a numpy scalar (the kernel's
+exact step); it gives the same numbers from the same stream as
+`sample_generations` on a one-element array.
+
 Survival probabilities iterate the generating function at 0.  The
 iteration runs on the survival probability itself via the algebraically
 simplified map p' = 1 - f(1-p), which stays accurate down to denormals
@@ -86,7 +90,12 @@ class OffspringFamily:
             )
         if m == 0:
             return 0
-        return int(self.sample_generations(np.array([m], dtype=np.int64), rng)[0])
+        # scalar draws: the same numbers as `sample_generations` on [m]
+        if self.family == "poisson":
+            return int(rng.poisson(self.mean * m))
+        if self.family == "binary":
+            return 2 * int(rng.binomial(m, self.branch_probability))
+        return int(rng.negative_binomial(m, 1.0 - self.geometric_q))
 
     def sample_generations(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized `sample_generation` over an int64 array of cohort sizes."""

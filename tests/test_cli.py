@@ -525,6 +525,29 @@ class TestVerify:
     def test_verify_without_name_exits_2(self):
         assert cli.main(["verify", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "check,overrides",
+        [
+            ("lemma-aux2", {"replicates": 0}),  # each of these four divided by zero
+            ("lemma-aux2a", {"replicates": 0}),
+            ("lemma-aux3", {"replicates": 0}),
+            ("proxy-zn", {"replicates": 0}),
+            ("marginal-prelimit-thm1", {"ns": []}),  # these two indexed an empty list
+            ("marginal-prelimit-thm2", {"ns": []}),
+            ("lemma-aux2", {"n": 0}),  # these three passed on an empty statistic
+            ("lemma-aux2a", {"n": 0}),
+            ("lemma-aux3", {"ns": []}),
+        ],
+    )
+    def test_empty_scale_exits_2(self, tmp_path, capsys, check, overrides):
+        cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
+        out = tmp_path / "rep"
+        assert cli.main(["verify", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == ""
+        assert not out.with_suffix(".json").exists()
+
 
 @pytest.mark.parametrize("command", ["simulate", "limit-sample", "verify"])
 def test_nonpositive_jobs_exits_2(tmp_path, capsys, command):

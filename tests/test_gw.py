@@ -1,9 +1,13 @@
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gwshot import streams
+from gwshot import gw, streams
 from gwshot.gw import FluidConfig, limit_profile, population_log_path, simulate_cohort
 from gwshot.gwi import normalized_observable
 from gwshot.lognum import LogMagnitude, ZERO
@@ -93,6 +97,73 @@ class TestSimulateCohort:
         via_cohort = simulate_cohort(fam, LogMagnitude(17.0), 60, FluidConfig(), streams.substream(14))
         via_kernel = population_log_path(fam, jlog, FluidConfig(), streams.substream(14))
         assert np.array_equal(via_cohort, via_kernel)
+
+
+    def test_late_immigrant_after_extinction_is_stepped(self):
+        # a zero total is skipped only when no immigrant is left
+        fam = OffspringFamily.geometric(0.5)
+        jlog = np.full(301, -math.inf)
+        jlog[0] = math.log(3.0)
+        alone = population_log_path(fam, jlog, FluidConfig(), streams.substream(15))
+        assert alone[200] == -math.inf  # 3 geometric(0.5) lines die within 200 generations
+        jlog[250] = math.log(1000.0)
+        late = population_log_path(fam, jlog, FluidConfig(), streams.substream(15))
+        assert np.array_equal(late[:250], alone[:250])
+        assert late[250] >= math.log(1000.0)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.min, 1e-310, -1e-310,
+          1e308, -1e308, sys.float_info.max, -sys.float_info.max, math.log(2.0), 709.8, -745.2, 13.815510557964274)
+_FLOATS = st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(-60.0, 60.0), st.floats(-1e-306, 1e-306))
+
+
+@st.composite
+def _logaddexp_pairs(draw):
+    x = draw(_FLOATS)
+    kind = draw(st.sampled_from(("free", "equal", "ulps", "tiny")))
+    if kind == "free":
+        y = draw(_FLOATS)
+    elif kind == "equal":
+        y = x
+    elif kind == "ulps":  # a difference of a few ulps, subnormal when x is tiny
+        y = x
+        for _ in range(draw(st.integers(1, 3))):
+            y = math.nextafter(y, draw(st.sampled_from((math.inf, -math.inf))))
+    else:  # both subnormal or near it: a subnormal difference
+        x, y = draw(st.floats(-1e-307, 1e-307)), draw(st.floats(-1e-307, 1e-307))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_logaddexp_pairs())
+@example((math.inf, math.inf))
+@example((-math.inf, -math.inf))
+@example((math.inf, -math.inf))
+@example((-math.inf, 3.0))
+@example((math.nan, -math.inf))
+@example((1e308, 1e308))
+@example((-1e308, 1e308))
+@example((5e-324, -5e-324))
+def test_logaddexp_is_bitwise_numpy(pair):
+    x, y = pair
+    with np.errstate(all="ignore"):
+        want = float(np.logaddexp(x, y))
+    assert _bits(gw._logaddexp(x, y)) == _bits(want)
+
+
+def test_logaddexp_matches_numpy_on_a_dense_sweep():
+    # near-equal pairs, then shuffled pairs over the whole float range
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0, 30, 200_000), rng.normal(0, 1e300, 100_000), np.array(_EDGES)])
+    y = np.concatenate([x[:100_000] + rng.normal(0, 1e-9, 100_000), rng.permutation(x[100_000:])])
+    got = np.array([gw._logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    with np.errstate(all="ignore"):
+        want = np.logaddexp(x, y)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestNormalizedLogPath:

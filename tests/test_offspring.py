@@ -89,6 +89,30 @@ class TestSampling:
         with pytest.raises(ValueError):
             OffspringFamily.poisson(1.0).sample_generation(EXACT_COUNT_LIMIT + 1, rng)
 
+    def test_rejects_negative_counts(self):
+        rng = streams.substream(2)
+        for fam in (OffspringFamily.binary(0.5), OffspringFamily.poisson(2.0), OffspringFamily.geometric(0.5)):
+            with pytest.raises(ValueError):
+                fam.sample_generation(-1, rng)
+
+    @pytest.mark.parametrize(
+        "family",
+        [OffspringFamily.binary(0.5), OffspringFamily.binary(0.15), OffspringFamily.poisson(2.0),
+         OffspringFamily.poisson(0.9), OffspringFamily.geometric(0.5), OffspringFamily.geometric(2.0)],
+        ids=lambda f: f"{f.family}-{f.mean}",
+    )
+    def test_scalar_draws_equal_one_element_array_draws(self, family):
+        # the kernel draws scalars; the same Philox stream must give the
+        # numbers the one-element array call gives, draw for draw, and
+        # leave the stream where that call leaves it
+        sizes = [1, 2, 999, 10**3, 10**6, EXACT_COUNT_LIMIT] * 40
+        scalar, array = streams.substream(11, streams.OFFSPRING), streams.substream(11, streams.OFFSPRING)
+        for m in sizes:
+            got = family.sample_generation(m, scalar)
+            assert type(got) is int
+            assert got == int(family.sample_generations(np.array([m], dtype=np.int64), array)[0])
+        assert np.array_equal(scalar.integers(1 << 62, size=8), array.integers(1 << 62, size=8))
+
     def test_binary_clt_band_at_million(self):
         # 2*Binomial(10^6, 1/2): mean 10^6, variance 10^6
         rng = streams.substream(3)
