@@ -29,7 +29,7 @@ from .limit import (
 from .lognum import LogMagnitude, log_plus, lse_add, scale_pow
 from .offspring import OffspringFamily
 from .paths import CadlagPath
-from .stats import Sample, dkw_band, ecdf, j1_distance_bracket, ks_distance, uniform_distance
+from .stats import Sample, dkw_band, ecdf, ks_distance, uniform_distance
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_value",
     "shot_noise_path", "marginal_cdf_negslope", "marginal_cdf_extremal",
     "marginal_cdf_posslope", "fdd_cdf",
-    "Sample", "ecdf", "ks_distance", "dkw_band", "uniform_distance", "j1_distance_bracket",
+    "Sample", "ecdf", "ks_distance", "dkw_band", "uniform_distance",
     "CadlagPath",
 ]

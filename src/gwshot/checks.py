@@ -7,12 +7,14 @@ test suite both dispatch into this registry, so a criterion has exactly
 one implementation.
 
 Scale parameters (replicates, sample sizes, the n-ladder) are overridable
-for smoke testing; defaults are the stated acceptance scales.
+for smoke testing, as integer counts within the budgets of `_require_scale`;
+defaults are the stated acceptance scales.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -72,14 +74,39 @@ def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray
     return cdf
 
 
-def _require_scale(replicates: int, ns: tuple[int, ...]) -> None:
-    """Reject an override scale that leaves the statistic empty."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+# Limit-sampler draws per check run.  A marginal sample peaks at about 100
+# traced bytes (9.8 MB for 10^5 marginal-limit samples, 10.0 MB for 10^5 fdd
+# samples), so a run at the budget peaks near 0.5 GB.
+MARGINAL_SAMPLE_BUDGET = 5_000_000
+
+# Generations in one engine path: a prelimit replicate (n of them) or a
+# cohort (3n).  The kernel peaks at 48-97 traced bytes per generation
+# (measured at n = 10^4 and 10^5 in all three regimes), so a path at the
+# budget peaks near 0.5 GB.
+PATH_GENERATION_BUDGET = 5_000_000
+
+
+def _require_scale(
+    replicates: int = 1, ns: tuple[int, ...] = (1,), samples: int = 1, horizon: float = 1.0
+) -> None:
+    """Reject an override scale that is not made of integer counts >= 1,
+    leaves the statistic empty, or exceeds a budget; `horizon` is the path
+    length in units of n."""
     if not ns:
         raise ValueError("ns must hold at least one n")
-    if min(ns) < 1:
-        raise ValueError(f"every n must be >= 1, got {min(ns)!r}")
+    for name, value in (("replicates", replicates), ("sample count", samples), *(("n", n) for n in ns)):
+        # bool is an int subclass, and a JSON float such as 25.5 or 1e6 is not a count
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if samples > MARGINAL_SAMPLE_BUDGET:
+        raise ValueError(f"sample count {samples} exceeds the budget of {MARGINAL_SAMPLE_BUDGET:.0e}")
+    if max(ns) > PATH_GENERATION_BUDGET / horizon:  # an int of any size compares exactly
+        raise ValueError(
+            f"n = {max(ns)} exceeds the budget of {PATH_GENERATION_BUDGET:.0e} generations per path "
+            f"({horizon:g}n generations)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +116,7 @@ def _require_scale(replicates: int, ns: tuple[int, ...]) -> None:
 
 def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 1e-3) -> CheckReport:
     """Sampled shot-noise marginals against their closed-form CDFs."""
+    _require_scale(samples=sample_count)
     a = b = 1.0
     u = 1.0
     threshold = 0.01
@@ -117,16 +145,28 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
 # ----------------------------------------------------------------------
 
 
-def _final_normalized_values(
+def _prelimit_ladder(
+    seed: int,
     family: OffspringFamily,
     law: ImmigrationLaw,
-    n: int,
+    ns: tuple[int, ...],
     replicates: int,
-    block_seed: int,
-    norm: float,
-) -> np.ndarray:
-    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block_seed)
-    return np.array([max(bundle.y_log[-1], 0.0) / norm for bundle in run_replicates(run, replicates)])
+    norm: Callable[[int], float],
+    cdf: Callable[[np.ndarray], np.ndarray],
+) -> tuple[dict[str, float], bool]:
+    """KS(log⁺Y_n / norm(n), cdf) at t = 1 along the n-ladder, rung idx on
+    block seed replicate_seed(seed, idx), and whether the KS does not
+    increase by more than 0.02 from one rung to the next."""
+    _require_scale(replicates, ns)
+    ks = {}
+    for idx, n in enumerate(ns):
+        run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=streams.replicate_seed(seed, idx))
+        c_n = norm(n)
+        values = np.array([max(bundle.y_log[-1], 0.0) / c_n for bundle in run_replicates(run, replicates)])
+        ks[n] = ks_distance(Sample(values), cdf)
+    seq = [ks[n] for n in ns]
+    monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
+    return {str(n): ks[n] for n in ns}, monotone
 
 
 def check_marginal_prelimit_thm1(
@@ -137,26 +177,15 @@ def check_marginal_prelimit_thm1(
     KS(log⁺Y_n / n, exp(-1/x)) must not increase along the n-ladder (0.02
     slack between consecutive rungs) and must end below 0.15.
     """
-    _require_scale(replicates, ns)
-    family = OffspringFamily.binary(0.5)
-    law = ImmigrationLaw.reciprocal(1.0)
-    cdf = _frechet_cdf(1.0, 1.0)
-    ks = {}
-    for idx, n in enumerate(ns):
-        block = streams.replicate_seed(seed, idx)
-        values = _final_normalized_values(family, law, n, replicates, block, norm=float(n))
-        ks[n] = ks_distance(Sample(values), cdf)
-    seq = [ks[n] for n in ns]
-    monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
-    statistic = seq[-1]
-    passed = monotone and statistic <= 0.15
+    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0),
+                                         ns, replicates, float, _frechet_cdf(1.0, 1.0))
+    statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm1",
         statistic=statistic,
         threshold=0.15,
-        passed=passed,
-        details={"ks_by_n": {str(n): ks[n] for n in ns}, "monotone_with_slack": monotone,
-                 "replicates": replicates},
+        passed=monotone and statistic <= 0.15,
+        details={"ks_by_n": ks_by_n, "monotone_with_slack": monotone, "replicates": replicates},
     )
 
 
@@ -168,26 +197,16 @@ def check_marginal_prelimit_thm2(
     KS(log⁺Y_n / b_n, exp(-x^(-1/2))) <= 0.15 at the top rung, and the
     coarser rung is no better than 0.02 beyond it.
     """
-    _require_scale(replicates, ns)
-    family = OffspringFamily.geometric(0.5)
     law = ImmigrationLaw.pareto_log(0.5)
-    cdf = _frechet_cdf(1.0, 0.5)
-    ks = {}
-    for idx, n in enumerate(ns):
-        block = streams.replicate_seed(seed, idx)
-        bn = law.norming_bn(n)
-        values = _final_normalized_values(family, law, n, replicates, block, norm=bn)
-        ks[n] = ks_distance(Sample(values), cdf)
-    seq = [ks[n] for n in ns]
-    monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
-    statistic = seq[-1]
-    passed = monotone and statistic <= 0.15
+    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.geometric(0.5), law,
+                                         ns, replicates, law.norming_bn, _frechet_cdf(1.0, 0.5))
+    statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm2",
         statistic=statistic,
         threshold=0.15,
-        passed=passed,
-        details={"ks_by_n": {str(n): ks[n] for n in ns}, "monotone_with_slack": monotone,
+        passed=monotone and statistic <= 0.15,
+        details={"ks_by_n": ks_by_n, "monotone_with_slack": monotone,
                  "replicates": replicates, "norming": {str(n): law.norming_bn(n) for n in ns}},
     )
 
@@ -200,6 +219,7 @@ def check_marginal_prelimit_thm2(
 def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
     """fdd_cdf: d=1 reduction to the marginals, the hand-integrated d=2
     value, and a Monte Carlo joint frequency."""
+    _require_scale(samples=mc_samples)
     tol_exact = 1e-9
     sweep_err = 0.0
     # d=1 reduction across the three slope regimes (20 parameter points)
@@ -273,70 +293,59 @@ _PROFILE_FAMILIES = (
 )
 
 
-def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
-    """A cohort of ~e^n individuals follows (a + t log mu)^+ on the log/n scale."""
-    _require_scale(replicates, (n,))
-    a = 1.0
+def _cohort_exceed_report(
+    check: str,
+    seed: int,
+    seed_base: int,
+    n: int,
+    replicates: int,
+    power: int,
+    profile: Callable[[OffspringFamily, np.ndarray], np.ndarray | float],
+    tol: float,
+) -> CheckReport:
+    """Per family, the fraction of cohorts of e^(c_n) individuals, c_n =
+    n^power, whose log⁺/c_n path over 3n generations leaves profile(family,
+    k/n) by more than tol.  Replicate rep of family idx runs on
+    replicate_seed(replicate_seed(seed, seed_base + idx), rep)."""
     horizon = 3.0
-    tol = 0.1
+    _require_scale(replicates, (n,), horizon=horizon)
+    c_n = float(n) ** power
     config = FluidConfig()
     generations = int(n * horizon)
     grid = np.arange(generations + 1) / n
     fractions = {}
     for fam_idx, family in enumerate(_PROFILE_FAMILIES):
-        profile = limit_profile(a, family.mean, grid)
+        target = profile(family, grid)
         exceed = 0
         for rep in range(replicates):
             rng = streams.substream(
-                streams.replicate_seed(streams.replicate_seed(seed, fam_idx), rep),
+                streams.replicate_seed(streams.replicate_seed(seed, seed_base + fam_idx), rep),
                 streams.OFFSPRING,
             )
-            logs = simulate_cohort(family, LogMagnitude(a * n), generations, config, rng)
-            normalized = np.maximum(logs, 0.0) / n
-            if np.max(np.abs(normalized - profile)) > tol:
+            logs = simulate_cohort(family, LogMagnitude(c_n), generations, config, rng)
+            if np.max(np.abs(np.maximum(logs, 0.0) / c_n - target)) > tol:
                 exceed += 1
         fractions[family.family] = exceed / replicates
     statistic = max(fractions.values())
     return CheckReport(
-        check="lemma-aux2",
+        check=check,
         statistic=statistic,
         threshold=0.05,
         passed=statistic <= 0.05,
         details={"exceed_fraction_by_family": fractions, "tolerance": tol,
                  "n": n, "replicates": replicates},
     )
+
+
+def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
+    """A cohort of e^n individuals follows (1 + t log mu)^+ on the log/n scale."""
+    return _cohort_exceed_report("lemma-aux2", seed, 0, n, replicates, 1,
+                                 lambda family, grid: limit_profile(1.0, family.mean, grid), 0.1)
 
 
 def check_cohort_flatness(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
     """A cohort of e^(n^2) individuals is flat at 1 on the log/n^2 scale."""
-    _require_scale(replicates, (n,))
-    c_n = float(n) ** 2
-    horizon = 3.0
-    tol = 0.05
-    config = FluidConfig()
-    generations = int(n * horizon)
-    fractions = {}
-    for fam_idx, family in enumerate(_PROFILE_FAMILIES):
-        exceed = 0
-        for rep in range(replicates):
-            rng = streams.substream(
-                streams.replicate_seed(streams.replicate_seed(seed, 100 + fam_idx), rep),
-                streams.OFFSPRING,
-            )
-            logs = simulate_cohort(family, LogMagnitude(c_n), generations, config, rng)
-            normalized = np.maximum(logs, 0.0) / c_n
-            if np.max(np.abs(normalized - 1.0)) > tol:
-                exceed += 1
-        fractions[family.family] = exceed / replicates
-    statistic = max(fractions.values())
-    return CheckReport(
-        check="lemma-aux2a",
-        statistic=statistic,
-        threshold=0.05,
-        passed=statistic <= 0.05,
-        details={"exceed_fraction_by_family": fractions, "tolerance": tol,
-                 "n": n, "replicates": replicates},
-    )
+    return _cohort_exceed_report("lemma-aux2a", seed, 100, n, replicates, 2, lambda family, grid: 1.0, 0.05)
 
 
 # ----------------------------------------------------------------------

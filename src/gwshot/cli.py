@@ -254,12 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     try:
-        params = limit.PrmParams(
-            a=float(cfg["a"]),
-            b=float(cfg["b"]),
-            horizon=float(cfg["horizon"]),
-            delta=float(cfg.get("delta", 1e-3)),
-        )
+        params = limit.PrmParams.from_config(cfg)
         slope = float(cfg["slope"])
         if not math.isfinite(slope):
             raise ValueError("slope must be finite")

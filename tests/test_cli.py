@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import cli
+from gwshot import checks, cli
 from gwshot.gwi import GwiRun, normalized_observable, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -540,13 +540,51 @@ class TestVerify:
         ],
     )
     def test_empty_scale_exits_2(self, tmp_path, capsys, check, overrides):
-        cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
-        out = tmp_path / "rep"
-        assert cli.main(["verify", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == ""
-        assert not out.with_suffix(".json").exists()
+        assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+    @pytest.mark.parametrize(
+        "check,overrides",
+        [
+            ("marginal-limit", {"sample_count": 10**12}),  # these two died on an array allocation
+            ("fdd", {"mc_samples": 10**12}),
+            ("marginal-limit", {"sample_count": checks.MARGINAL_SAMPLE_BUDGET + 1}),
+            ("marginal-prelimit-thm1", {"ns": [50, 10**12]}),
+            ("lemma-aux2", {"n": checks.PATH_GENERATION_BUDGET // 3 + 1}),  # 3n generations
+            ("lemma-aux2a", {"n": 10**400}),
+            ("lemma-aux3", {"ns": [checks.PATH_GENERATION_BUDGET + 1]}),
+            ("proxy-zn", {"n": 10**9}),
+        ],
+    )
+    def test_scale_over_budget_exits_2(self, tmp_path, capsys, check, overrides):
+        assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+    @pytest.mark.parametrize(
+        "check,overrides",
+        [
+            ("marginal-prelimit-thm2", {"ns": [25.5]}),  # ran at n = 25.5
+            ("marginal-prelimit-thm1", {"replicates": True}),  # ran one replicate
+            ("marginal-prelimit-thm1", {"ns": [50, 2e2]}),
+            ("lemma-aux2", {"n": 20.0}),
+            ("lemma-aux2a", {"replicates": 2.5}),
+            ("lemma-aux3", {"ns": [False]}),
+            ("proxy-zn", {"n": "100"}),
+            ("marginal-limit", {"sample_count": 1000.0}),
+            ("fdd", {"mc_samples": True}),
+        ],
+    )
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, check, overrides):
+        assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+
+def assert_verify_rejects(tmp_path, capsys, check, overrides):
+    """`verify` exits 2 with one error line, no report on stdout and no report file."""
+    cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
+    out = tmp_path / "rep"
+    assert cli.main(["verify", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == ""
+    assert not out.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit-sample", "verify"])

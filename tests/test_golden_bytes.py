@@ -1,10 +1,12 @@
-"""Pinned output bytes of the population kernel, for fixed seeds.
+"""Pinned output bytes of the population kernel and of the checks built
+on it, for fixed seeds.
 
-The digests were computed before the kernel's scalar fast path (scalar
-offspring draws, a libm `logaddexp`, skipped zero counts), and that path
-must reproduce them exactly.  numpy may change its Generator streams
-between versions, so the digests are only checked on the numpy major.minor
-that made them.
+The kernel digests were computed before the kernel's scalar fast path
+(scalar offspring draws, a libm `logaddexp`, skipped zero counts), and the
+check digests before thm1/thm2 and lemma-aux2/aux2a were folded into one
+shared loop each; the code must reproduce them exactly.  numpy may change
+its Generator streams between versions, so the digests are only checked on
+the numpy major.minor that made them.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from gwshot import cli, streams
+from gwshot.checks import run_check
 from gwshot.gw import FluidConfig, simulate_cohort
 from gwshot.gwi import GwiRun, run_coupled
 from gwshot.immigration import ImmigrationLaw
@@ -58,6 +61,27 @@ SIMULATE_DIGESTS = {
 TRUNCATED_PAIR_DIGEST = "7265aade99dd518187fd4645846915e1cc3d509a15fbe60c11c3ca69fd803a6d"
 # a lone e^30 geometric(0.5) cohort over 300 generations: extinct from generation 44
 COHORT_DIGEST = "2f68f5e7de444754dedfc446e64206f81dcb48eaf9ab1c3e62b8e8714c5babcd"
+# check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
+# At these cohort scales some family's exceed fraction lies strictly between
+# 0 and 1, so the digests move with the draws.
+CHECK_DIGESTS = {
+    "marginal-prelimit-thm1": ({"ns": (20, 40, 80), "replicates": 60}, {
+        SEED: "8645aeca74a5b0b81bfe7d9594c0fad2077ded3400edfe81a2dbddace7db0f80",
+        1: "624cc37c729529517eb20e3273fae612c4e2d9652d0b78a57a816c2e298e5ab8",
+    }),
+    "marginal-prelimit-thm2": ({"ns": (10, 20), "replicates": 60}, {
+        SEED: "67addf9912fd59e344f3ce9df23073081a025ea82f0abc255fe66cc1c8a3f51c",
+        1: "6d65809246a658bd9b498e445d094432f13a672f0cc86e1924961ef3fc79b7ab",
+    }),
+    "lemma-aux2": ({"n": 5, "replicates": 40}, {
+        SEED: "c1cda6933cef14700e16a6b591e41feb3cfeec49511237415c690f9c5336ba00",
+        1: "4bd14e6e0effcd79781c0e50559a0e02f720f93a0003cb1d3e7c00a7169b97c2",
+    }),
+    "lemma-aux2a": ({"n": 2, "replicates": 40}, {
+        SEED: "a6ac32d3768fcc6b86be5febc2ad3cc1df74737ca0251e70422a189e07a7a5bf",
+        1: "05b46c959412ab14188d1a347440afe7addbecb5806154b1e6f386804138af1e",
+    }),
+}
 
 
 @pytest.mark.parametrize("regime", list(SIMULATE_DIGESTS))
@@ -91,3 +115,10 @@ def test_cohort_bytes():
     rng = streams.substream(SEED, streams.OFFSPRING)
     logs = simulate_cohort(OffspringFamily.geometric(0.5), LogMagnitude(30.0), 300, FluidConfig(), rng)
     assert sha256(logs.tobytes()) == COHORT_DIGEST
+
+
+@pytest.mark.parametrize("check,seed", [(c, s) for c, (_, by_seed) in CHECK_DIGESTS.items() for s in by_seed])
+def test_check_report_bytes(check, seed):
+    overrides, by_seed = CHECK_DIGESTS[check]
+    report = json.dumps(run_check(check, seed=seed, **overrides).to_json(), sort_keys=True)
+    assert sha256(report.encode()) == by_seed[seed]

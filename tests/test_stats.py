@@ -1,20 +1,8 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 
 from gwshot.paths import CadlagPath
-from gwshot.stats import (
-    MAX_J1_BREAKPOINTS,
-    Sample,
-    _evaluate_time_change,
-    dkw_band,
-    ecdf,
-    j1_distance_bracket,
-    ks_distance,
-    uniform_distance,
-)
+from gwshot.stats import Sample, dkw_band, ecdf, ks_distance, uniform_distance
 
 
 def step(times, values, end):
@@ -120,65 +108,3 @@ class TestUniformDistance:
         with pytest.raises(ValueError):
             uniform_distance(f, g)
 
-
-def _brute_force_j1_upper(f: CadlagPath, g: CadlagPath) -> float:
-    """Minimum exact objective over all monotone breakpoint matchings."""
-    tf = list(f.breakpoints) + ([f.end_time] if f.breakpoints[-1] < f.end_time else [])
-    tg = list(g.breakpoints) + ([g.end_time] if g.breakpoints[-1] < g.end_time else [])
-    inner_f = tf[1:-1]
-    inner_g = tg[1:-1]
-    best = math.inf
-    for k in range(0, min(len(inner_f), len(inner_g)) + 1):
-        for sub_f in itertools.combinations(inner_f, k):
-            for sub_g in itertools.combinations(inner_g, k):
-                knots_f = np.array([tf[0], *sub_f, tf[-1]])
-                knots_g = np.array([tg[0], *sub_g, tg[-1]])
-                if np.any(np.diff(knots_f) <= 0) or np.any(np.diff(knots_g) <= 0):
-                    continue
-                best = min(best, _evaluate_time_change(f, g, knots_g, knots_f))
-    return best
-
-
-class TestJ1Bracket:
-    def test_identical_paths_give_zero(self):
-        f = step([0.0, 0.3, 0.7], [0.0, 2.0, 1.0], 1.0)
-        assert j1_distance_bracket(f, f) == (0.0, 0.0)
-
-    def test_small_time_shift_of_a_jump(self):
-        eps = 0.03
-        f = step([0.0, 0.5], [0.0, 1.0], 1.0)
-        g = step([0.0, 0.5 + eps], [0.0, 1.0], 1.0)
-        lower, upper = j1_distance_bracket(f, g)
-        assert upper <= eps + 1e-12
-        assert lower <= upper
-
-    def test_vertical_offset_cannot_be_absorbed(self):
-        c = 0.4
-        f = step([0.0, 0.5], [0.0, 1.0], 1.0)
-        g = step([0.0, 0.5], [c, 1.0 + c], 1.0)
-        lower, upper = j1_distance_bracket(f, g)
-        assert upper == pytest.approx(c, abs=1e-12)
-        assert lower >= c * (1 - 1e-9)
-        brute = _brute_force_j1_upper(f, g)
-        assert brute == pytest.approx(c, abs=1e-12)
-
-    def test_bracket_invariants_on_random_step_paths(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            m, n = rng.integers(2, 5), rng.integers(2, 5)
-            f = step(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, m - 1))]), rng.normal(size=m), 1.0)
-            g = step(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, n - 1))]), rng.normal(size=n), 1.0)
-            lower, upper = j1_distance_bracket(f, g)
-            brute = _brute_force_j1_upper(f, g)
-            assert lower <= upper + 1e-12
-            assert upper <= uniform_distance(f, g) + 1e-12
-            # brute force and the DP search the same candidate family
-            assert upper >= brute - 1e-12
-            assert lower <= brute + 1e-12
-
-    def test_rejects_paths_with_too_many_breakpoints(self):
-        t = np.linspace(0, 1, MAX_J1_BREAKPOINTS + 2)[:-1]
-        big = CadlagPath.step(t, np.zeros_like(t), 1.0)
-        f = step([0.0], [0.0], 1.0)
-        with pytest.raises(ValueError):
-            j1_distance_bracket(big, f)
