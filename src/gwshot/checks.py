@@ -74,8 +74,8 @@ def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray
     return cdf
 
 
-# Limit-sampler draws per check run.  A marginal sample peaks at about 100
-# traced bytes (9.8 MB for 10^5 marginal-limit samples, 10.0 MB for 10^5 fdd
+# Limit-sampler draws per check run.  A marginal sample peaks at about 90
+# traced bytes (8.2 MB for 10^5 marginal-limit samples, 9.1 MB for 10^5 fdd
 # samples), so a run at the budget peaks near 0.5 GB.
 MARGINAL_SAMPLE_BUDGET = 5_000_000
 
@@ -85,13 +85,24 @@ MARGINAL_SAMPLE_BUDGET = 5_000_000
 # budget peaks near 0.5 GB.
 PATH_GENERATION_BUDGET = 5_000_000
 
+# Generations over all engine paths of a check run: replicates x sum over
+# the ladder of (n x horizon + PATH_SETUP_GENERATIONS).  A path costs about
+# as much to set up as 100 generations cost to step (45 us for a path at
+# n = 1, 0.3-0.7 us per generation at n = 100-800).  Counted so, the engine
+# checks take 0.04-2.4 us per budgeted generation at n from 1 to 5000
+# (lemma-aux3 the slowest, with three branches per generation), so a run at
+# the budget takes at most about 50 s.  The default scales use up to 2.7e6
+# (marginal-prelimit-thm1).
+ENGINE_GENERATION_BUDGET = 20_000_000
+PATH_SETUP_GENERATIONS = 100
+
 
 def _require_scale(
     replicates: int = 1, ns: tuple[int, ...] = (1,), samples: int = 1, horizon: float = 1.0
 ) -> None:
     """Reject an override scale that is not made of integer counts >= 1,
     leaves the statistic empty, or exceeds a budget; `horizon` is the path
-    length in units of n."""
+    length in units of n, and `replicates` paths run at each n."""
     if not ns:
         raise ValueError("ns must hold at least one n")
     for name, value in (("replicates", replicates), ("sample count", samples), *(("n", n) for n in ns)):
@@ -106,6 +117,13 @@ def _require_scale(
         raise ValueError(
             f"n = {max(ns)} exceeds the budget of {PATH_GENERATION_BUDGET:.0e} generations per path "
             f"({horizon:g}n generations)"
+        )
+    per_replicate = sum(n * horizon + PATH_SETUP_GENERATIONS for n in ns)
+    if replicates > ENGINE_GENERATION_BUDGET / per_replicate:  # an int of any size compares exactly
+        raise ValueError(
+            f"{replicates} replicates x {per_replicate:.6g} generations each exceed the engine budget "
+            f"of {ENGINE_GENERATION_BUDGET:.0e} generations (a path counts {PATH_SETUP_GENERATIONS} "
+            "for its set-up)"
         )
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import secrets
 import sys
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,13 @@ EXIT_VERIFY = 4
 # memory and 75 bytes of JSON each, so a run at the budget peaks near
 # 0.17 GB and writes a sidecar of about 0.37 GB.
 LIMIT_ATOM_BUDGET = 5_000_000
+
+# CSV rows over all limit-sample replicates, counted at the two each path
+# writes at least (its start and its end).  This bounds runs with few or no
+# atoms, which the atom budget lets through: a path without atoms still
+# holds about 1 KB and takes about 70 us (measured at horizon 0), so a run
+# at the budget peaks near 0.5 GB and takes about 35 s.
+LIMIT_ROW_BUDGET = 1_000_000
 
 # Rows over all simulate replicates, replicates x ([n*horizon] + 1).  Each
 # value is kept as a float64 until the finiteness check has passed, and a
@@ -283,6 +291,11 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
             f"{replicates} replicates x {params.expected_atoms:.4g} expected atoms each exceed "
             f"the atom budget of {LIMIT_ATOM_BUDGET:.0e}; raise delta or lower --replicates"
         )
+    if 2 * replicates > LIMIT_ROW_BUDGET:
+        raise ConfigError(
+            f"{replicates} replicates x at least 2 rows each exceed the row budget of "
+            f"{LIMIT_ROW_BUDGET:.0e}; lower --replicates"
+        )
 
     paths = []
     atom_arrays = []
@@ -341,7 +354,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     try:
         overrides = {str(k): _coerce_override(v) for k, v in overrides.items()}
+        start = time.perf_counter()
         report = run_check(name, seed=seed, **overrides)
+        elapsed = time.perf_counter() - start
     except KeyError:
         raise ConfigError(
             f"unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}"
@@ -357,7 +372,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     status = "pass" if report.passed else "FAIL"
     print(
         f"{status} {report.check}: statistic={report.statistic:.6g} "
-        f"threshold={report.threshold:.6g}",
+        f"threshold={report.threshold:.6g} elapsed={elapsed:.3f}s",
         file=sys.stderr,
     )
     return EXIT_OK if report.passed else EXIT_VERIFY

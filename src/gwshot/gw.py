@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_coh
 
 _NEG_INF = float("-inf")
 _LOG2 = math.log(2.0)
+_CHUNK = 1024  # generations converted to Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,12 @@ def population_log_path(
     log_m = math.log(threshold)
     log_mu = math.log(family.mean)
     descends = log_mu < 0 and config.refine_on_descent
-    arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped
-    last_arrival = int(arrivals[-1]) if arrivals.size else -1
+    last_arrival: int | None = None  # found when an exact total first meets a generation without one
     count: int | None = 0  # exact-regime total; None while fluid
     log_value = _NEG_INF   # fluid-regime total
-    for m, jl in enumerate(jlog.tolist()):
+    # Python floats only for the generations the loop reaches, a chunk at a time
+    steps = chain.from_iterable(jlog[lo : lo + _CHUNK].tolist() for lo in range(0, size, _CHUNK))
+    for m, jl in enumerate(steps):
         if count is None:
             log_value = _logaddexp(log_value + log_mu, jl)
             if log_value <= log_m:
@@ -124,8 +127,12 @@ def population_log_path(
         else:
             if count:
                 count = family.sample_generation(count, rng)
-            elif m > last_arrival:
-                break
+            elif jl == _NEG_INF:
+                if last_arrival is None:
+                    arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped
+                    last_arrival = int(arrivals[-1]) if arrivals.size else -1
+                if m > last_arrival:
+                    break
             if jl <= log_m:
                 count += int(round(math.exp(jl)))  # J is integer by construction
                 if count <= threshold:

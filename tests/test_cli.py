@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -299,6 +301,28 @@ class TestLimitSample:
         args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
+    @pytest.mark.parametrize("change", [{"horizon": 0.0}, {"a": 1e-300}])
+    def test_row_budget_exits_2_before_any_draw(self, tmp_path, capsys, change):
+        # 0 or 1e-297 expected atoms pass the atom budget at any replicate
+        # count, but every replicate still writes two rows: without a row
+        # budget, 10^12 replicates ran without end
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, **change))
+        out = tmp_path / "many"
+        args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(10**12), "--out", str(out)]
+        start = time.perf_counter()
+        assert cli.main(args) == 2
+        assert time.perf_counter() - start < 1.0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "row budget" in lines[0]
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    def test_row_budget_counts_replicates(self, tmp_path):
+        # two rows per path, one path more than the budget holds
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, horizon=0.0))
+        replicates = cli.LIMIT_ROW_BUDGET // 2 + 1
+        args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
+        assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
+
     def test_atom_count_mean_near_expectation(self, tmp_path):
         # (a,b,T,delta) = (1,1,1,1): atom counts are Poisson(1); check the
         # mean over many replicates of a single invocation within 10%
@@ -509,6 +533,23 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False and report["statistic"] > 0.5
 
+    def test_status_line_reports_elapsed_time_outside_the_report(self, tmp_path, capsys):
+        # the time goes to stderr only: stdout and the report file hold the
+        # same bytes on every run of a seed
+        cfg = write_config(tmp_path, {"check": "fdd", "overrides": {"mc_samples": 20000}})
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"rep{run}"
+            assert cli.main(["verify", "--config", cfg, "--seed", "8", "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            report = out.with_suffix(".json").read_text(encoding="utf-8")
+            assert captured.out == report and "elapsed" not in report
+            outputs.append(report)
+            status = captured.err.splitlines()
+            assert len(status) == 1
+            assert re.fullmatch(r"pass fdd: statistic=\S+ threshold=0\.01 elapsed=\d+\.\d{3}s", status[0])
+        assert outputs[0] == outputs[1]
+
     def test_positional_check_name(self, tmp_path):
         cfg = write_config(tmp_path, {"overrides": {"mc_samples": 5000}})
         assert cli.main(["verify", "fdd", "--config", cfg, "--seed", "2"]) == 0
@@ -553,6 +594,14 @@ class TestVerify:
             ("lemma-aux2a", {"n": 10**400}),
             ("lemma-aux3", {"ns": [checks.PATH_GENERATION_BUDGET + 1]}),
             ("proxy-zn", {"n": 10**9}),
+            ("marginal-prelimit-thm1", {"replicates": 10**12}),  # these ran without end
+            ("marginal-prelimit-thm2", {"ns": [1], "replicates": 10**12}),
+            ("lemma-aux2", {"replicates": 10**400}),
+            ("lemma-aux2a", {"n": 1, "replicates": 10**9}),
+            ("lemma-aux3", {"replicates": 10**12}),
+            ("proxy-zn", {"replicates": 10**12}),
+            # n + 100 budgeted generations per path, one path more than the budget holds
+            ("proxy-zn", {"n": 100, "replicates": checks.ENGINE_GENERATION_BUDGET // 200 + 1}),
         ],
     )
     def test_scale_over_budget_exits_2(self, tmp_path, capsys, check, overrides):
@@ -577,10 +626,13 @@ class TestVerify:
 
 
 def assert_verify_rejects(tmp_path, capsys, check, overrides):
-    """`verify` exits 2 with one error line, no report on stdout and no report file."""
+    """`verify` exits 2 at once with one error line, no report on stdout and
+    no report file."""
     cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
     out = tmp_path / "rep"
+    start = time.perf_counter()
     assert cli.main(["verify", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == ""

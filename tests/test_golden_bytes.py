@@ -3,8 +3,11 @@ on it, for fixed seeds.
 
 The kernel digests were computed before the kernel's scalar fast path
 (scalar offspring draws, a libm `logaddexp`, skipped zero counts), and the
-check digests before thm1/thm2 and lemma-aux2/aux2a were folded into one
-shared loop each; the code must reproduce them exactly.  numpy may change
+engine check digests before thm1/thm2 and lemma-aux2/aux2a were folded into
+one shared loop each; the code must reproduce them exactly.  The
+marginal-limit and fdd digests pin the limit sampler's draws as they are
+since its rounds were cut to 2^14 atoms, so that a later change to the
+draws has to show its byte move.  numpy may change
 its Generator streams between versions, so the digests are only checked on
 the numpy major.minor that made them.
 """
@@ -63,8 +66,17 @@ TRUNCATED_PAIR_DIGEST = "7265aade99dd518187fd4645846915e1cc3d509a15fbe60c11c3ca6
 COHORT_DIGEST = "2f68f5e7de444754dedfc446e64206f81dcb48eaf9ab1c3e62b8e8714c5babcd"
 # check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
 # At these cohort scales some family's exceed fraction lies strictly between
-# 0 and 1, so the digests move with the draws.
+# 0 and 1, and every KS and Monte Carlo frequency is a float of the draws,
+# so the digests move with the draws.
 CHECK_DIGESTS = {
+    "marginal-limit": ({"sample_count": 2000}, {
+        SEED: "100062da05c8a5a7c60e9a79fd2e2de728a478f484403bc4bbd175c45932dee4",
+        1: "f2fe56644f9ab79693b3784b0dd05cf91fa38ae2a8e0d46277cbe64251400af0",
+    }),
+    "fdd": ({"mc_samples": 2000}, {
+        SEED: "abd438240a0765f44b6d0083986ded56d32cf651fdd90bd9e94540b8c5c63cfd",
+        1: "d31737f9c88186f00bdc2bad7195a1a8e16097755ee594192a5ad1b5e6011f0f",
+    }),
     "marginal-prelimit-thm1": ({"ns": (20, 40, 80), "replicates": 60}, {
         SEED: "8645aeca74a5b0b81bfe7d9594c0fad2077ded3400edfe81a2dbddace7db0f80",
         1: "624cc37c729529517eb20e3273fae612c4e2d9652d0b78a57a816c2e298e5ab8",

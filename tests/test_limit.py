@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import ks_2samp
 
-from gwshot import streams
+from gwshot import limit, streams
 from gwshot.limit import (
     AtomSet,
     PrmParams,
@@ -304,8 +304,11 @@ class TestMarginalCdfs:
             marginal_cdf_posslope(0.0, 1.0, 1.0, 1.0)
 
 
+_LAW_CASES = [(1.0, 1.0, 1e-2), (2.0, 0.5, 1e-2), (1.0, 2.0, 0.5)]
+
+
 class TestLePageSampler:
-    @pytest.mark.parametrize("a,b,delta", [(1.0, 1.0, 1e-2), (2.0, 0.5, 1e-2), (1.0, 2.0, 0.5)])
+    @pytest.mark.parametrize("a,b,delta", _LAW_CASES)
     @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
     def test_same_law_as_every_atom_above_delta(self, a, b, delta, slope):
         # the stopping rule only saves draws: values keep the law of the
@@ -317,6 +320,17 @@ class TestLePageSampler:
         brute = [shot_noise_value(ShotNoiseSpec(slope, sample_atoms(params, rng)), u) for _ in range(n)]
         lepage = sample_shot_noise_marginal(a, b, slope, u, n, delta, streams.substream(22, streams.ATOMS))
         assert ks_2samp(brute, lepage).pvalue >= 0.01
+
+    @pytest.mark.parametrize("round_atoms", [1, 1 << 14, 1 << 20])
+    @pytest.mark.parametrize("a,b,delta", _LAW_CASES)
+    @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
+    def test_same_law_at_any_round_size(self, monkeypatch, round_atoms, a, b, delta, slope):
+        # a round draws max(1, _ROUND_ATOMS // active) atoms per sample:
+        # one at a time, a block once few samples are left, or every atom
+        # a sample can need at once; the atoms past a sample's stopping
+        # point change no value, and those past the cap are masked
+        monkeypatch.setattr(limit, "_ROUND_ATOMS", round_atoms)
+        self.test_same_law_as_every_atom_above_delta(a, b, delta, slope)
 
     @pytest.mark.parametrize(
         "slope,thresholds,delta",
