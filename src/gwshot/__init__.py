@@ -24,9 +24,7 @@ from .limit import (
     marginal_cdf_posslope,
     sample_atoms,
     shot_noise_path,
-    shot_noise_value,
 )
-from .lognum import LogMagnitude, log_plus, lse_add, scale_pow
 from .offspring import OffspringFamily
 from .paths import CadlagPath
 from .stats import Sample, dkw_band, ecdf, ks_distance, uniform_distance
@@ -35,14 +33,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LogMagnitude", "lse_add", "scale_pow", "log_plus",
     "OffspringFamily",
     "ImmigrationLaw",
     "FluidConfig", "population_log_path", "simulate_cohort", "limit_profile",
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
     "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
-    "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_value",
-    "shot_noise_path", "marginal_cdf_negslope", "marginal_cdf_extremal",
+    "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_path",
+    "marginal_cdf_negslope", "marginal_cdf_extremal",
     "marginal_cdf_posslope", "fdd_cdf",
     "Sample", "ecdf", "ks_distance", "dkw_band", "uniform_distance",
     "CadlagPath",

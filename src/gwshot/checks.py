@@ -7,14 +7,13 @@ test suite both dispatch into this registry, so a criterion has exactly
 one implementation.
 
 Scale parameters (replicates, sample sizes, the n-ladder) are overridable
-for smoke testing, as integer counts within the budgets of `_require_scale`;
-defaults are the stated acceptance scales.
+for smoke testing, as integer counts within the budgets of
+`budgets.require_scale`; defaults are the stated acceptance scales.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -22,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from . import limit, streams
+from .budgets import require_scale
 from .gw import FluidConfig, limit_profile, simulate_cohort
 from .gwi import GwiRun, conditional_mean_path, run_replicates
 from .immigration import ImmigrationLaw
-from .lognum import LogMagnitude
 from .offspring import OffspringFamily
 from .stats import Sample, ks_distance
 
@@ -74,59 +73,6 @@ def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray
     return cdf
 
 
-# Limit-sampler draws per check run.  A marginal sample peaks at about 90
-# traced bytes (8.2 MB for 10^5 marginal-limit samples, 9.1 MB for 10^5 fdd
-# samples), so a run at the budget peaks near 0.5 GB.
-MARGINAL_SAMPLE_BUDGET = 5_000_000
-
-# Generations in one engine path: a prelimit replicate (n of them) or a
-# cohort (3n).  The kernel peaks at 48-97 traced bytes per generation
-# (measured at n = 10^4 and 10^5 in all three regimes), so a path at the
-# budget peaks near 0.5 GB.
-PATH_GENERATION_BUDGET = 5_000_000
-
-# Generations over all engine paths of a check run: replicates x sum over
-# the ladder of (n x horizon + PATH_SETUP_GENERATIONS).  A path costs about
-# as much to set up as 100 generations cost to step (45 us for a path at
-# n = 1, 0.3-0.7 us per generation at n = 100-800).  Counted so, the engine
-# checks take 0.04-2.4 us per budgeted generation at n from 1 to 5000
-# (lemma-aux3 the slowest, with three branches per generation), so a run at
-# the budget takes at most about 50 s.  The default scales use up to 2.7e6
-# (marginal-prelimit-thm1).
-ENGINE_GENERATION_BUDGET = 20_000_000
-PATH_SETUP_GENERATIONS = 100
-
-
-def _require_scale(
-    replicates: int = 1, ns: tuple[int, ...] = (1,), samples: int = 1, horizon: float = 1.0
-) -> None:
-    """Reject an override scale that is not made of integer counts >= 1,
-    leaves the statistic empty, or exceeds a budget; `horizon` is the path
-    length in units of n, and `replicates` paths run at each n."""
-    if not ns:
-        raise ValueError("ns must hold at least one n")
-    for name, value in (("replicates", replicates), ("sample count", samples), *(("n", n) for n in ns)):
-        # bool is an int subclass, and a JSON float such as 25.5 or 1e6 is not a count
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
-    if samples > MARGINAL_SAMPLE_BUDGET:
-        raise ValueError(f"sample count {samples} exceeds the budget of {MARGINAL_SAMPLE_BUDGET:.0e}")
-    if max(ns) > PATH_GENERATION_BUDGET / horizon:  # an int of any size compares exactly
-        raise ValueError(
-            f"n = {max(ns)} exceeds the budget of {PATH_GENERATION_BUDGET:.0e} generations per path "
-            f"({horizon:g}n generations)"
-        )
-    per_replicate = sum(n * horizon + PATH_SETUP_GENERATIONS for n in ns)
-    if replicates > ENGINE_GENERATION_BUDGET / per_replicate:  # an int of any size compares exactly
-        raise ValueError(
-            f"{replicates} replicates x {per_replicate:.6g} generations each exceed the engine budget "
-            f"of {ENGINE_GENERATION_BUDGET:.0e} generations (a path counts {PATH_SETUP_GENERATIONS} "
-            "for its set-up)"
-        )
-
-
 # ----------------------------------------------------------------------
 # Limit-sampler marginals (three slope regimes)
 # ----------------------------------------------------------------------
@@ -134,7 +80,7 @@ def _require_scale(
 
 def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 1e-3) -> CheckReport:
     """Sampled shot-noise marginals against their closed-form CDFs."""
-    _require_scale(samples=sample_count)
+    require_scale(samples=sample_count)
     a = b = 1.0
     u = 1.0
     threshold = 0.01
@@ -175,7 +121,7 @@ def _prelimit_ladder(
     """KS(log⁺Y_n / norm(n), cdf) at t = 1 along the n-ladder, rung idx on
     block seed replicate_seed(seed, idx), and whether the KS does not
     increase by more than 0.02 from one rung to the next."""
-    _require_scale(replicates, ns)
+    require_scale(replicates, ns)
     ks = {}
     for idx, n in enumerate(ns):
         run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=streams.replicate_seed(seed, idx))
@@ -237,7 +183,7 @@ def check_marginal_prelimit_thm2(
 def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
     """fdd_cdf: d=1 reduction to the marginals, the hand-integrated d=2
     value, and a Monte Carlo joint frequency."""
-    _require_scale(samples=mc_samples)
+    require_scale(samples=mc_samples)
     tol_exact = 1e-9
     sweep_err = 0.0
     # d=1 reduction across the three slope regimes (20 parameter points)
@@ -326,7 +272,7 @@ def _cohort_exceed_report(
     k/n) by more than tol.  Replicate rep of family idx runs on
     replicate_seed(replicate_seed(seed, seed_base + idx), rep)."""
     horizon = 3.0
-    _require_scale(replicates, (n,), horizon=horizon)
+    require_scale(replicates, (n,), horizon=horizon)
     c_n = float(n) ** power
     config = FluidConfig()
     generations = int(n * horizon)
@@ -340,7 +286,7 @@ def _cohort_exceed_report(
                 streams.replicate_seed(streams.replicate_seed(seed, seed_base + fam_idx), rep),
                 streams.OFFSPRING,
             )
-            logs = simulate_cohort(family, LogMagnitude(c_n), generations, config, rng)
+            logs = simulate_cohort(family, c_n, generations, config, rng)
             if np.max(np.abs(np.maximum(logs, 0.0) / c_n - target)) > tol:
                 exceed += 1
         fractions[family.family] = exceed / replicates
@@ -399,7 +345,7 @@ def check_truncation_negligible(
 ) -> CheckReport:
     """Cohorts founded while immigration is not extremely active stay below
     gamma + delta on the normalized log scale, more surely as n grows."""
-    _require_scale(replicates, ns)
+    require_scale(replicates, ns)
     gamma, slack = 0.2, 0.1
     level = gamma + slack
     branches = {
@@ -433,7 +379,7 @@ def check_truncation_negligible(
 def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
     """log⁺Y_n stays within 0.05*n of log⁺Z_n, Z the conditional mean given
     the immigrant counts, in at least 90% of coupled replicates."""
-    _require_scale(replicates, (n,))
+    require_scale(replicates, (n,))
     family = OffspringFamily.poisson(2.0)
     law = ImmigrationLaw.reciprocal(1.0)
     tol = 0.05

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__, limit, streams
+from .budgets import require_scale
 from .checks import CHECK_NAMES, run_check
 from .gwi import GwiRun, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
@@ -35,28 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
-
-# Expected atoms over all limit-sample replicates.  Every atom is kept in
-# memory as two float64s and written to the JSON sidecar: about 16 bytes of
-# memory and 75 bytes of JSON each, so a run at the budget peaks near
-# 0.17 GB and writes a sidecar of about 0.37 GB.
-LIMIT_ATOM_BUDGET = 5_000_000
-
-# CSV rows over all limit-sample replicates, counted at the two each path
-# writes at least (its start and its end).  This bounds runs with few or no
-# atoms, which the atom budget lets through: a path without atoms still
-# holds about 1 KB and takes about 70 us (measured at horizon 0), so a run
-# at the budget peaks near 0.5 GB and takes about 35 s.
-LIMIT_ROW_BUDGET = 1_000_000
-
-# Rows over all simulate replicates, replicates x ([n*horizon] + 1).  Each
-# value is kept as a float64 until the finiteness check has passed, and a
-# CSV row is about 31 bytes, so many short replicates at the budget hold
-# about 0.08 GB of values and write a CSV of about 0.31 GB.  One path of
-# the full length peaks near 1.3 GB: about 130 bytes per row of engine
-# arrays and formatted time cells.
-SIMULATE_ROW_BUDGET = 10_000_000
-
 
 class ConfigError(Exception):
     pass
@@ -134,7 +113,7 @@ def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator
 def _parse_simulate_config(cfg: dict) -> dict:
     try:
         parsed = {
-            "n": int(cfg["n"]),
+            "n": cfg["n"],  # an integer count, which require_scale checks
             "horizon": float(cfg["horizon"]),
             "family": OffspringFamily.from_config(cfg["offspring"]),
             "law": ImmigrationLaw.from_config(cfg["immigration"]),
@@ -207,12 +186,10 @@ def _simulate_rows(values: Sequence[np.ndarray], n: int) -> Iterator[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     parsed = _parse_simulate_config(cfg)
+    require_scale(args.replicates, (parsed["n"],), parsed["horizon"])
     norm = _simulate_norm(parsed)  # validate early, before any work
     correction = _simulate_correction(parsed)
     seed = _resolve_seed(args)
-    replicates = int(args.replicates)
-    if replicates < 1:
-        raise ConfigError("--replicates must be >= 1")
 
     n = parsed["n"]
     run = GwiRun(
@@ -223,16 +200,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config=parsed["fluid"],
         seed=seed,
     )
-    if replicates * (run.num_steps + 1) > SIMULATE_ROW_BUDGET:
-        raise ConfigError(
-            f"{replicates} replicates x {run.num_steps + 1} rows each exceed the row budget of "
-            f"{SIMULATE_ROW_BUDGET:.0e}; lower n x horizon or --replicates"
-        )
 
     values = []
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r, bundle in enumerate(run_replicates(run, replicates, jobs=args.jobs)):
+        for r, bundle in enumerate(run_replicates(run, args.replicates, jobs=args.jobs)):
             obs = normalized_observable(bundle.y_log, norm, n, correction).values
             if not np.isfinite(obs).all():
                 raise ConfigError(
@@ -247,7 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {
             "command": "simulate",
             "params": cfg,
-            "replicate_count": replicates,
+            "replicate_count": args.replicates,
             "seed": seed,
             "version": __version__,
         },
@@ -282,26 +254,14 @@ def _limit_path_lines(paths: list) -> Iterator[str]:
 def cmd_limit_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     params, slope = _parse_limit_config(cfg)
+    require_scale(args.replicates, atoms=params.expected_atoms)
     seed = _resolve_seed(args)
-    replicates = int(args.replicates)
-    if replicates < 1:
-        raise ConfigError("--replicates must be >= 1")
-    if replicates * params.expected_atoms > LIMIT_ATOM_BUDGET:
-        raise ConfigError(
-            f"{replicates} replicates x {params.expected_atoms:.4g} expected atoms each exceed "
-            f"the atom budget of {LIMIT_ATOM_BUDGET:.0e}; raise delta or lower --replicates"
-        )
-    if 2 * replicates > LIMIT_ROW_BUDGET:
-        raise ConfigError(
-            f"{replicates} replicates x at least 2 rows each exceed the row budget of "
-            f"{LIMIT_ROW_BUDGET:.0e}; lower --replicates"
-        )
 
     paths = []
     atom_arrays = []
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(replicates):
+        for r in range(args.replicates):
             rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
             atoms = limit.sample_atoms(params, rng)
             path = limit.shot_noise_path(limit.ShotNoiseSpec(slope=slope, atoms=atoms))
@@ -325,7 +285,7 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
         {
             "command": "limit-sample",
             "params": cfg,
-            "replicate_count": replicates,
+            "replicate_count": args.replicates,
             "seed": seed,
             "atom_counts": [len(times) for times, _ in atom_arrays],
             "version": __version__,
@@ -361,7 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}"
         ) from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond the float range
         raise ConfigError(f"invalid overrides for check {name!r}: {exc}") from exc
 
     payload = report.to_json()
@@ -399,19 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool) -> None:
+    # every subcommand accepts --replicates and --jobs, so that a script (such as
+    # perfbench) can pass both to each; only some read them
+    ignored = "accepted and ignored"
+
+    def common(p: argparse.ArgumentParser, out_required: bool, replicates_help: str, jobs_help: str) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-        p.add_argument("--replicates", type=int, default=1, help="number of replicates")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers across replicates")
+        p.add_argument("--replicates", type=int, default=1, help=replicates_help)
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         p.add_argument("--out", required=out_required, help="output file path prefix")
         p.add_argument("--ci", action="store_true", help="strict mode: explicit seed required")
 
     p_sim = sub.add_parser("simulate", help="replicated prelimit runs, normalized-path CSV")
-    common(p_sim, out_required=True)
+    common(p_sim, True, "number of replicates",
+           "worker processes across replicates (the output does not depend on it)")
 
     p_lim = sub.add_parser("limit-sample", help="limit shot-noise paths and atom lists")
-    common(p_lim, out_required=True)
+    common(p_lim, True, "number of replicates", f"{ignored}: limit-sample runs in one process")
 
     p_ver = sub.add_parser("verify", help="run a registered statistical check")
     p_ver.add_argument(
@@ -420,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"one of: {', '.join(CHECK_NAMES)} (or via config)",
     )
-    common(p_ver, out_required=False)
+    common(p_ver, False, f"{ignored}: set a check's replicates in the config's overrides",
+           f"{ignored}: a check runs in one process")
 
     return parser
 

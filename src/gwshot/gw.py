@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .lognum import LogMagnitude
+from .budgets import require_count
 from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
 __all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
@@ -45,22 +45,19 @@ class FluidConfig:
     refine_on_descent: bool = True
 
     def __post_init__(self) -> None:
+        require_count("exactness_threshold", self.exactness_threshold)
         if self.exactness_threshold < 1_000:
             raise ValueError("exactness threshold below 1e3 makes fluid error bounds meaningless")
         if self.exactness_threshold > EXACT_COUNT_LIMIT:
             raise ValueError(f"exactness threshold must not exceed {EXACT_COUNT_LIMIT}")
-
-    def to_config(self) -> dict:
-        return {
-            "exactness_threshold": self.exactness_threshold,
-            "refine_on_descent": self.refine_on_descent,
-        }
+        if not isinstance(self.refine_on_descent, bool):  # bool("false") is True
+            raise ValueError(f"refine_on_descent must be true or false, got {self.refine_on_descent!r}")
 
     @staticmethod
     def from_config(cfg: dict) -> "FluidConfig":
         return FluidConfig(
-            exactness_threshold=int(cfg.get("exactness_threshold", 1_000_000)),
-            refine_on_descent=bool(cfg.get("refine_on_descent", True)),
+            exactness_threshold=cfg.get("exactness_threshold", 1_000_000),
+            refine_on_descent=cfg.get("refine_on_descent", True),
         )
 
 
@@ -151,16 +148,17 @@ def population_log_path(
 
 def simulate_cohort(
     family: OffspringFamily,
-    initial: LogMagnitude,
+    initial_log: float,
     generations: int,
     config: FluidConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """log of one cohort's size at generations 0..`generations`; -inf encodes 0."""
+    """log of one cohort's size at generations 0..`generations`, founded by
+    e^`initial_log` individuals; -inf encodes 0."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
     jlog = np.full(generations + 1, _NEG_INF)
-    jlog[0] = initial.log_value
+    jlog[0] = initial_log
     return population_log_path(family, jlog, config, rng)
 
 

@@ -67,27 +67,6 @@ class GwiRun:
         """[n*T]: index of the last simulated generation."""
         return int(math.floor(self.n * self.horizon + 1e-9))
 
-    def to_config(self) -> dict:
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "offspring": self.family.to_config(),
-            "immigration": self.law.to_config(),
-            "fluid": self.config.to_config(),
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "GwiRun":
-        return GwiRun(
-            n=int(cfg["n"]),
-            horizon=float(cfg["horizon"]),
-            family=OffspringFamily.from_config(cfg["offspring"]),
-            law=ImmigrationLaw.from_config(cfg["immigration"]),
-            config=FluidConfig.from_config(cfg.get("fluid", {})),
-            seed=int(cfg.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class CoupledPaths:

@@ -157,15 +157,8 @@ class ImmigrationLaw:
         return 0.5 * (lo + hi)
 
     # ------------------------------------------------------------------
-    # Config encoding
+    # Config parsing
     # ------------------------------------------------------------------
-
-    def to_config(self) -> dict:
-        if self.variant == "reciprocal":
-            return {"variant": "reciprocal", "c": self.param}
-        if self.variant == "pareto_log":
-            return {"variant": "pareto_log", "alpha": self.param}
-        return {"variant": "pareto_log_sv"}
 
     @staticmethod
     def from_config(cfg: dict) -> "ImmigrationLaw":

@@ -60,7 +60,6 @@ __all__ = [
     "ShotNoiseSpec",
     "sample_atoms",
     "sample_atoms_band",
-    "shot_noise_value",
     "shot_noise_path",
     "sample_shot_noise_marginal",
     "marginal_cdf_negslope",
@@ -102,9 +101,6 @@ class PrmParams:
         except OverflowError:
             return math.inf  # even where T a underflows to 0
         return self.horizon * self.a * level
-
-    def to_config(self) -> dict:
-        return {"a": self.a, "b": self.b, "horizon": self.horizon, "delta": self.delta}
 
     @staticmethod
     def from_config(cfg: dict) -> "PrmParams":
@@ -177,19 +173,6 @@ def sample_atoms(params: PrmParams, rng: np.random.Generator) -> AtomSet:
 
 def _floor_value(slope: float, t: float | np.ndarray):
     return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
-
-
-def shot_noise_value(spec: ShotNoiseSpec, t: float) -> float:
-    """Process value at one time; exact to within +-delta of the untruncated sup."""
-    params = spec.atoms.params
-    if t < 0 or t > params.horizon + 1e-12:
-        raise ValueError("evaluation time outside [0, horizon]")
-    floor = spec.slope * t if spec.slope > 0 else 0.0
-    mask = spec.atoms.times <= t
-    if not mask.any():
-        return float(floor)
-    vals = spec.atoms.marks[mask] + (t - spec.atoms.times[mask]) * spec.slope
-    return float(max(floor, vals.max()))
 
 
 def shot_noise_path(spec: ShotNoiseSpec, grid: np.ndarray | None = None) -> CadlagPath:
@@ -269,14 +252,14 @@ def sample_shot_noise_marginal(
 ) -> np.ndarray:
     """`count` independent draws of the process value at time(s) u.
 
-    Equal in law to `shot_noise_value(sample_atoms(...), u)` repeated with
-    horizon max(u).  A scalar u gives a 1-d array of length `count`; a 1-d
-    increasing array of times gives a (count, len(u)) array, one row per
-    path.  Atoms come in decreasing mark order (LePage series), and a
-    sample draws atoms only until the stopping rule or the delta cap holds
-    at every time.  Draws go in rounds of one atom per active sample, or
-    of about `_ROUND_ATOMS` atoms in all once fewer samples are active;
-    see the module docstring.
+    Equal in law to the values at u of `shot_noise_path(sample_atoms(...))`
+    repeated with horizon max(u).  A scalar u gives a 1-d array of length
+    `count`; a 1-d increasing array of times gives a (count, len(u)) array,
+    one row per path.  Atoms come in decreasing mark order (LePage
+    series), and a sample draws atoms only until the stopping rule or the
+    delta cap holds at every time.  Draws go in rounds of one atom per
+    active sample, or of about `_ROUND_ATOMS` atoms in all once fewer
+    samples are active; see the module docstring.
     """
     times = np.asarray(u, dtype=np.float64)
     scalar = times.ndim == 0

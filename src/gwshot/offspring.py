@@ -138,11 +138,8 @@ class OffspringFamily:
         return out
 
     # ------------------------------------------------------------------
-    # Config encoding
+    # Config parsing
     # ------------------------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {"family": self.family, "mean": self.mean}
 
     @staticmethod
     def from_config(cfg: dict) -> "OffspringFamily":

@@ -77,6 +77,3 @@ class CadlagPath:
         idx = np.clip(np.searchsorted(self.breakpoints, t, side="left") - 1, 0, None)
         out = self.values[idx] + self.slopes[idx] * (t - self.breakpoints[idx])
         return float(out) if out.ndim == 0 else out
-
-    def shift_values(self, offset: float) -> "CadlagPath":
-        return CadlagPath(self.breakpoints, self.values + offset, self.slopes, self.end_time)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import checks, cli
+from gwshot import budgets, cli
 from gwshot.gwi import GwiRun, normalized_observable, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -172,11 +172,15 @@ class TestSimulate:
             {"immigration": {"variant": "reciprocal", "c": 1e308}},  # J above the float range
             {"norm": 1e-320},  # log Y / norm above the float range
             {"offspring": {"family": "poisson", "mean": 1e308}},
+            {"n": 25.5},  # these three were truncated by int() or read by bool()
+            {"fluid": {"exactness_threshold": 1500.7}},
+            {"fluid": {"refine_on_descent": "false"}},
         ],
         ids=["horizon-inf", "horizon-nan", "n-inf", "n-int-1e400", "n-horizon-overflow", "norm-nan",
              "norm-inf", "norm-int-1e400", "bn-overflow", "bn-sv-overflow", "correction-nan",
              "correction-0", "correction-list", "correction-int-1e400", "fluid-number",
-             "immigration-overflow", "norm-denormal", "poisson-overflow"],
+             "immigration-overflow", "norm-denormal", "poisson-overflow", "n-float",
+             "threshold-float", "refine-string"],
     )
     def test_rejected_config_exits_2_without_output(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(SIM_CONFIG, **change))
@@ -187,9 +191,9 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
-    def test_row_budget_exits_2_before_any_work(self, tmp_path, capsys):
-        # 1e18 rows: the engine would ask for exbibytes
-        cfg = write_config(tmp_path, dict(SIM_CONFIG, n=1e9, horizon=1e9))
+    def test_path_budget_exits_2_before_any_work(self, tmp_path, capsys):
+        # 1e18 generations: the engine would ask for exbibytes
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, n=10**9, horizon=1e9))
         out = tmp_path / "huge"
         tracemalloc.start()
         try:
@@ -199,13 +203,13 @@ class TestSimulate:
             tracemalloc.stop()
         assert rc == 2
         assert peak < 16 * 2**20
-        assert "row budget" in capsys.readouterr().err
+        assert "generations per path" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
-    def test_row_budget_counts_replicates(self, tmp_path):
-        # 11 rows per path, one path more than the budget holds
+    def test_engine_budget_counts_replicates(self, tmp_path):
+        # 10 + 100 budgeted generations per path, one path more than the budget holds
         cfg = write_config(tmp_path, SIM_CONFIG)
-        replicates = cli.SIMULATE_ROW_BUDGET // 11 + 1
+        replicates = budgets.ENGINE_GENERATION_BUDGET // 110 + 1
         args = ["simulate", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
@@ -295,31 +299,16 @@ class TestLimitSample:
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     def test_atom_budget_counts_replicates(self, tmp_path):
-        # 1000 expected atoms per path, one path more than the budget holds
+        # 1000 expected atoms and the set-up per path, one path more than the budget holds
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, delta=1e-3))
-        replicates = cli.LIMIT_ATOM_BUDGET // 1000 + 1
+        replicates = budgets.LIMIT_ATOM_BUDGET // (1000 + budgets.PATH_SETUP_ATOMS) + 1
         args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
-    @pytest.mark.parametrize("change", [{"horizon": 0.0}, {"a": 1e-300}])
-    def test_row_budget_exits_2_before_any_draw(self, tmp_path, capsys, change):
-        # 0 or 1e-297 expected atoms pass the atom budget at any replicate
-        # count, but every replicate still writes two rows: without a row
-        # budget, 10^12 replicates ran without end
-        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, **change))
-        out = tmp_path / "many"
-        args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(10**12), "--out", str(out)]
-        start = time.perf_counter()
-        assert cli.main(args) == 2
-        assert time.perf_counter() - start < 1.0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "row budget" in lines[0]
-        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
-
-    def test_row_budget_counts_replicates(self, tmp_path):
-        # two rows per path, one path more than the budget holds
+    def test_setup_budget_counts_replicates(self, tmp_path):
+        # no atoms, only the set-up per path, one path more than the budget holds
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, horizon=0.0))
-        replicates = cli.LIMIT_ROW_BUDGET // 2 + 1
+        replicates = budgets.LIMIT_ATOM_BUDGET // budgets.PATH_SETUP_ATOMS + 1
         args = ["limit-sample", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
@@ -506,6 +495,60 @@ def test_simulate_config_fuzz(config, replicates):
             assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 
+# Each check's override keys, with valid values small enough that a run
+# takes milliseconds.  Odd values stand in for one key at a time; a missing
+# key would run that key's default scale, which the acceptance suite covers.
+_SMALL_LADDER = st.lists(st.integers(1, 20), min_size=1, max_size=3)
+_VERIFY_KEYS = {
+    "marginal-limit": {"sample_count": st.integers(1, 300), "delta": st.floats(0.01, 5.0)},
+    "marginal-prelimit-thm1": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
+    "marginal-prelimit-thm2": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
+    "fdd": {"mc_samples": st.integers(1, 300)},
+    "lemma-aux2": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
+    "lemma-aux2a": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
+    "lemma-aux3": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
+    "proxy-zn": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
+}
+_ODD_OVERRIDES = [v for v in _ODD_VALUES if v is not _MISSING] + [True, 2.5, [], [3, 2.5], [10**400], {}]
+
+
+@st.composite
+def _verify_configs(draw):
+    check = draw(st.sampled_from(list(_VERIFY_KEYS)))
+    keys = _VERIFY_KEYS[check]
+    odd = draw(st.sampled_from([None, "unknown-key", *keys]))
+    overrides = {key: draw(st.sampled_from(_ODD_OVERRIDES) if key == odd else valid)
+                 for key, valid in keys.items()}
+    if odd == "unknown-key":
+        overrides["unknown"] = 1
+    return {"check": check, "overrides": overrides}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print above the error line
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_verify_configs())
+# an int beyond the float range raised OverflowError with a traceback
+@example({"check": "marginal-limit", "overrides": {"sample_count": 10, "delta": 10**400}})
+def test_verify_config_fuzz(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        out = Path(tmp) / "rep"
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", "--config", cfg, "--seed", "3", "--out", str(out)])
+        event(f"exit {rc}")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        if rc in (0, 4):
+            report = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+            assert stdout.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            assert report["check"] == config["check"] and report["pass"] is (rc == 0)
+        else:
+            assert rc == 2
+            assert lines[0].startswith("error: ") and stdout.getvalue() == ""
+            assert not out.with_suffix(".json").exists()
+
+
 class TestVerify:
     def test_unknown_check_exits_2(self, tmp_path):
         assert cli.main(["verify", "foo", "--seed", "1"]) == 2
@@ -588,11 +631,11 @@ class TestVerify:
         [
             ("marginal-limit", {"sample_count": 10**12}),  # these two died on an array allocation
             ("fdd", {"mc_samples": 10**12}),
-            ("marginal-limit", {"sample_count": checks.MARGINAL_SAMPLE_BUDGET + 1}),
+            ("marginal-limit", {"sample_count": budgets.MARGINAL_SAMPLE_BUDGET + 1}),
             ("marginal-prelimit-thm1", {"ns": [50, 10**12]}),
-            ("lemma-aux2", {"n": checks.PATH_GENERATION_BUDGET // 3 + 1}),  # 3n generations
+            ("lemma-aux2", {"n": budgets.PATH_GENERATION_BUDGET // 3 + 1}),  # 3n generations
             ("lemma-aux2a", {"n": 10**400}),
-            ("lemma-aux3", {"ns": [checks.PATH_GENERATION_BUDGET + 1]}),
+            ("lemma-aux3", {"ns": [budgets.PATH_GENERATION_BUDGET + 1]}),
             ("proxy-zn", {"n": 10**9}),
             ("marginal-prelimit-thm1", {"replicates": 10**12}),  # these ran without end
             ("marginal-prelimit-thm2", {"ns": [1], "replicates": 10**12}),
@@ -601,7 +644,7 @@ class TestVerify:
             ("lemma-aux3", {"replicates": 10**12}),
             ("proxy-zn", {"replicates": 10**12}),
             # n + 100 budgeted generations per path, one path more than the budget holds
-            ("proxy-zn", {"n": 100, "replicates": checks.ENGINE_GENERATION_BUDGET // 200 + 1}),
+            ("proxy-zn", {"n": 100, "replicates": budgets.ENGINE_GENERATION_BUDGET // 200 + 1}),
         ],
     )
     def test_scale_over_budget_exits_2(self, tmp_path, capsys, check, overrides):
@@ -648,4 +691,31 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, command):
     rc = cli.main([command, "--config", cfg, "--seed", "1", "--jobs", "0", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --jobs")
+    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,replicates",
+    [
+        ("simulate", dict(SIM_CONFIG, horizon=0.0), 10**7),  # one row each, so a row budget admitted it
+        ("simulate", dict(SIM_CONFIG, horizon=0.0), 10**12),
+        ("limit-sample", dict(LIMIT_CONFIG, horizon=0.0), 10**12),  # no atoms
+        ("limit-sample", dict(LIMIT_CONFIG, a=1e-300), 10**12),  # 1e-297 expected atoms each
+        ("verify", {"check": "proxy-zn", "overrides": {"replicates": 10**12}}, 10**12),
+    ],
+    ids=["simulate-1e7", "simulate-1e12", "limit-sample-horizon-0", "limit-sample-tiny-a", "verify-proxy-zn"],
+)
+def test_replicates_without_work_exceed_the_budget_at_once(tmp_path, capsys, command, config, replicates):
+    # each path does almost no work of its own, but its set-up counts: the
+    # run exits 2 before any work instead of running for hours
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "many"
+    args = [command, "--config", cfg, "--seed", "1", "--replicates", str(replicates), "--out", str(out)]
+    start = time.perf_counter()
+    assert cli.main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+    assert captured.out == ""
     assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()

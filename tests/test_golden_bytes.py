@@ -23,7 +23,6 @@ from gwshot.checks import run_check
 from gwshot.gw import FluidConfig, simulate_cohort
 from gwshot.gwi import GwiRun, run_coupled
 from gwshot.immigration import ImmigrationLaw
-from gwshot.lognum import LogMagnitude
 from gwshot.offspring import OffspringFamily
 
 DIGEST_NUMPY = "2.4"
@@ -125,7 +124,7 @@ def test_truncated_pair_bytes():
 
 def test_cohort_bytes():
     rng = streams.substream(SEED, streams.OFFSPRING)
-    logs = simulate_cohort(OffspringFamily.geometric(0.5), LogMagnitude(30.0), 300, FluidConfig(), rng)
+    logs = simulate_cohort(OffspringFamily.geometric(0.5), 30.0, 300, FluidConfig(), rng)
     assert sha256(logs.tobytes()) == COHORT_DIGEST
 
 

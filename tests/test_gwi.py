@@ -39,10 +39,6 @@ class TestRunDescriptor:
         with pytest.raises(ValueError):
             _run(horizon=-1.0)
 
-    def test_config_roundtrip(self):
-        run = _run(seed=77)
-        assert GwiRun.from_config(run.to_config()) == run
-
 
 class TestDeterminismAndCoupling:
     def test_same_seed_reproduces_bitwise(self):

@@ -20,11 +20,24 @@ from gwshot.limit import (
     sample_atoms_band,
     sample_shot_noise_marginal,
     shot_noise_path,
-    shot_noise_value,
 )
 from gwshot.stats import Sample, dkw_band, ks_distance
 
 LOG2 = math.log(2.0)
+
+
+def shot_noise_value(spec, t):
+    """Process value at one time, straight from its definition: the oracle
+    for `shot_noise_path` and the marginal sampler."""
+    params = spec.atoms.params
+    if t < 0 or t > params.horizon + 1e-12:
+        raise ValueError("evaluation time outside [0, horizon]")
+    floor = spec.slope * t if spec.slope > 0 else 0.0
+    mask = spec.atoms.times <= t
+    if not mask.any():
+        return float(floor)
+    vals = spec.atoms.marks[mask] + (t - spec.atoms.times[mask]) * spec.slope
+    return float(max(floor, vals.max()))
 
 
 def _spec(slope, atoms, horizon=2.0, delta=1e-3):

@@ -25,10 +25,6 @@ class TestMeans:
         with pytest.raises(ValueError):
             OffspringFamily("weird", 1.0)
 
-    def test_config_roundtrip(self):
-        for fam in (OffspringFamily.binary(0.25), OffspringFamily.geometric(0.5)):
-            assert OffspringFamily.from_config(fam.to_config()) == fam
-
 
 class TestSurvivalProbability:
     def test_binary_first_two_by_hand(self):

@@ -55,8 +55,3 @@ class TestEvaluation:
     def test_constant_helper(self):
         f = CadlagPath.constant(2.5, 3.0)
         assert f.value(3.0) == 2.5
-
-    def test_shift_values(self):
-        f = CadlagPath.step(np.array([0.0, 0.5]), np.array([0.0, 1.0]), 1.0)
-        g = f.shift_values(0.25)
-        assert g.value(0.7) == pytest.approx(1.25)
