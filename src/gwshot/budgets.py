@@ -12,7 +12,7 @@ import math
 import numbers
 from typing import Sequence
 
-__all__ = ["require_count", "require_scale"]
+__all__ = ["require_count", "require_number", "require_scale"]
 
 # Limit-sampler draws per check run.  A marginal sample peaks at about 90
 # traced bytes (8.2 MB for 10^5 marginal-limit samples, 9.1 MB for 10^5 fdd
@@ -27,14 +27,14 @@ MARGINAL_SAMPLE_BUDGET = 5_000_000
 PATH_GENERATION_BUDGET = 5_000_000
 
 # Generations over all engine paths of a run: replicates x sum over the
-# n-ladder of (n x horizon + PATH_SETUP_GENERATIONS).  A path costs about
-# as much to set up as 100 generations cost to step (45 us for a path at
-# n = 1, 0.3-0.7 us per generation at n = 100-800).  Counted so, the engine
-# checks take 0.04-2.4 us per budgeted generation at n from 1 to 5000
-# (lemma-aux3 the slowest, with three branches per generation), so a run at
-# the budget takes at most about 50 s (53 s measured for lemma-aux3; 28 s
-# for 2e5 simulate replicates at horizon 0).  The default scales use up to
-# 2.7e6 (marginal-prelimit-thm1).
+# n-ladder of (n x horizon + PATH_SETUP_GENERATIONS), a rung once per path
+# it runs (three for lemma-aux3's branches).  Setting up a path costs about
+# as much as 100 generations cost to step (45 us for a path at n = 1,
+# 0.3-0.7 us per generation at n = 100-800).  Counted so, the engine checks
+# take 0.24-1.0 us per budgeted generation at their default scales, so a run
+# at the budget takes at most about 30 s (21-23 s measured for lemma-aux3,
+# the slowest check; 28 s for 2e5 simulate replicates at horizon 0).  The
+# default scales use up to 2.7e6 (marginal-prelimit-thm1).
 ENGINE_GENERATION_BUDGET = 20_000_000
 PATH_SETUP_GENERATIONS = 100
 
@@ -55,6 +55,13 @@ def require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def require_number(name: str, value) -> float:
+    """`value` as a float; reject a bool or a string, which float() would read."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def require_scale(

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import limit, streams
-from .budgets import require_scale
+from .budgets import require_number, require_scale
 from .gw import FluidConfig, limit_profile, simulate_cohort
 from .gwi import GwiRun, conditional_mean_path, run_replicates
 from .immigration import ImmigrationLaw
@@ -81,6 +81,7 @@ def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray
 def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 1e-3) -> CheckReport:
     """Sampled shot-noise marginals against their closed-form CDFs."""
     require_scale(samples=sample_count)
+    delta = require_number("delta", delta)
     a = b = 1.0
     u = 1.0
     threshold = 0.01
@@ -345,7 +346,6 @@ def check_truncation_negligible(
 ) -> CheckReport:
     """Cohorts founded while immigration is not extremely active stay below
     gamma + delta on the normalized log scale, more surely as n grows."""
-    require_scale(replicates, ns)
     gamma, slack = 0.2, 0.1
     level = gamma + slack
     branches = {
@@ -353,6 +353,7 @@ def check_truncation_negligible(
         "supercritical_cn_n": (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0), "n"),
         "subcritical_cn_bn": (OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5), "bn"),
     }
+    require_scale(replicates, tuple(ns) * len(branches))  # one path per branch per rung
     freqs: dict[str, list[float]] = {}
     worst_increase = -math.inf
     for b_idx, (name, (family, law, scaling)) in enumerate(branches.items()):

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__, limit, streams
-from .budgets import require_scale
+from .budgets import require_number, require_scale
 from .checks import CHECK_NAMES, run_check
 from .gwi import GwiRun, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
@@ -114,7 +114,7 @@ def _parse_simulate_config(cfg: dict) -> dict:
     try:
         parsed = {
             "n": cfg["n"],  # an integer count, which require_scale checks
-            "horizon": float(cfg["horizon"]),
+            "horizon": require_number("horizon", cfg["horizon"]),
             "family": OffspringFamily.from_config(cfg["offspring"]),
             "law": ImmigrationLaw.from_config(cfg["immigration"]),
             "fluid": FluidConfig.from_config(cfg.get("fluid", {})),
@@ -137,7 +137,7 @@ def _simulate_norm(parsed: dict) -> float:
         elif spec == "bn":
             value = float(parsed["law"].norming_bn(parsed["n"]))
         else:
-            value = float(spec)
+            value = require_number("norm", spec)
     except OverflowError as exc:
         raise ConfigError(f"norm {spec!r} exceeds the float range") from exc
     except (TypeError, ValueError) as exc:
@@ -152,8 +152,8 @@ def _simulate_correction(parsed: dict) -> float | None:
     if corr is False or corr is None:
         return None
     try:
-        value = float(parsed["family"].mean if corr is True else corr)
-    except (TypeError, ValueError, OverflowError) as exc:
+        value = parsed["family"].mean if corr is True else require_number("supercritical_correction", corr)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid supercritical_correction {corr!r}: expected true, false or a mean") from exc
     if not 0 < value < math.inf:
         raise ConfigError(f"supercritical_correction must be finite and positive, got {value!r}")
@@ -235,7 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     try:
         params = limit.PrmParams.from_config(cfg)
-        slope = float(cfg["slope"])
+        slope = require_number("slope", cfg["slope"])
         if not math.isfinite(slope):
             raise ValueError("slope must be finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

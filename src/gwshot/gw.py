@@ -2,18 +2,14 @@
 
 `population_log_path` steps Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}
 in log domain.  While the total is at most the exactness threshold it
-transitions in O(1) through the family's m-fold convolution.  Above it the
-relative fluctuation of one generation is O(m^{-1/2}) <= 1e-3, invisible
-on the log/n scale, so the kernel switches to the deterministic fluid
-regime: value -> value * mu + J per generation.  On subcritical descent the
-kernel re-enters the exact regime (rounding to the nearest integer) so
-extinction happens at a random time, reproducing the kink of the limiting
-growth profile instead of an artificially sharp one.
-
-The per-generation steps run on Python scalars: an exact generation is one
-scalar draw (`OffspringFamily.sample_generation`), a fluid one is a libm
-`_logaddexp`, bit for bit `np.logaddexp`, and a total that is extinct with
-no immigrant left is not stepped at all.
+transitions in O(1) through the family's m-fold convolution, one scalar
+draw per generation.  Above it the relative fluctuation of one generation
+is O(m^{-1/2}) <= 1e-3, invisible on the log/n scale, so the kernel
+switches to the deterministic fluid regime X_{m+1} = mu X_m + J_{m+1},
+whose every stretch is the closed form `mean_recursion`.  On subcritical
+descent the kernel re-enters the exact regime (rounding to the nearest
+integer) so extinction happens at a random time, reproducing the kink of
+the limiting growth profile instead of an artificially sharp one.
 
 By the branching property a lone cohort is the same process with a single
 founding batch and no later immigrants (`simulate_cohort`).
@@ -23,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -33,8 +28,6 @@ from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 __all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
 
 _NEG_INF = float("-inf")
-_LOG2 = math.log(2.0)
-_CHUNK = 1024  # generations converted to Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -71,23 +64,7 @@ def mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: 
     terms = np.empty(steps.shape[0])
     terms[0] = log_start - steps[0]
     np.subtract(jlog_rest, steps[1:], out=terms[1:])
-    return steps + np.logaddexp.accumulate(terms)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """log(e^x + e^y) on Python floats, bit for bit `np.logaddexp`.
-
-    A line-for-line copy of numpy's `npy_logaddexp` on the libm
-    `log1p`/`exp` behind `math`, without the cost of a ufunc call.
-    """
-    if x == y:  # infinities of the same sign
-        return x + _LOG2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d  # NaN
+    return np.add(np.logaddexp.accumulate(terms, out=terms), steps, out=terms)  # in place: less peak memory
 
 
 def population_log_path(
@@ -96,12 +73,13 @@ def population_log_path(
     """log Y_0..Y_{L-1} of Y_0 = J_0, Y_{m+1} = offspring(Y_m) + J_{m+1}.
 
     The total is sampled exactly while it is at most the exactness
-    threshold and grows by the mean above it.  A fluid total that cannot
-    descend back below the threshold (mean >= 1, or refinement off) has
-    the closed-form rest of path `mean_recursion`; a descending one is
-    rounded and sampled exactly again once it is at or below the threshold.
-    An exact total of 0 with no immigrant left stays 0: the rest of the
-    path is -inf without a step.
+    threshold and grows by the mean above it.  A fluid stretch is the
+    closed form `mean_recursion`: to the end of the path for a total that
+    cannot descend back below the threshold (mean >= 1, or refinement
+    off), and for a descending one up to the first generation at or below
+    the threshold, where the value is rounded to a count that is sampled
+    exactly again.  An exact total of 0 with no immigrant left stays 0:
+    the rest of the path is -inf without a step.
     """
     size = jlog.shape[0]
     out = np.full(size, _NEG_INF)
@@ -110,39 +88,47 @@ def population_log_path(
     log_mu = math.log(family.mean)
     descends = log_mu < 0 and config.refine_on_descent
     last_arrival: int | None = None  # found when an exact total first meets a generation without one
-    count: int | None = 0  # exact-regime total; None while fluid
-    log_value = _NEG_INF   # fluid-regime total
-    # Python floats only for the generations the loop reaches, a chunk at a time
-    steps = chain.from_iterable(jlog[lo : lo + _CHUNK].tolist() for lo in range(0, size, _CHUNK))
-    for m, jl in enumerate(steps):
-        if count is None:
-            log_value = _logaddexp(log_value + log_mu, jl)
-            if log_value <= log_m:
-                count = int(round(math.exp(log_value)))
-                out[m] = math.log(count) if count else _NEG_INF
-                continue
-        else:
-            if count:
-                count = family.sample_generation(count, rng)
-            elif jl == _NEG_INF:
-                if last_arrival is None:
-                    arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped
-                    last_arrival = int(arrivals[-1]) if arrivals.size else -1
-                if m > last_arrival:
-                    break
-            if jl <= log_m:
-                count += int(round(math.exp(jl)))  # J is integer by construction
-                if count <= threshold:
-                    out[m] = math.log(count) if count else _NEG_INF
-                    continue
-                log_value = math.log(count)
-            else:
-                log_value = _logaddexp(math.log(count) if count else _NEG_INF, jl)
-            count = None
-            if not descends:
-                out[m:] = mean_recursion(log_value, m, jlog[m + 1 :], log_mu)
+    count = 0  # the exact-regime total
+    m = 0
+    while m < size:
+        jl = jlog.item(m)
+        if count:
+            count = family.sample_generation(count, rng)
+        elif jl == _NEG_INF:
+            if last_arrival is None:
+                arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped
+                last_arrival = int(arrivals[-1]) if arrivals.size else -1
+            if m > last_arrival:
                 break
-        out[m] = log_value
+        if jl <= log_m:
+            count += int(round(math.exp(jl)))  # J is integer by construction
+        if count > threshold or jl > log_m:
+            # the fluid stretch from m on; a descending total goes in windows, each continuing
+            # the last and at least twice as long.  It falls by at most a factor mu per
+            # generation (immigrants only add): above the threshold for `gap` generations.
+            log_count = math.log(count) if count else _NEG_INF
+            log_value = log_count if jl <= log_m else float(np.logaddexp(log_count, jl))
+            width = 0
+            while True:
+                end = size
+                if descends:
+                    gap = (log_value - log_m) / -log_mu
+                    if gap < size - m:  # False for a NaN or infinite total too
+                        width = max(math.ceil(gap), 2 * width)
+                        end = min(size, m + 1 + width)
+                fluid = mean_recursion(log_value, m, jlog[m + 1 : end], log_mu)
+                k = int((fluid <= log_m).argmax()) if descends else 0
+                if descends and fluid.item(k) <= log_m:
+                    break
+                out[m:end] = fluid
+                if end == size:
+                    return out
+                m, log_value = end - 1, fluid.item(-1)
+            out[m : m + k] = fluid[:k]
+            count = int(round(math.exp(fluid.item(k))))  # re-enter the exact regime
+            m += k
+        out[m] = math.log(count) if count else _NEG_INF
+        m += 1
     return out
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import require_number
+
 __all__ = ["ImmigrationLaw", "FLOOR_EXACT_LOG"]
 
 _VARIANTS = ("reciprocal", "pareto_log", "pareto_log_sv")
@@ -164,9 +166,9 @@ class ImmigrationLaw:
     def from_config(cfg: dict) -> "ImmigrationLaw":
         variant = str(cfg["variant"])
         if variant == "reciprocal":
-            return ImmigrationLaw.reciprocal(float(cfg["c"]))
+            return ImmigrationLaw.reciprocal(require_number("c", cfg["c"]))
         if variant == "pareto_log":
-            return ImmigrationLaw.pareto_log(float(cfg["alpha"]))
+            return ImmigrationLaw.pareto_log(require_number("alpha", cfg["alpha"]))
         if variant == "pareto_log_sv":
             return ImmigrationLaw.pareto_log_sv()
         raise ValueError(f"unknown immigration variant {variant!r}")

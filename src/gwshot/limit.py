@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import require_number
 from .paths import CadlagPath
 
 __all__ = [
@@ -105,10 +106,10 @@ class PrmParams:
     @staticmethod
     def from_config(cfg: dict) -> "PrmParams":
         return PrmParams(
-            a=float(cfg["a"]),
-            b=float(cfg["b"]),
-            horizon=float(cfg["horizon"]),
-            delta=float(cfg.get("delta", 1e-3)),
+            a=require_number("a", cfg["a"]),
+            b=require_number("b", cfg["b"]),
+            horizon=require_number("horizon", cfg["horizon"]),
+            delta=require_number("delta", cfg.get("delta", 1e-3)),
         )
 
 

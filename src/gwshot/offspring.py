@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import require_number
+
 __all__ = ["OffspringFamily", "EXACT_COUNT_LIMIT"]
 
 # Largest cohort size sampled exactly: integers above 2**53 are not exactly
@@ -143,4 +145,4 @@ class OffspringFamily:
 
     @staticmethod
     def from_config(cfg: dict) -> "OffspringFamily":
-        return OffspringFamily(str(cfg["family"]), float(cfg["mean"]))
+        return OffspringFamily(str(cfg["family"]), require_number("offspring mean", cfg["mean"]))

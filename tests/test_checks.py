@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gwshot import checks, limit
+from gwshot import budgets, checks, limit
 from gwshot.gwi import conditional_mean_path
 from gwshot.offspring import OffspringFamily
 
@@ -52,3 +52,14 @@ def test_marginal_limit_fails_for_a_flipped_slope(monkeypatch):
     report = checks.run_check("marginal-limit", seed=42, sample_count=20_000)
     assert report.passed is False
     assert report.details["ks_by_regime"]["extremal"] <= 0.01 < report.statistic
+
+
+def test_lemma_aux3_budget_counts_each_branch(monkeypatch):
+    # three branches per rung: the default ladder costs 3 x (350 + 3 x 100)
+    # budgeted generations per replicate
+    monkeypatch.setattr(checks, "_truncated_exceed_frequency", lambda *args: 0.0)
+    checks.run_check("lemma-aux3")
+    bound = budgets.ENGINE_GENERATION_BUDGET // (3 * (50 + 100 + 200 + 3 * budgets.PATH_SETUP_GENERATIONS))
+    checks.run_check("lemma-aux3", replicates=bound)
+    with pytest.raises(ValueError, match="engine budget"):
+        checks.run_check("lemma-aux3", replicates=bound + 1)

@@ -175,12 +175,18 @@ class TestSimulate:
             {"n": 25.5},  # these three were truncated by int() or read by bool()
             {"fluid": {"exactness_threshold": 1500.7}},
             {"fluid": {"refine_on_descent": "false"}},
+            {"horizon": "1.0"},  # these five were read by float()
+            {"offspring": {"family": "binary", "mean": "1.0"}},
+            {"immigration": {"variant": "reciprocal", "c": True}},
+            {"norm": True},
+            {"supercritical_correction": "2.0"},
         ],
         ids=["horizon-inf", "horizon-nan", "n-inf", "n-int-1e400", "n-horizon-overflow", "norm-nan",
              "norm-inf", "norm-int-1e400", "bn-overflow", "bn-sv-overflow", "correction-nan",
              "correction-0", "correction-list", "correction-int-1e400", "fluid-number",
              "immigration-overflow", "norm-denormal", "poisson-overflow", "n-float",
-             "threshold-float", "refine-string"],
+             "threshold-float", "refine-string", "horizon-string", "mean-string", "c-bool", "norm-bool",
+             "correction-string"],
     )
     def test_rejected_config_exits_2_without_output(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(SIM_CONFIG, **change))
@@ -280,6 +286,16 @@ class TestLimitSample:
         out = tmp_path / "nf"
         assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("key", ["a", "b", "horizon", "delta", "slope"])
+    @pytest.mark.parametrize("value", ["1", False])  # float() read both
+    def test_non_number_parameter_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, **{key: value}))
+        out = tmp_path / "nn"
+        assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "must be a number" in lines[0]
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     def test_atom_budget_exits_2_before_any_draw(self, tmp_path, capsys):
@@ -419,6 +435,8 @@ def test_limit_sample_config_fuzz(config, replicates):
         with contextlib.redirect_stderr(err):
             rc = cli.main(args + ["--out", str(out)])
         event(f"exit {rc}")
+        if any(isinstance(v, str) for v in config.values()):  # "0.5" is not a number either
+            assert rc == 2
         if rc == 0:
             rows = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
             assert rows.shape[1] == 3 and np.all(np.isfinite(rows))
@@ -645,6 +663,8 @@ class TestVerify:
             ("proxy-zn", {"replicates": 10**12}),
             # n + 100 budgeted generations per path, one path more than the budget holds
             ("proxy-zn", {"n": 100, "replicates": budgets.ENGINE_GENERATION_BUDGET // 200 + 1}),
+            # three branches per rung, each (n + 100) for n in 50, 100, 200: one replicate over
+            ("lemma-aux3", {"replicates": budgets.ENGINE_GENERATION_BUDGET // (3 * 650) + 1}),
         ],
     )
     def test_scale_over_budget_exits_2(self, tmp_path, capsys, check, overrides):
@@ -666,6 +686,10 @@ class TestVerify:
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, check, overrides):
         assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+    @pytest.mark.parametrize("delta", [True, "0.001"])  # True ran at delta = 1
+    def test_non_number_delta_exits_2(self, tmp_path, capsys, delta):
+        assert_verify_rejects(tmp_path, capsys, "marginal-limit", {"sample_count": 100, "delta": delta})
 
 
 def assert_verify_rejects(tmp_path, capsys, check, overrides):

@@ -1,15 +1,18 @@
 """Pinned output bytes of the population kernel and of the checks built
 on it, for fixed seeds.
 
-The kernel digests were computed before the kernel's scalar fast path
-(scalar offspring draws, a libm `logaddexp`, skipped zero counts), and the
-engine check digests before thm1/thm2 and lemma-aux2/aux2a were folded into
-one shared loop each; the code must reproduce them exactly.  The
-marginal-limit and fdd digests pin the limit sampler's draws as they are
-since its rounds were cut to 2^14 atoms, so that a later change to the
-draws has to show its byte move.  numpy may change
-its Generator streams between versions, so the digests are only checked on
-the numpy major.minor that made them.
+The digests of runs without a descending fluid stretch (critical,
+supercritical, thm1, and lemma-aux2/aux2a at their small scales, where
+every cohort stays exact) were computed before the kernel's scalar fast
+path (scalar offspring draws, skipped zero counts) and before thm1/thm2
+and lemma-aux2/aux2a were folded into one shared loop each; the code must
+reproduce them exactly.  The subcritical ones (simulate, truncated pair,
+cohort, thm2) were made when a descending fluid stretch became the closed
+form `mean_recursion`.  The marginal-limit and fdd digests pin the limit
+sampler's draws as they are since its rounds were cut to 2^14 atoms, so
+that a later change to the draws has to show its byte move.  numpy may
+change its Generator streams between versions, so the digests are only
+checked on the numpy major.minor that made them.
 """
 
 import hashlib
@@ -50,7 +53,7 @@ SIMULATE_DIGESTS = {
     ),
     "subcritical": (
         {"family": "geometric", "mean": 0.5}, False,
-        "28af2e561669221bd5aec48a31f409e82ff603dce839eba0f15a5674214913db",
+        "bd1a479afbcb3a17ab22e0de1d8e9edf62e62ab59e0d1cf3a787a8749de75121",
         "992e447ab636b894825d4c09ac23fc3cefef7fc6afa7864100774b5bc32f0202",
     ),
     "supercritical": (
@@ -60,9 +63,9 @@ SIMULATE_DIGESTS = {
     ),
 }
 # y_log then truncated_log of one run_coupled(gamma=0.5, c_n=n), subcritical
-TRUNCATED_PAIR_DIGEST = "7265aade99dd518187fd4645846915e1cc3d509a15fbe60c11c3ca69fd803a6d"
+TRUNCATED_PAIR_DIGEST = "7c5b8b6ba09787f97f830aeab62637250006477988515978788d8b8417bb3b6f"
 # a lone e^30 geometric(0.5) cohort over 300 generations: extinct from generation 44
-COHORT_DIGEST = "2f68f5e7de444754dedfc446e64206f81dcb48eaf9ab1c3e62b8e8714c5babcd"
+COHORT_DIGEST = "e879baefa1ad484f6689f874c041dbfc3c89fdebf920861c2b9af62233acb90e"
 # check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
 # At these cohort scales some family's exceed fraction lies strictly between
 # 0 and 1, and every KS and Monte Carlo frequency is a float of the draws,
@@ -81,8 +84,8 @@ CHECK_DIGESTS = {
         1: "624cc37c729529517eb20e3273fae612c4e2d9652d0b78a57a816c2e298e5ab8",
     }),
     "marginal-prelimit-thm2": ({"ns": (10, 20), "replicates": 60}, {
-        SEED: "67addf9912fd59e344f3ce9df23073081a025ea82f0abc255fe66cc1c8a3f51c",
-        1: "6d65809246a658bd9b498e445d094432f13a672f0cc86e1924961ef3fc79b7ab",
+        SEED: "e6605d51d946942cd5f70dab6f93c51ba437a08789921b5fea3ceb15926cffce",
+        1: "fa80e5705d825a56237fb422fd61a72b7a6dde5d1521329fae0255f560cf3808",
     }),
     "lemma-aux2": ({"n": 5, "replicates": 40}, {
         SEED: "c1cda6933cef14700e16a6b591e41feb3cfeec49511237415c690f9c5336ba00",
