@@ -29,14 +29,15 @@ PATH_GENERATION_BUDGET = 5_000_000
 # Generations over all engine paths of a run: replicates x sum over the
 # n-ladder of (n x horizon + PATH_SETUP_GENERATIONS), a rung once per path
 # it runs (three for lemma-aux3's branches).  Setting up a path costs about
-# as much as 100 generations cost to step (45 us for a path at n = 1,
-# 0.3-0.7 us per generation at n = 100-800).  Counted so, the engine checks
-# take 0.24-1.0 us per budgeted generation at their default scales, so a run
-# at the budget takes at most about 30 s (21-23 s measured for lemma-aux3,
-# the slowest check; 28 s for 2e5 simulate replicates at horizon 0).  The
-# default scales use up to 2.7e6 (marginal-prelimit-thm1).
+# as much as 370 generations cost to step: a `simulate` replicate takes
+# 67-130 us at horizon 0 and 0.2-0.4 us more per generation at n = 800
+# (critical binary offspring, reciprocal immigration), a ratio of 234-464
+# over nine alternating runs, median 389.  Counted so, a run at the budget
+# takes about 5-7 s (simulate: 5.2-7.0 s at horizon 0, 4.8-7.3 s at
+# n = 800; lemma-aux3, the slowest check: 6.7 s).  The default scales use
+# up to 4.3e6 (marginal-prelimit-thm1).
 ENGINE_GENERATION_BUDGET = 20_000_000
-PATH_SETUP_GENERATIONS = 100
+PATH_SETUP_GENERATIONS = 370
 
 # Atoms over all limit-sample paths: replicates x (expected atoms +
 # PATH_SETUP_ATOMS).  Every atom is kept as two float64s and written to the

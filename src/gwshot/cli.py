@@ -19,6 +19,7 @@ import math
 import secrets
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -163,24 +164,49 @@ def _simulate_correction(parsed: dict) -> float | None:
 _ROW_BLOCK = 1 << 16  # rows per string the writer yields, which bounds its memory on long paths
 
 
+def _time_cells(n: int, lo: int, hi: int) -> tuple[str, np.ndarray]:
+    """The time cells k/n, k in [lo, hi), as one LF-joined string, and the
+    offset of each cell in it (one past the end as the last)."""
+    cells = [repr(k / n) for k in range(lo, hi)]
+    offsets = np.zeros(hi - lo + 1, dtype=np.int64)
+    np.cumsum([len(c) + 1 for c in cells], out=offsets[1:])
+    return "\n".join(cells), offsets
+
+
 def _simulate_rows(values: Sequence[np.ndarray], n: int) -> Iterator[str]:
     """CSV rows `r,k/n,value` of each replicate's values, a block at a time.
 
     A path is constant over long stretches (a fluid total, a record in the
-    extremal regime), so each run of equal values is formatted once.  Runs
-    go by bit pattern, not by ==: -0.0 == 0.0, but the two print apart.
+    extremal regime), so each run of equal values is formatted once, and
+    a run of several rows is the stretch of time cells it covers with its
+    value spliced in between.  Runs go by bit pattern, not by ==: -0.0 ==
+    0.0, but the two print apart.  The time cells are formatted once, one
+    string per block.
     """
     size = len(values[0])
-    parts = np.empty(3 * size, dtype=object)  # "r,", "t,", "value\n" per row
-    parts[1::3] = [repr(k / n) + "," for k in range(size)]
+    blocks = [_time_cells(n, lo, min(lo + _ROW_BLOCK, size)) for lo in range(0, size, _ROW_BLOCK)]
     for r, obs in enumerate(values):
-        bits = obs.view(np.int64)
-        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        cells = np.array([repr(v) + "\n" for v in obs[starts].tolist()], dtype=object)
-        parts[0::3] = f"{r},"
-        parts[2::3] = np.repeat(cells, np.diff(starts, append=size))
-        for lo in range(0, 3 * size, 3 * _ROW_BLOCK):
-            yield "".join(parts[lo : lo + 3 * _ROW_BLOCK].tolist())
+        for lo, (text, offsets) in zip(range(0, size, _ROW_BLOCK), blocks):
+            yield _block_rows(r, obs[lo : lo + _ROW_BLOCK], text, offsets)
+
+
+def _block_rows(r: int, block: np.ndarray, text: str, offsets: np.ndarray) -> str:
+    """The rows of replicate r over one block, with `text` and `offsets`
+    as `_time_cells` gives them."""
+    head, next_row = f"{r},", f"\n{r},"
+    bits = block.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    ends = np.append(starts[1:], len(block))
+    cells = list(map(repr, block[starts].tolist()))  # each run's value cell
+    # each run's text up to its last value cell: its one time cell, or its
+    # time cells with the value and the next row's head between them
+    multi = np.flatnonzero(ends - starts > 1).tolist()
+    spans = list(map(text.__getitem__, map(slice, offsets[starts].tolist(), (offsets[ends] - 1).tolist())))
+    for i in multi:
+        spans[i] = spans[i].replace("\n", f",{cells[i]}{next_row}")
+    parts = [head, *chain.from_iterable(zip(spans, repeat(","), cells, repeat(next_row)))]
+    parts[-1] = "\n"  # the block's last row starts no next one
+    return "".join(parts)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -87,13 +87,14 @@ def population_log_path(
     log_m = math.log(threshold)
     log_mu = math.log(family.mean)
     descends = log_mu < 0 and config.refine_on_descent
+    step = family.exact_step(rng)  # only ever given a count in [1, threshold]
     last_arrival: int | None = None  # found when an exact total first meets a generation without one
     count = 0  # the exact-regime total
     m = 0
     while m < size:
         jl = jlog.item(m)
         if count:
-            count = family.sample_generation(count, rng)
+            count = step(count)
         elif jl == _NEG_INF:
             if last_arrival is None:
                 arrivals = np.flatnonzero(jlog != _NEG_INF)  # a NaN counts as an arrival and is stepped

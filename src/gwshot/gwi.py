@@ -169,6 +169,8 @@ def normalized_observable(
         if supercritical_correction <= 0:
             raise ValueError("correction mean must be positive")
         lv = lv - np.arange(lv.shape[0]) * math.log(supercritical_correction)
-    obs = np.maximum(lv, 0.0) / norm
-    times = np.arange(lv.shape[0]) / n
+    obs = np.maximum(lv, 0.0)
+    obs /= norm
+    times = np.arange(lv.shape[0], dtype=np.float64)
+    times /= n
     return CadlagPath.step(times, obs)

@@ -88,13 +88,16 @@ class ImmigrationLaw:
         u = np.asarray(u, dtype=np.float64)
         if np.any(u <= 0) or np.any(u > 1):
             raise ValueError("inverse_tail needs u in (0, 1]")
-        if self.variant == "reciprocal":
-            v = self.param / u
-        elif self.variant == "pareto_log":
-            v = u ** (-1.0 / self.param)
-        else:
-            v = self._sv_inverse(u, iterations=50)
+        v = self._inverse_tail(u)
         return float(v) if v.ndim == 0 else v
+
+    def _inverse_tail(self, u: np.ndarray) -> np.ndarray:
+        """`inverse_tail` of a float64 array already in (0, 1]."""
+        if self.variant == "reciprocal":
+            return self.param / u
+        if self.variant == "pareto_log":
+            return u ** (-1.0 / self.param)
+        return self._sv_inverse(u, iterations=50)
 
     @staticmethod
     def _sv_inverse(u: np.ndarray, iterations: int) -> np.ndarray:
@@ -122,13 +125,12 @@ class ImmigrationLaw:
 
     def sample_tail_value(self, rng: np.random.Generator, size: int | None = None):
         """V = tail^{-1}(U), U uniform on (0, 1]."""
-        u = 1.0 - rng.random(size)
-        return self.inverse_tail(u)
+        v = self._inverse_tail(np.asarray(1.0 - rng.random(size)))
+        return float(v) if v.ndim == 0 else v
 
     def sample_log_j_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """log J draws, J = max(1, floor(e^V)), as a float64 log-value array."""
-        v = np.atleast_1d(self.sample_tail_value(rng, size))
-        return floored_log(v)
+        return floored_log(self.sample_tail_value(rng, size))
 
     # ------------------------------------------------------------------
     # Norming sequence
@@ -177,9 +179,12 @@ class ImmigrationLaw:
 def floored_log(v: np.ndarray) -> np.ndarray:
     """log(max(1, floor(e^v))) elementwise; identity above FLOOR_EXACT_LOG."""
     v = np.asarray(v, dtype=np.float64)
-    out = v.copy()
-    small = v <= FLOOR_EXACT_LOG
-    if small.any():
-        j = np.maximum(1.0, np.floor(np.exp(v[small])))
-        out[small] = np.log(j)
+    # every element through one chain of whole-array passes, clamped so that
+    # e^v stays finite; the elements above the clamp then take v back
+    out = np.minimum(v, FLOOR_EXACT_LOG, out=np.empty_like(v))  # an array even for a 0-d v
+    np.exp(out, out=out)
+    np.floor(out, out=out)
+    np.maximum(out, 1.0, out=out)
+    np.log(out, out=out)
+    np.copyto(out, v, where=v > FLOOR_EXACT_LOG)
     return out

@@ -8,9 +8,10 @@ share the interface of the growth theory:
 * geometric(mean mu, P{X=k}=(1-q)q^k with q=mu/(1+mu)): generation is
   NegativeBinomial(m, 1-q), the sum of m geometrics.
 
-`sample_generation` draws one generation as a numpy scalar (the kernel's
-exact step); it gives the same numbers from the same stream as
-`sample_generations` on a one-element array.
+`sample_generation` draws one generation as a numpy scalar; it gives the
+same numbers from the same stream as `sample_generations` on a
+one-element array.  `exact_step` binds that draw to one stream, once per
+path, as the kernel's exact step.
 
 Survival probabilities iterate the generating function at 0.  The
 iteration runs on the survival probability itself via the algebraically
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -92,12 +94,22 @@ class OffspringFamily:
             )
         if m == 0:
             return 0
-        # scalar draws: the same numbers as `sample_generations` on [m]
+        return self.exact_step(rng)(m)
+
+    def exact_step(self, rng: np.random.Generator) -> Callable[[int], int]:
+        """`sample_generation` on `rng`, bound once: the draw alone, for a
+        cohort size 1 <= m <= EXACT_COUNT_LIMIT that the caller vouches for.
+
+        A scalar draw: the same numbers as `sample_generations` on [m].
+        """
         if self.family == "poisson":
-            return int(rng.poisson(self.mean * m))
+            poisson, mean = rng.poisson, self.mean
+            return lambda m: int(poisson(mean * m))
         if self.family == "binary":
-            return 2 * int(rng.binomial(m, self.branch_probability))
-        return int(rng.negative_binomial(m, 1.0 - self.geometric_q))
+            binomial, p = rng.binomial, self.branch_probability
+            return lambda m: 2 * int(binomial(m, p))
+        negative_binomial, p = rng.negative_binomial, 1.0 - self.geometric_q
+        return lambda m: int(negative_binomial(m, p))
 
     def sample_generations(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized `sample_generation` over an int64 array of cohort sizes."""

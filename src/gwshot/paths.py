@@ -35,7 +35,7 @@ class CadlagPath:
             raise ValueError("breakpoints must be a nonempty 1-d array")
         if bp[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not (vals.shape == bp.shape == slp.shape):
             raise ValueError("breakpoints, values and slopes must have equal length")
@@ -53,7 +53,7 @@ class CadlagPath:
         values = np.asarray(values, dtype=np.float64)
         if end_time is None:
             end_time = float(times[-1])
-        return CadlagPath(times, values, np.zeros_like(values), end_time)
+        return CadlagPath(times, values, np.zeros(values.shape), end_time)
 
     @staticmethod
     def constant(value: float, end_time: float) -> "CadlagPath":

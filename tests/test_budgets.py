@@ -5,13 +5,14 @@ import pytest
 from gwshot import budgets
 from gwshot.budgets import require_count, require_scale
 
-SETUP_ONLY = budgets.ENGINE_GENERATION_BUDGET // budgets.PATH_SETUP_GENERATIONS
 
-
-def test_zero_horizon_counts_the_set_up_of_each_path():
-    require_scale(SETUP_ONLY, (10,), horizon=0.0)
+@pytest.mark.parametrize("n,horizon", [(10, 0.0), (800, 1.0)], ids=["zero-horizon", "n800"])
+def test_zero_horizon_counts_the_set_up_of_each_path(n, horizon):
+    # each replicate counts its n * horizon generations and its set-up
+    fits = budgets.ENGINE_GENERATION_BUDGET // (int(n * horizon) + budgets.PATH_SETUP_GENERATIONS)
+    require_scale(fits, (n,), horizon=horizon)
     with pytest.raises(ValueError, match="engine budget"):
-        require_scale(SETUP_ONLY + 1, (10,), horizon=0.0)
+        require_scale(fits + 1, (n,), horizon=horizon)
 
 
 @pytest.mark.parametrize(

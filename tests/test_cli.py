@@ -213,9 +213,9 @@ class TestSimulate:
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     def test_engine_budget_counts_replicates(self, tmp_path):
-        # 10 + 100 budgeted generations per path, one path more than the budget holds
+        # 10 generations and the set-up per path, one path more than the budget holds
         cfg = write_config(tmp_path, SIM_CONFIG)
-        replicates = budgets.ENGINE_GENERATION_BUDGET // 110 + 1
+        replicates = budgets.ENGINE_GENERATION_BUDGET // (10 + budgets.PATH_SETUP_GENERATIONS) + 1
         args = ["simulate", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
@@ -262,6 +262,25 @@ def test_simulate_rows_match_the_per_row_format(paths, block):
         chunks = list(cli._simulate_rows(values, n))
     assert "".join(chunks) == reference_rows(values, n)
     assert all(c.endswith("\n") and c.count("\n") <= block for c in chunks)
+
+
+def test_simulate_rows_hold_a_block_not_a_path():
+    # a critical path of 2e5 rows, 7.8 MiB of CSV: the writer holds its time
+    # cells as one string per block and builds one block's rows at a time,
+    # so it peaks at 10.4 MiB (a writer holding three object cells per row
+    # for the whole path peaks at 21.7 MiB)
+    n = 199_999
+    run = GwiRun(n=n, horizon=1.0, family=OffspringFamily.binary(0.5), law=ImmigrationLaw.reciprocal(1.0), seed=3)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = [normalized_observable(next(run_replicates(run, 1)).y_log, float(n), n).values]
+    tracemalloc.start()
+    try:
+        written = sum(map(len, cli._simulate_rows(values, n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 7 * 2**20
+    assert peak < 13 * 2**20
 
 
 class TestLimitSample:
@@ -661,10 +680,12 @@ class TestVerify:
             ("lemma-aux2a", {"n": 1, "replicates": 10**9}),
             ("lemma-aux3", {"replicates": 10**12}),
             ("proxy-zn", {"replicates": 10**12}),
-            # n + 100 budgeted generations per path, one path more than the budget holds
-            ("proxy-zn", {"n": 100, "replicates": budgets.ENGINE_GENERATION_BUDGET // 200 + 1}),
-            # three branches per rung, each (n + 100) for n in 50, 100, 200: one replicate over
-            ("lemma-aux3", {"replicates": budgets.ENGINE_GENERATION_BUDGET // (3 * 650) + 1}),
+            # n generations and the set-up per path, one path more than the budget holds
+            ("proxy-zn", {"n": 100, "replicates":
+                          budgets.ENGINE_GENERATION_BUDGET // (100 + budgets.PATH_SETUP_GENERATIONS) + 1}),
+            # three branches per rung, each n and the set-up for n in 50, 100, 200: one replicate over
+            ("lemma-aux3", {"replicates":
+                            budgets.ENGINE_GENERATION_BUDGET // (3 * (350 + 3 * budgets.PATH_SETUP_GENERATIONS)) + 1}),
         ],
     )
     def test_scale_over_budget_exits_2(self, tmp_path, capsys, check, overrides):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,6 +289,39 @@ class TestNormalizedLogPath:
                 if np.max(np.abs(normalized - profile)) > 0.1:
                     bad += 1
             assert bad <= reps // 10
+
+
+def test_kernel_steps_only_counts_within_the_threshold():
+    # every exact step the kernel takes is for a count in [1, threshold]: the
+    # bound step skips `sample_generation`'s checks, so the kernel must not
+    # hand it a count the checks would refuse (or a 0, which needs no draw)
+    threshold = 1000
+    config = FluidConfig(exactness_threshold=threshold)
+    stepped = []
+    bind = OffspringFamily.exact_step
+
+    def recording(family, rng):
+        step = bind(family, rng)
+
+        def counted(m):
+            stepped.append(m)
+            return step(m)
+
+        return counted
+
+    families = (OffspringFamily.geometric(0.5), OffspringFamily.binary(0.5), OffspringFamily.poisson(2.0))
+    laws = (ImmigrationLaw.reciprocal(1.0), ImmigrationLaw.pareto_log(0.5))
+    reentries = 0
+    with mock.patch.object(OffspringFamily, "exact_step", recording):
+        for f_idx, family in enumerate(families):
+            for l_idx, law in enumerate(laws):
+                for rep in range(40):
+                    seed = streams.replicate_seed(700, 100 * f_idx + 10 * l_idx + rep)
+                    jlog = law.sample_log_j_array(streams.substream(seed, streams.IMMIGRATION), 301)
+                    logs = population_log_path(family, jlog, config, streams.substream(seed, streams.OFFSPRING))
+                    reentries += np.count_nonzero((logs[:-1] > math.log(threshold)) & (logs[1:] <= math.log(threshold)))
+    assert stepped and min(stepped) >= 1 and max(stepped) <= threshold
+    assert max(stepped) > threshold // 2 and reentries > 20  # the counts reach up to the threshold and back
 
 
 class TestLimitProfile:

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from gwshot import streams
+from gwshot.gw import FluidConfig
 from gwshot.offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
 
@@ -108,6 +109,29 @@ class TestSampling:
             assert type(got) is int
             assert got == int(family.sample_generations(np.array([m], dtype=np.int64), array)[0])
         assert np.array_equal(scalar.integers(1 << 62, size=8), array.integers(1 << 62, size=8))
+
+    @pytest.mark.parametrize(
+        "family",
+        [OffspringFamily.binary(0.5), OffspringFamily.poisson(0.9), OffspringFamily.geometric(2.0)],
+        ids=lambda f: f.family,
+    )
+    def test_exact_step_equals_sample_generation(self, family):
+        # the kernel's step, bound once to a stream, gives the numbers
+        # `sample_generation` and the one-element array draw give on twin
+        # streams, for every count the kernel steps (1 up to the exactness
+        # threshold), and leaves the stream where they leave theirs
+        threshold = FluidConfig().exactness_threshold
+        counts = [*range(1, 1001), *np.unique(np.geomspace(1000, threshold, 400).astype(np.int64)).tolist()]
+        assert counts[-1] == threshold
+        bound, scalar, array = (streams.substream(12, streams.OFFSPRING) for _ in range(3))
+        step = family.exact_step(bound)
+        for m in counts:
+            got = step(m)
+            assert type(got) is int
+            assert got == family.sample_generation(m, scalar)
+            assert got == int(family.sample_generations(np.array([m], dtype=np.int64), array)[0])
+        tails = [rng.integers(1 << 62, size=8) for rng in (bound, scalar, array)]
+        assert np.array_equal(tails[0], tails[1]) and np.array_equal(tails[0], tails[2])
 
     def test_binary_clt_band_at_million(self):
         # 2*Binomial(10^6, 1/2): mean 10^6, variance 10^6
