@@ -27,9 +27,9 @@ rule only saves draws.  A sample whose values all sit at the floor never
 meets the rule (marks are positive) and runs to the cap, so the cap also
 bounds the work: at most a T delta^{-b} atoms per sample.
 
-The sampler draws in rounds of whole arrays.  A round gives each active
-sample max(1, _ROUND_ATOMS // active) atoms and then applies the rule and
-the cap once, to the last atom of each sample.  While more samples than
+The sampler draws in rounds.  A round gives each active sample
+max(1, _ROUND_ATOMS // active) atoms and then applies the rule and the
+cap once, to the last atom of each sample.  While more samples than
 _ROUND_ATOMS = 2^14 are active, that is one atom each, the fewest a sample
 can need.  Once fewer are left, a round draws about 2^14 atoms in all, so
 the number of rounds stays small at any delta.  A sample may then draw up
@@ -38,6 +38,14 @@ change no value, so the law does not depend on the round size, only the
 draws do.  At 10^5 samples, T = 1 and delta = 1e-3, a sloped regime needs
 about 4.1 atoms per sample and draws about 4.6; slope 0 needs and draws
 one (its first mark is its value).
+
+A round walks its active samples in slices of about 2^14 atoms: 2^14
+samples while each draws one atom, and a single slice once fewer are
+left.  What a sample keeps between rounds is its value at each time
+(held in the output rows, which start at the floor), its last arrival
+and its entry in the list of active samples, compacted in place.  So the
+working set is 24 bytes per sample at one time, 8 more per further time,
+plus a few arrays of one slice, at any sample count.
 
 Marginal distributions have closed forms; finite-dimensional ones are
 void probabilities of the measure over a union of wedges, integrated in
@@ -256,11 +264,13 @@ def sample_shot_noise_marginal(
     Equal in law to the values at u of `shot_noise_path(sample_atoms(...))`
     repeated with horizon max(u).  A scalar u gives a 1-d array of length
     `count`; a 1-d increasing array of times gives a (count, len(u)) array,
-    one row per path.  Atoms come in decreasing mark order (LePage
-    series), and a sample draws atoms only until the stopping rule or the
-    delta cap holds at every time.  Draws go in rounds of one atom per
-    active sample, or of about `_ROUND_ATOMS` atoms in all once fewer
-    samples are active; see the module docstring.
+    one row per path (the transpose of the sampler's one row per time).
+    Atoms come in decreasing mark order (LePage series), and a sample
+    draws atoms only until the stopping rule or the delta cap holds at
+    every time.  Draws go in rounds of one atom per active sample, or of
+    about `_ROUND_ATOMS` atoms in all once fewer samples are active, and a
+    round walks its samples in slices of about `_ROUND_ATOMS` atoms; see
+    the module docstring.
     """
     times = np.asarray(u, dtype=np.float64)
     scalar = times.ndim == 0
@@ -276,52 +286,60 @@ def sample_shot_noise_marginal(
     horizon = float(times[-1])
     gamma_cap = PrmParams(a=a, b=b, horizon=horizon, delta=delta).expected_atoms
     scale = a * horizon
+    at_times = times.tolist()
     rise = (max(slope, 0.0) * times).tolist()  # most a later atom can add above its mark
-    values = np.empty((count, times.size))
-    active = np.arange(count)  # rows of `values` still drawing atoms
-    current = np.tile(_floor_value(slope, times), (count, 1))  # their values so far
-    gamma = np.zeros(count)  # and their last arrivals
-    while active.size:
-        block = max(1, _ROUND_ATOMS // active.size)
-        # row i holds atom i of every active sample, so the sums and maxima
-        # over a sample's atoms run down a column
-        arrivals = rng.standard_exponential((block, active.size))
-        if block > 1:
-            np.cumsum(arrivals, axis=0, out=arrivals)
-        arrivals += gamma
-        marks = np.divide(scale, arrivals)
-        marks **= 1.0 / b
-        at = rng.uniform(0.0, horizon, arrivals.shape)
-        gamma = arrivals[-1]
-        # arrivals increase down a column, so a sample's last one decides
-        # whether any of its marks fell to delta
-        capped = gamma >= gamma_cap
-        below = arrivals >= gamma_cap if capped.any() else None  # marks at or below delta
-        for k, t in enumerate(times.tolist()):
-            if t < horizon:
-                hidden = at > t if below is None else (at > t) | below
-                reach = np.subtract(t, at)
-            else:  # no atom time exceeds the last time, whose responses take the place of `at`
-                hidden = below
-                reach = np.subtract(t, at, out=at)
-            reach *= slope
-            reach += marks
-            if hidden is not None:
-                reach[hidden] = -np.inf
-            np.maximum(current[:, k], reach[0] if block == 1 else reach.max(axis=0), out=current[:, k])
-        last = marks[-1]
-        done = last + rise[0] <= current[:, 0]
-        for k in range(1, len(rise)):
-            done &= last + rise[k] <= current[:, k]
-        done |= capped
-        if done.any():
-            # integer indices: a boolean mask gathers much slower when done
-            # rows are scattered at random
-            finished = np.flatnonzero(done)
-            values[active[finished]] = current[finished]
-            left = np.flatnonzero(~done)
-            active, current, gamma = active[left], current[left], gamma[left]
-    return values[:, 0] if scalar else values
+    # row k holds every sample's value at times[k] so far, from the floor up
+    values = np.repeat(_floor_value(slope, times)[:, None], count, axis=1)
+    active = np.arange(count)  # samples still drawing atoms, in order
+    gamma = np.zeros(count)  # their last arrivals, gamma[i] that of active[i]
+    live = count
+    while live:
+        block = max(1, _ROUND_ATOMS // live)
+        width = max(1, _ROUND_ATOMS // block)  # samples per slice of about _ROUND_ATOMS atoms
+        kept = 0  # active[:kept] and gamma[:kept] hold the samples that go on
+        for lo in range(0, live, width):
+            hi = min(lo + width, live)
+            samples = active[lo:hi]
+            # row i holds atom i of every sample in the slice, so the sums
+            # and maxima over a sample's atoms run down a column
+            arrivals = rng.standard_exponential((block, hi - lo))
+            if block > 1:
+                np.cumsum(arrivals, axis=0, out=arrivals)
+            arrivals += gamma[lo:hi]
+            marks = np.divide(scale, arrivals)
+            marks **= 1.0 / b
+            at = rng.uniform(0.0, horizon, arrivals.shape)
+            last_arrival = arrivals[-1]
+            # arrivals increase down a column, so a sample's last one decides
+            # whether any of its marks fell to delta
+            uncapped = last_arrival < gamma_cap
+            below = None if uncapped.all() else arrivals >= gamma_cap  # marks at or below delta
+            last = marks[-1]
+            more = np.zeros(hi - lo, dtype=bool)  # whether a later atom could raise a value
+            for k, t in enumerate(at_times):
+                if t < horizon:
+                    hidden = at > t if below is None else (at > t) | below
+                    reach = np.subtract(t, at)
+                else:  # no atom time exceeds the last time, whose responses take the place of `at`
+                    hidden = below
+                    reach = np.subtract(t, at, out=at)
+                reach *= slope
+                reach += marks
+                if hidden is not None:
+                    reach[hidden] = -np.inf
+                row = values[k]
+                value = row[samples]
+                np.maximum(value, reach[0] if block == 1 else reach.max(axis=0), out=value)
+                row[samples] = value
+                more |= last + rise[k] > value
+            more &= uncapped
+            go = np.flatnonzero(more)
+            # in place: the slice has been read, and kept <= lo
+            active[kept:kept + go.size] = samples[go]
+            gamma[kept:kept + go.size] = last_arrival[go]
+            kept += go.size
+        live = kept
+    return values[0] if scalar else values.T
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .limit import _ROUND_ATOMS  # one slice of KS is one round of the sampler
 from .paths import CadlagPath
 
 __all__ = [
@@ -52,19 +53,24 @@ def ecdf(sample: Sample, x: float | np.ndarray) -> float | np.ndarray:
 def ks_distance(sample: Sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact one-sample Kolmogorov-Smirnov statistic against a CDF callable.
 
-    The CDF is called once, on the whole sample array, and must return an
-    array of the same shape.
+    The CDF is called once per slice of at most 2^14 sorted values, and
+    must return an array of the slice's shape.  The statistic is a maximum
+    of elementwise gaps, so slicing keeps it bit for bit and bounds the
+    working set at any sample size.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
     xs = sample.values
-    f = np.asarray(cdf(xs), dtype=np.float64)
-    if f.shape != xs.shape:
-        raise ValueError(f"cdf must be vectorised: shape {f.shape} for a sample of shape {xs.shape}")
     n = len(xs)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(hi - f), np.max(f - lo)))
+    gaps = []
+    for lo in range(0, n, _ROUND_ATOMS):
+        part = xs[lo:lo + _ROUND_ATOMS]
+        f = np.asarray(cdf(part), dtype=np.float64)
+        if f.shape != part.shape:
+            raise ValueError(f"cdf must be vectorised: shape {f.shape} for a sample slice of shape {part.shape}")
+        rank = np.arange(lo, lo + part.size)
+        gaps += (np.max((rank + 1) / n - f), np.max(f - rank / n))
+    return float(np.max(gaps))  # NaN from the CDF stays NaN
 
 
 def dkw_band(n: int, confidence: float) -> float:

@@ -10,13 +10,18 @@ reproduce them exactly.  The subcritical ones (simulate, truncated pair,
 cohort, thm2) were made when a descending fluid stretch became the closed
 form `mean_recursion`.  The marginal-limit and fdd digests pin the limit
 sampler's draws as they are since its rounds were cut to 2^14 atoms, so
-that a later change to the draws has to show its byte move.  numpy may
-change its Generator streams between versions, so the digests are only
+that a later change to the draws has to show its byte move; each of
+their rounds fits in one slice of the sampler, so walking rounds in
+slices left them as they were.  The limit-sample digests pin
+`sample_atoms`, `shot_noise_path` and the CSV and JSON atom writers,
+which the marginal sampler does not share.  numpy may change its
+Generator streams between versions, so the digests are only
 checked on the numpy major.minor that made them.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +71,25 @@ SIMULATE_DIGESTS = {
 TRUNCATED_PAIR_DIGEST = "7c5b8b6ba09787f97f830aeab62637250006477988515978788d8b8417bb3b6f"
 # a lone e^30 geometric(0.5) cohort over 300 generations: extinct from generation 44
 COHORT_DIGEST = "e879baefa1ad484f6689f874c041dbfc3c89fdebf920861c2b9af62233acb90e"
+# regime: (slope, CSV digest, JSON digest) of limit-sample, a = b = 1,
+# horizon 1, delta 0.01, 20 paths
+LIMIT_SAMPLE_DIGESTS = {
+    "negative": (
+        -math.log(2.0),
+        "8469edea052e6dbd2a74b729afa0ca11bdb86533aa7e45bfba1f9758c8be29ce",
+        "f6dd0fd1cbee605c4a6eb42aea853aa2a6c5ed0eca520bf3276dfde309105e60",
+    ),
+    "extremal": (
+        0.0,
+        "8de7a677b6a46818acfe44712f5edd9157ad121197ffa3ce4fb38edcfc6fdd4c",
+        "8d48b01026a918ff8a3930703c4b37e528ae6aa8af3300ef180a6cf4f0ee8be4",
+    ),
+    "positive": (
+        math.log(2.0),
+        "d35ba1de2f4ea3f87ddac8a6ba9caaf452446b46878d83721ac377030d4868ab",
+        "0f7ebe5942190c4cf51db7a55867b453708285618e7cbb92015d770ee65f7a92",
+    ),
+}
 # check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
 # At these cohort scales some family's exceed fraction lies strictly between
 # 0 and 1, and every KS and Monte Carlo frequency is a float of the draws,
@@ -113,6 +137,19 @@ def test_simulate_bytes(tmp_path, regime):
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / regime
     args = ["simulate", "--config", str(path), "--seed", str(SEED), "--replicates", "30", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert sha256(out.with_suffix(".csv").read_bytes()) == csv_digest
+    assert sha256(out.with_suffix(".json").read_bytes()) == json_digest
+
+
+@pytest.mark.parametrize("regime", list(LIMIT_SAMPLE_DIGESTS))
+def test_limit_sample_bytes(tmp_path, regime):
+    slope, csv_digest, json_digest = LIMIT_SAMPLE_DIGESTS[regime]
+    config = {"a": 1.0, "b": 1.0, "slope": slope, "horizon": 1.0, "delta": 0.01}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "limit"
+    args = ["limit-sample", "--config", str(path), "--seed", str(SEED), "--replicates", "20", "--out", str(out)]
     assert cli.main(args) == 0
     assert sha256(out.with_suffix(".csv").read_bytes()) == csv_digest
     assert sha256(out.with_suffix(".json").read_bytes()) == json_digest

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,24 @@ class TestLePageSampler:
                LOG2: lambda x: marginal_cdf_posslope(1.0, LOG2, 1.0, x)}[slope]
         values = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, n, 1e-12, streams.substream(24, streams.ATOMS))
         assert ks_distance(Sample(values), cdf) <= dkw_band(n, 0.999)
+
+    @pytest.mark.parametrize("times", [1.0, np.array([0.5, 1.0])], ids=["one-time", "two-times"])
+    def test_working_set_is_the_samples_and_one_slice(self, times):
+        # per sample: its value at each time, its entry in the active list
+        # and its last arrival, 8 bytes each; per slice: a few arrays of
+        # 2^14 atoms.  A sampler that tiles the running values and draws a
+        # round of one atom per sample whole peaks at 74 bytes per sample
+        # here at one time (14.1 MiB)
+        n, width = 200_000, np.size(times)
+        rng = streams.substream(27, streams.ATOMS)
+        tracemalloc.start()
+        try:
+            values = sample_shot_noise_marginal(1.0, 1.0, -LOG2, times, n, 1e-3, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == ((n,) if width == 1 else (n, width))
+        assert peak <= (8 * width + 16) * n + 16 * 8 * limit._ROUND_ATOMS
 
     def test_zero_time_is_the_floor(self):
         values = sample_shot_noise_marginal(1.0, 1.0, -1.0, 0.0, 10, 1e-3, streams.substream(25, streams.ATOMS))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,44 @@ class TestKsDistance:
     def test_degenerate_single_point(self):
         assert ks_distance(Sample(np.array([0.5])), lambda x: np.clip(x, 0, 1)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 1 << 14, (1 << 14) + 1, 100_000])
+    def test_equals_the_whole_sample_formula(self, n, rate):
+        # the statistic is a maximum of elementwise gaps, so the slices give
+        # it bit for bit; two decimals make ties once n is large.  The CDF
+        # lies below the sample's law at rate 0.5 and above it at rate 2, so
+        # each one-sided gap decides the statistic in one of the cases
+        rng = np.random.default_rng(n)
+        x = np.round(rng.exponential(1.0, n), 2) + 0.01
+
+        def cdf(t):
+            return -np.expm1(-rate * t)
+
+        f = cdf(np.sort(x))
+        expected = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+        assert n == 1 or np.unique(x).size < n
+        assert ks_distance(Sample(x), cdf) == expected
+
+    def test_nan_from_the_cdf_is_not_dropped(self):
+        sample = Sample(np.linspace(0.0, 1.0, 3 << 14))
+        assert np.isnan(ks_distance(sample, lambda x: np.where(x > 0.9, np.nan, x)))
+
+    def test_working_set_is_one_slice(self):
+        # the CDF values and both gaps of one slice of 2^14 values: 1 MiB
+        # holds eight such arrays, where the whole 2e5-value arrays of the
+        # gaps and the ranks take 6.2 MiB
+        sample = Sample(np.random.default_rng(9).random(200_000))
+        tracemalloc.start()
+        try:
+            ks_distance(sample, lambda x: np.clip(x, 0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * (1 << 14)
+
     def test_scalar_only_cdf_raises_at_once(self):
-        # a CDF must be vectorised: it is called once, on the whole sample
+        # a CDF must be vectorised: it is called once per slice of at most
+        # 2^14 values
         calls = []
 
         def scalar_cdf(x):
