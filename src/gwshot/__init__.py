@@ -27,7 +27,7 @@ from .limit import (
 )
 from .offspring import OffspringFamily
 from .paths import CadlagPath
-from .stats import Sample, dkw_band, ecdf, ks_distance, uniform_distance
+from .stats import Sample, dkw_band, ks_distance, uniform_distance
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_path",
     "marginal_cdf_negslope", "marginal_cdf_extremal",
     "marginal_cdf_posslope", "fdd_cdf",
-    "Sample", "ecdf", "ks_distance", "dkw_band", "uniform_distance",
+    "Sample", "ks_distance", "dkw_band", "uniform_distance",
     "CadlagPath",
 ]

@@ -60,19 +60,6 @@ class CheckReport:
         }
 
 
-def _frechet_cdf(rate: float, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> exp(-rate * x^(-alpha)) for x > 0, else 0."""
-
-    def cdf(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.exp(-rate * x[pos] ** (-alpha))
-        return out
-
-    return cdf
-
-
 # ----------------------------------------------------------------------
 # Limit-sampler marginals (three slope regimes)
 # ----------------------------------------------------------------------
@@ -144,7 +131,8 @@ def check_marginal_prelimit_thm1(
     slack between consecutive rungs) and must end below 0.15.
     """
     ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0),
-                                         ns, replicates, float, _frechet_cdf(1.0, 1.0))
+                                         ns, replicates, float,
+                                         partial(limit.marginal_cdf_extremal, 1.0, 1.0, 1.0))
     statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm1",
@@ -164,8 +152,8 @@ def check_marginal_prelimit_thm2(
     coarser rung is no better than 0.02 beyond it.
     """
     law = ImmigrationLaw.pareto_log(0.5)
-    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.geometric(0.5), law,
-                                         ns, replicates, law.norming_bn, _frechet_cdf(1.0, 0.5))
+    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.geometric(0.5), law, ns, replicates,
+                                         law.norming_bn, partial(limit.marginal_cdf_extremal, 1.0, 0.5, 1.0))
     statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm2",

@@ -230,7 +230,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     values = []
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r, bundle in enumerate(run_replicates(run, args.replicates, jobs=args.jobs)):
+        for r, bundle in enumerate(run_replicates(run, args.replicates)):
             obs = normalized_observable(bundle.y_log, norm, n, correction).values
             if not np.isfinite(obs).all():
                 raise ConfigError(
@@ -386,23 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # every subcommand accepts --replicates and --jobs, so that a script (such as
-    # perfbench) can pass both to each; only some read them
+    # perfbench) can pass both to each; --jobs is read by none
     ignored = "accepted and ignored"
 
-    def common(p: argparse.ArgumentParser, out_required: bool, replicates_help: str, jobs_help: str) -> None:
+    def common(p: argparse.ArgumentParser, out_required: bool, replicates_help: str) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
         p.add_argument("--replicates", type=int, default=1, help=replicates_help)
-        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+        p.add_argument("--jobs", type=int, default=1, help=f"{ignored}: every command runs in one process")
         p.add_argument("--out", required=out_required, help="output file path prefix")
         p.add_argument("--ci", action="store_true", help="strict mode: explicit seed required")
 
     p_sim = sub.add_parser("simulate", help="replicated prelimit runs, normalized-path CSV")
-    common(p_sim, True, "number of replicates",
-           "worker processes across replicates (the output does not depend on it)")
+    common(p_sim, True, "number of replicates")
 
     p_lim = sub.add_parser("limit-sample", help="limit shot-noise paths and atom lists")
-    common(p_lim, True, "number of replicates", f"{ignored}: limit-sample runs in one process")
+    common(p_lim, True, "number of replicates")
 
     p_ver = sub.add_parser("verify", help="run a registered statistical check")
     p_ver.add_argument(
@@ -411,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"one of: {', '.join(CHECK_NAMES)} (or via config)",
     )
-    common(p_ver, False, f"{ignored}: set a check's replicates in the config's overrides",
-           f"{ignored}: a check runs in one process")
+    common(p_ver, False, f"{ignored}: set a check's replicates in the config's overrides")
 
     return parser
 
@@ -424,8 +422,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "limit-sample":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -125,23 +124,15 @@ def run_replicates(
     replicates: int,
     gamma: float | None = None,
     c_n: float | None = None,
-    jobs: int = 1,
 ) -> Iterator[CoupledPaths]:
     """`run_coupled` for replicate r = 0.. of `run`, in order.
 
-    Replicate r runs with seed `replicate_seed(run.seed, r)`, so the output
-    does not depend on `jobs`; `jobs > 1` spreads the replicates over that
-    many worker processes, which take the caller's numpy error state.
+    Replicate r runs with seed `replicate_seed(run.seed, r)`, so each
+    replicate's output depends on its index alone, not on how many others
+    run before it.
     """
-    runs = (replace(run, seed=streams.replicate_seed(run.seed, r)) for r in range(replicates))
-    one = partial(run_coupled, gamma=gamma, c_n=c_n)
-    if jobs <= 1:
-        yield from map(one, runs)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~20 ms to import
-
-    with ProcessPoolExecutor(max_workers=jobs, initializer=partial(np.seterr, **np.geterr())) as pool:
-        yield from pool.map(one, runs)
+    for r in range(replicates):
+        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), gamma, c_n)
 
 
 def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:

@@ -68,7 +68,6 @@ __all__ = [
     "AtomSet",
     "ShotNoiseSpec",
     "sample_atoms",
-    "sample_atoms_band",
     "shot_noise_path",
     "sample_shot_noise_marginal",
     "marginal_cdf_negslope",
@@ -149,34 +148,15 @@ class ShotNoiseSpec:
     atoms: AtomSet
 
 
-def _pareto_band_marks(
-    a: float, b: float, lo: float, hi: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Marks conditioned to (lo, hi] under mu_{a,b}; hi may be inf."""
-    u = 1.0 - rng.random(count)  # in (0, 1]
-    hi_pow = 0.0 if math.isinf(hi) else hi ** (-b)
-    return (u * (lo ** (-b) - hi_pow) + hi_pow) ** (-1.0 / b)
-
-
-def sample_atoms_band(
-    a: float, b: float, horizon: float, lo: float, hi: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times and marks of the atoms with marks in (lo, hi] on [0, horizon]."""
-    if horizon == 0.0:  # no atoms, even where lo^{-b} overflows
-        return np.empty(0), np.empty(0)
-    hi_pow = 0.0 if math.isinf(hi) else hi ** (-b)
-    intensity = horizon * a * (lo ** (-b) - hi_pow)
-    count = int(rng.poisson(intensity))
-    times = rng.uniform(0.0, horizon, count)
-    marks = _pareto_band_marks(a, b, lo, hi, count, rng)
-    return times, marks
-
-
 def sample_atoms(params: PrmParams, rng: np.random.Generator) -> AtomSet:
-    """All atoms above the truncation level: count ~ Poisson(T a delta^{-b})."""
-    times, marks = sample_atoms_band(
-        params.a, params.b, params.horizon, params.delta, math.inf, rng
-    )
+    """All atoms above the truncation level: count ~ Poisson(T a delta^{-b}),
+    uniform times on [0, T], and marks delta U^{-1/b} with U uniform on (0, 1]."""
+    if params.horizon == 0.0:  # no atoms, even where delta^{-b} overflows
+        return AtomSet(times=np.empty(0), marks=np.empty(0), params=params)
+    level = params.delta ** (-params.b)  # mu_{a,b}((delta, inf]) / a
+    count = int(rng.poisson(params.horizon * params.a * level))
+    times = rng.uniform(0.0, params.horizon, count)
+    marks = ((1.0 - rng.random(count)) * level) ** (-1.0 / params.b)
     return AtomSet(times=times, marks=marks, params=params)
 
 
@@ -184,13 +164,12 @@ def _floor_value(slope: float, t: float | np.ndarray):
     return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
-def shot_noise_path(spec: ShotNoiseSpec, grid: np.ndarray | None = None) -> CadlagPath:
+def shot_noise_path(spec: ShotNoiseSpec) -> CadlagPath:
     """Exact piecewise-affine path on [0, horizon].
 
     Between events the running max of affine responses with common slope s
     is itself affine with slope s, clamped at the floor; breakpoints sit at
-    record atom times and at clamp crossings.  Grid times, when given, are
-    inserted as extra breakpoints (the function is unchanged).
+    record atom times and at clamp crossings.
 
     In time order, atom k's response is s t + c_k with c_k = j_k - s t_k,
     so the path after t_k follows the running maximum of the c's: the
@@ -231,23 +210,12 @@ def shot_noise_path(spec: ShotNoiseSpec, grid: np.ndarray | None = None) -> Cadl
 
     bps = np.concatenate(([0.0], t))
     last_at_time = np.append(bps[1:] != bps[:-1], True)
-    path = CadlagPath(
+    return CadlagPath(
         bps[last_at_time],
         np.concatenate(([0.0], vals))[last_at_time],
         np.concatenate(([s if s > 0 else 0.0], slopes))[last_at_time],
         end,
     )
-    if grid is not None and len(grid):
-        path = _insert_breakpoints(path, np.asarray(grid, dtype=np.float64))
-    return path
-
-
-def _insert_breakpoints(path: CadlagPath, times: np.ndarray) -> CadlagPath:
-    times = times[(times >= 0) & (times <= path.end_time)]
-    merged = np.unique(np.concatenate([path.breakpoints, times]))
-    idx = np.clip(np.searchsorted(path.breakpoints, merged, side="right") - 1, 0, None)
-    vals = path.values[idx] + path.slopes[idx] * (merged - path.breakpoints[idx])
-    return CadlagPath(merged, vals, path.slopes[idx], path.end_time)
 
 
 def sample_shot_noise_marginal(

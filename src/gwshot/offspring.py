@@ -8,10 +8,9 @@ share the interface of the growth theory:
 * geometric(mean mu, P{X=k}=(1-q)q^k with q=mu/(1+mu)): generation is
   NegativeBinomial(m, 1-q), the sum of m geometrics.
 
-`sample_generation` draws one generation as a numpy scalar; it gives the
-same numbers from the same stream as `sample_generations` on a
-one-element array.  `exact_step` binds that draw to one stream, once per
-path, as the kernel's exact step.
+`exact_step` binds a scalar draw of one generation to one stream, once
+per path, as the kernel's exact step; it gives the same numbers from the
+same stream as `sample_generations` on a one-element array.
 
 Survival probabilities iterate the generating function at 0.  The
 iteration runs on the survival probability itself via the algebraically
@@ -83,22 +82,10 @@ class OffspringFamily:
     # Sampling
     # ------------------------------------------------------------------
 
-    def sample_generation(self, m: int, rng: np.random.Generator) -> int:
-        """One draw of the total offspring of an m-individual cohort."""
-        if m < 0:
-            raise ValueError("cohort size must be nonnegative")
-        if m > EXACT_COUNT_LIMIT:
-            raise ValueError(
-                f"cohort size {m} exceeds the exact-sampling limit {EXACT_COUNT_LIMIT}; "
-                "use the fluid regime"
-            )
-        if m == 0:
-            return 0
-        return self.exact_step(rng)(m)
-
     def exact_step(self, rng: np.random.Generator) -> Callable[[int], int]:
-        """`sample_generation` on `rng`, bound once: the draw alone, for a
-        cohort size 1 <= m <= EXACT_COUNT_LIMIT that the caller vouches for.
+        """One draw of the total offspring of an m-individual cohort on
+        `rng`, bound once: the draw alone, for a cohort size
+        1 <= m <= EXACT_COUNT_LIMIT that the caller vouches for.
 
         A scalar draw: the same numbers as `sample_generations` on [m].
         """
@@ -112,7 +99,7 @@ class OffspringFamily:
         return lambda m: int(negative_binomial(m, p))
 
     def sample_generations(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized `sample_generation` over an int64 array of cohort sizes."""
+        """One generation of each cohort in an int64 array of cohort sizes."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.size and int(counts.max(initial=0)) > EXACT_COUNT_LIMIT:
             raise ValueError("cohort size exceeds the exact-sampling limit; use the fluid regime")

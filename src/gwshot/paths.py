@@ -55,10 +55,6 @@ class CadlagPath:
             end_time = float(times[-1])
         return CadlagPath(times, values, np.zeros(values.shape), end_time)
 
-    @staticmethod
-    def constant(value: float, end_time: float) -> "CadlagPath":
-        return CadlagPath(np.array([0.0]), np.array([float(value)]), np.array([0.0]), end_time)
-
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, None)
 

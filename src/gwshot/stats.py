@@ -19,7 +19,6 @@ from .paths import CadlagPath
 
 __all__ = [
     "Sample",
-    "ecdf",
     "ks_distance",
     "dkw_band",
     "uniform_distance",
@@ -40,14 +39,6 @@ class Sample:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def ecdf(sample: Sample, x: float | np.ndarray) -> float | np.ndarray:
-    """Right-continuous empirical CDF: fraction of values <= x."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    out = np.searchsorted(sample.values, np.asarray(x, dtype=np.float64), side="right") / len(sample)
-    return float(out) if out.ndim == 0 else out
 
 
 def ks_distance(sample: Sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

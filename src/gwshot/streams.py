@@ -3,8 +3,8 @@
 Every stream is a Philox generator keyed by (seed, stream id), so any
 (replicate, purpose) pair addresses an independent stream without
 sequential jumping.  Replicate-level seeds are derived from the master
-seed with SeedSequence spawn keys; results are therefore independent of
-scheduling order when replicates run in parallel.
+seed with SeedSequence spawn keys, so a replicate's draws depend on the
+master seed and its index alone, not on which replicates ran before it.
 """
 
 from __future__ import annotations

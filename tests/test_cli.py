@@ -46,11 +46,9 @@ def reference_rows(values, n):
     return "".join(f"{r},{t},{v!r}\n" for r, obs in enumerate(values) for t, v in zip(times, obs.tolist()))
 
 
-def run_cli(args, start_method=None):
+def run_cli(args):
     """`cli.main(args)` in a fresh interpreter, so that stderr is what a user sees."""
     code = "import sys; from gwshot import cli; sys.exit(cli.main(sys.argv[1:]))"
-    if start_method is not None:  # of the --jobs worker processes
-        code = f"import multiprocessing; multiprocessing.set_start_method({start_method!r}); {code}"
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
 
@@ -74,13 +72,6 @@ class TestSimulate:
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, SIM_CONFIG)
-        base = ["simulate", "--config", cfg, "--seed", "5", "--replicates", "4"]
-        assert cli.main(base + ["--out", str(tmp_path / "serial")]) == 0
-        assert cli.main(base + ["--jobs", "2", "--out", str(tmp_path / "parallel")]) == 0
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
 
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -219,14 +210,12 @@ class TestSimulate:
         args = ["simulate", "--config", cfg, "--seed", "1", "--replicates", str(replicates)]
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 2
 
-    @pytest.mark.parametrize("jobs,start_method", [("1", None), ("2", "fork"), ("2", "spawn")])
-    def test_overflow_prints_only_the_error_line(self, tmp_path, jobs, start_method):
-        # worker processes must not print numpy warnings above the error line
-        # either; spawned ones do not inherit the caller's numpy error state
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # no numpy warning is printed above the error line
         cfg = write_config(tmp_path, dict(SIM_CONFIG, immigration={"variant": "reciprocal", "c": 1e308}))
         out = tmp_path / "over"
         proc = run_cli(["simulate", "--config", cfg, "--seed", "1", "--replicates", "2",
-                        "--jobs", jobs, "--out", str(out)], start_method)
+                        "--out", str(out)])
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "outside the float range" in lines[0], proc.stderr
@@ -727,16 +716,21 @@ def assert_verify_rejects(tmp_path, capsys, check, overrides):
     assert not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "3"])
 @pytest.mark.parametrize("command", ["simulate", "limit-sample", "verify"])
-def test_nonpositive_jobs_exits_2(tmp_path, capsys, command):
+def test_jobs_is_accepted_and_ignored(tmp_path, command, jobs):
+    # every command runs in one process; the flag stays so that a script can
+    # pass the same flags to each
     config = {"simulate": SIM_CONFIG, "limit-sample": LIMIT_CONFIG,
-              "verify": {"check": "fdd", "overrides": {"mc_samples": 1000}}}[command]
+              "verify": {"check": "fdd", "overrides": {"mc_samples": 2000}}}[command]
     cfg = write_config(tmp_path, config)
-    out = tmp_path / "jobs"
-    rc = cli.main([command, "--config", cfg, "--seed", "1", "--jobs", "0", "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: --jobs")
-    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+    written = []
+    for name, flag in (("plain", []), ("jobs", ["--jobs", jobs])):
+        out = tmp_path / name
+        args = [command, "--config", cfg, "--seed", "5", "--replicates", "3", *flag, "--out", str(out)]
+        assert cli.main(args) == 0
+        written.append([path.read_bytes() for path in sorted(tmp_path.glob(f"{name}.*"))])
+    assert written[0] and written[1] == written[0]
 
 
 @pytest.mark.parametrize(

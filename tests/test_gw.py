@@ -125,6 +125,7 @@ def _stepped_log_path(family, jlog, config, rng):
     threshold = config.exactness_threshold
     log_m = math.log(threshold)
     log_mu = math.log(family.mean)
+    step = family.exact_step(rng)
     count = 0  # exact-regime total; None while fluid
     log_value = -math.inf  # fluid-regime total
     for m, jl in enumerate(jlog.tolist()):
@@ -135,7 +136,7 @@ def _stepped_log_path(family, jlog, config, rng):
                 out[m] = math.log(count) if count else -math.inf
                 continue
         else:
-            count = family.sample_generation(count, rng)
+            count = step(count) if count else 0
             if jl <= log_m:
                 count += int(round(math.exp(jl)))
                 if count <= threshold:
@@ -293,8 +294,9 @@ class TestNormalizedLogPath:
 
 def test_kernel_steps_only_counts_within_the_threshold():
     # every exact step the kernel takes is for a count in [1, threshold]: the
-    # bound step skips `sample_generation`'s checks, so the kernel must not
-    # hand it a count the checks would refuse (or a 0, which needs no draw)
+    # bound step checks no count, so the kernel must not hand it one beyond
+    # the threshold, or a 0 (which needs no draw, and which the geometric
+    # draw refuses)
     threshold = 1000
     config = FluidConfig(exactness_threshold=threshold)
     stepped = []

@@ -18,7 +18,6 @@ from gwshot.limit import (
     marginal_cdf_negslope,
     marginal_cdf_posslope,
     sample_atoms,
-    sample_atoms_band,
     sample_shot_noise_marginal,
     shot_noise_path,
 )
@@ -67,12 +66,10 @@ class TestPrmSampling:
 
     def test_mark_tail_truncated_pareto(self):
         rng = streams.substream(3, streams.ATOMS)
-        _, marks = sample_atoms_band(1.0, 1.0, 1.0, 0.5, math.inf, rng)
         # accumulate to 10^6 marks
-        all_marks = [marks]
+        all_marks = [sample_atoms(PrmParams(1.0, 1.0, 1.0, 0.5), rng).marks]
         while sum(len(m) for m in all_marks) < 1_000_000:
-            _, m = sample_atoms_band(1.0, 1.0, 500_000.0, 0.5, math.inf, rng)
-            all_marks.append(m)
+            all_marks.append(sample_atoms(PrmParams(1.0, 1.0, 500_000.0, 0.5), rng).marks)
         marks = np.concatenate(all_marks)[:1_000_000]
         assert np.all(marks >= 0.5)
         band = dkw_band(1_000_000, 0.99)
@@ -138,15 +135,6 @@ class TestShotNoisePath:
             path = shot_noise_path(spec)
             for t in np.linspace(0, 1.5, 31):
                 assert path.value(float(t)) == pytest.approx(shot_noise_value(spec, float(t)), abs=1e-12)
-
-    def test_grid_insertion_preserves_function(self):
-        spec = _spec(-1.0, [(0.3, 2.0), (1.1, 1.0)], horizon=2.0)
-        base = shot_noise_path(spec)
-        grid = np.linspace(0, 2, 17)
-        refined = shot_noise_path(spec, grid=grid)
-        assert set(np.round(grid, 12)).issubset(set(np.round(refined.breakpoints, 12)))
-        ts = np.linspace(0, 2, 101)
-        np.testing.assert_allclose(refined.value(ts), base.value(ts), atol=1e-12)
 
 
 PATH_SLOPES = [-2.0, -LOG2, -1e-9, 0.0, 1e-9, LOG2, 2.0]
@@ -253,20 +241,18 @@ class TestTruncationRefinement:
 
     @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
     def test_two_level_sampling_differs_by_at_most_delta(self, slope):
-        # refine delta -> delta/10 by superposing an independent band layer;
-        # values may only move up, and by at most delta
-        a = b = 1.0
+        # refine delta -> delta/10: the fine atoms with marks above delta are
+        # the delta-truncated measure, so they serve as the coarse set; values
+        # may only move up, and by at most delta
         horizon = 1.0
         delta = 1e-2
         rng = streams.substream(8, streams.ATOMS)
         grid = np.linspace(0, horizon, 64)
         for _ in range(1000):
-            t_c, j_c = sample_atoms_band(a, b, horizon, delta, math.inf, rng)
-            t_l, j_l = sample_atoms_band(a, b, horizon, delta / 10, delta, rng)
-            coarse = self._grid_values(slope, t_c, j_c, grid)
-            fine = self._grid_values(
-                slope, np.concatenate([t_c, t_l]), np.concatenate([j_c, j_l]), grid
-            )
+            atoms = sample_atoms(PrmParams(1.0, 1.0, horizon, delta / 10), rng)
+            above = atoms.marks > delta
+            coarse = self._grid_values(slope, atoms.times[above], atoms.marks[above], grid)
+            fine = self._grid_values(slope, atoms.times, atoms.marks, grid)
             assert np.all(fine >= coarse - 1e-12)
             assert np.all(fine - coarse <= delta + 1e-12)
 
@@ -284,6 +270,17 @@ class TestMarginalCdfs:
         assert marginal_cdf_extremal(1.0, 1.0, 0.0, 0.0) == 1.0  # no time, no atom
         with pytest.raises(ValueError):
             marginal_cdf_extremal(1.0, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_extremal_is_the_frechet_law_bit_for_bit(self, alpha):
+        # the thm1 (alpha = 1) and thm2 (alpha = 1/2) references are
+        # marginal_cdf_extremal(1, alpha, 1, .): exp(-x^-alpha) in the same
+        # float operations, so their KS statistics keep every bit
+        xs = np.random.default_rng(11).exponential(3.0, size=200_000) + 1e-300
+        want = np.exp(-1.0 * xs ** (-alpha))
+        got = marginal_cdf_extremal(1.0, alpha, 1.0, xs)
+        assert np.array_equal(got, want)
+        assert marginal_cdf_extremal(1.0, alpha, 1.0, 0.0) == 0.0
 
     def test_posslope_values(self):
         assert marginal_cdf_posslope(1.0, LOG2, 1.0, 0.5 * LOG2) == 0.0

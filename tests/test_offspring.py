@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from gwshot import streams
-from gwshot.gw import FluidConfig
+from gwshot.gw import FluidConfig, population_log_path
 from gwshot.offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
 
@@ -76,21 +76,34 @@ class TestSurvivalProbability:
 
 
 class TestSampling:
-    def test_empty_cohort(self):
-        rng = streams.substream(1)
-        for fam in (OffspringFamily.binary(0.5), OffspringFamily.poisson(2.0), OffspringFamily.geometric(0.5)):
-            assert fam.sample_generation(0, rng) == 0
+    FAMILIES = (OffspringFamily.binary(0.5), OffspringFamily.poisson(2.0), OffspringFamily.geometric(0.5))
 
-    def test_rejects_counts_beyond_exact_limit(self):
-        rng = streams.substream(2)
+    def test_step_at_the_ends_of_its_range(self):
+        # the step takes 1 <= m <= EXACT_COUNT_LIMIT; FluidConfig keeps the
+        # kernel's counts in that range
+        rng = streams.substream(1)
+        for fam in self.FAMILIES:
+            step = fam.exact_step(rng)
+            assert step(1) in ((0, 2) if fam.family == "binary" else range(64))
+            variance = {"binary": 1.0, "poisson": 2.0, "geometric": 0.75}[fam.family]  # per individual
+            top = step(EXACT_COUNT_LIMIT)
+            assert abs(top - fam.mean * EXACT_COUNT_LIMIT) <= 10 * math.sqrt(variance * EXACT_COUNT_LIMIT)
         with pytest.raises(ValueError):
-            OffspringFamily.poisson(1.0).sample_generation(EXACT_COUNT_LIMIT + 1, rng)
+            FluidConfig(exactness_threshold=EXACT_COUNT_LIMIT + 1)
+
+    def test_empty_cohort_draws_nothing(self):
+        # a zero total with no immigrant takes no step, so it leaves the stream as it was
+        jlog = np.full(50, -math.inf)
+        for fam in self.FAMILIES:
+            rng, twin = streams.substream(2), streams.substream(2)
+            assert np.all(population_log_path(fam, jlog, FluidConfig(), rng) == -math.inf)
+            assert np.array_equal(rng.integers(1 << 62, size=8), twin.integers(1 << 62, size=8))
 
     def test_rejects_negative_counts(self):
         rng = streams.substream(2)
-        for fam in (OffspringFamily.binary(0.5), OffspringFamily.poisson(2.0), OffspringFamily.geometric(0.5)):
+        for fam in self.FAMILIES:
             with pytest.raises(ValueError):
-                fam.sample_generation(-1, rng)
+                fam.exact_step(rng)(-1)
 
     @pytest.mark.parametrize(
         "family",
@@ -104,8 +117,9 @@ class TestSampling:
         # leave the stream where that call leaves it
         sizes = [1, 2, 999, 10**3, 10**6, EXACT_COUNT_LIMIT] * 40
         scalar, array = streams.substream(11, streams.OFFSPRING), streams.substream(11, streams.OFFSPRING)
+        step = family.exact_step(scalar)
         for m in sizes:
-            got = family.sample_generation(m, scalar)
+            got = step(m)
             assert type(got) is int
             assert got == int(family.sample_generations(np.array([m], dtype=np.int64), array)[0])
         assert np.array_equal(scalar.integers(1 << 62, size=8), array.integers(1 << 62, size=8))
@@ -115,23 +129,21 @@ class TestSampling:
         [OffspringFamily.binary(0.5), OffspringFamily.poisson(0.9), OffspringFamily.geometric(2.0)],
         ids=lambda f: f.family,
     )
-    def test_exact_step_equals_sample_generation(self, family):
-        # the kernel's step, bound once to a stream, gives the numbers
-        # `sample_generation` and the one-element array draw give on twin
-        # streams, for every count the kernel steps (1 up to the exactness
-        # threshold), and leaves the stream where they leave theirs
+    def test_exact_step_equals_array_draws_at_every_kernel_count(self, family):
+        # the kernel's step, bound once to a stream, gives the numbers the
+        # one-element array draw gives on a twin stream, for every count the
+        # kernel steps (1 up to the exactness threshold), and leaves the
+        # stream where that draw leaves its own
         threshold = FluidConfig().exactness_threshold
         counts = [*range(1, 1001), *np.unique(np.geomspace(1000, threshold, 400).astype(np.int64)).tolist()]
         assert counts[-1] == threshold
-        bound, scalar, array = (streams.substream(12, streams.OFFSPRING) for _ in range(3))
+        bound, array = (streams.substream(12, streams.OFFSPRING) for _ in range(2))
         step = family.exact_step(bound)
         for m in counts:
             got = step(m)
             assert type(got) is int
-            assert got == family.sample_generation(m, scalar)
             assert got == int(family.sample_generations(np.array([m], dtype=np.int64), array)[0])
-        tails = [rng.integers(1 << 62, size=8) for rng in (bound, scalar, array)]
-        assert np.array_equal(tails[0], tails[1]) and np.array_equal(tails[0], tails[2])
+        assert np.array_equal(bound.integers(1 << 62, size=8), array.integers(1 << 62, size=8))
 
     def test_binary_clt_band_at_million(self):
         # 2*Binomial(10^6, 1/2): mean 10^6, variance 10^6

@@ -52,6 +52,7 @@ class TestEvaluation:
         f = CadlagPath.step(np.array([0.0]), np.array([4.0]), 0.0)
         assert f.value(0.0) == 4.0
 
-    def test_constant_helper(self):
-        f = CadlagPath.constant(2.5, 3.0)
-        assert f.value(3.0) == 2.5
+    def test_constant_path(self):
+        f = CadlagPath.step(np.array([0.0]), np.array([2.5]), 3.0)
+        np.testing.assert_array_equal(f.value(np.linspace(0, 3, 7)), np.full(7, 2.5))
+        assert f.value(3.0) == 2.5 and f.left_limit(3.0) == 2.5

@@ -1,9 +1,13 @@
-"""Every public name, and every function the benchmark tracer wraps, exists.
+"""Every public name exists and has a caller, every function the benchmark
+tracer wraps exists, and every benchmark command line parses.
 
 The tracer only warns about a target it cannot find, so a rename would
-silently drop a layer from the benchmark; these checks make it fail here.
+silently drop a layer from the benchmark, and a flag or config key the CLI
+no longer takes would make every benchmark run exit 2; these checks make
+both fail here.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -14,11 +18,25 @@ from pathlib import Path
 import pytest
 
 import gwshot
+from gwshot import cli
+from gwshot.checks import CHECK_NAMES
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-_spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
-spans = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses need it registered
-_spec.loader.exec_module(spans)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_SRC = Path(gwshot.__file__).parent
+# public names that no command or check calls yet, and the ROADMAP item
+# that gives each one a caller
+_AWAITING_CALLER = {"dkw_band": "ROADMAP B", "uniform_distance": "ROADMAP B"}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses need it registered
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("name", gwshot.__all__)
@@ -35,10 +53,55 @@ def test_tracer_target_resolves(owner, attribute):
     assert callable(getattr(holder, attribute, None)), f"{owner}.{attribute}"
 
 
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _loaded_names(tree):
+    """Names read as a bare name or an attribute, outside their own top-level
+    definition; a default argument counts, an import or an `__all__` entry
+    does not."""
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                yield name
+
+
+def test_every_public_name_has_a_caller_in_src():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(_SRC.glob("*.py"))]
+    exported = {name for tree in trees for name in _exported(tree)}
+    used = {name for tree in trees for name in _loaded_names(tree)}
+    assert sorted(exported - used - set(_AWAITING_CALLER)) == []
+    assert sorted(used & set(_AWAITING_CALLER)) == []  # a name that has its caller leaves the list
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_command_line_parses(name, tmp_path):
+    w = workloads.WORKLOADS[name]
+    args = cli.build_parser().parse_args(w.argv(tmp_path / "config.json", 7, tmp_path / "out"))
+    assert (args.command, args.seed, args.replicates) == (w.command, 7, w.replicates)
+    if w.command == "simulate":
+        cli._parse_simulate_config(w.config)
+    elif w.command == "limit-sample":
+        cli._parse_limit_config(w.config)
+    else:
+        assert w.config["check"] in CHECK_NAMES
+
+
 def test_cli_import_graph():
-    # scipy is a test-only dependency, and process pools are imported only
-    # when --jobs asks for them; numpy.random is bound at import, so that
-    # numpy's lazy load of it does not fall inside the timed command
+    # scipy is a test-only dependency, and no command starts a process pool;
+    # numpy.random is bound at import, so that numpy's lazy load of it does
+    # not fall inside the timed command
     probe = "import json, sys, gwshot.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(Path(gwshot.__file__).parents[1])))

@@ -4,33 +4,11 @@ import numpy as np
 import pytest
 
 from gwshot.paths import CadlagPath
-from gwshot.stats import Sample, dkw_band, ecdf, ks_distance, uniform_distance
+from gwshot.stats import Sample, dkw_band, ks_distance, uniform_distance
 
 
 def step(times, values, end):
     return CadlagPath.step(np.asarray(times, dtype=float), np.asarray(values, dtype=float), end)
-
-
-class TestEcdf:
-    def test_basic_fractions(self):
-        s = Sample(np.array([1.0, 2.0, 3.0]))
-        assert ecdf(s, 2.0) == pytest.approx(2.0 / 3.0)
-        assert ecdf(s, 0.5) == 0.0
-        assert ecdf(s, 3.5) == 1.0
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf(Sample(np.array([])), 1.0)
-
-    def test_integral_of_survival_equals_mean(self):
-        rng = np.random.default_rng(3)
-        x = np.sort(rng.exponential(2.0, size=500))
-        s = Sample(x)
-        # right Riemann sum of (1 - ECDF) over the sample breakpoints
-        xs = np.concatenate([[0.0], x])
-        surv = 1.0 - np.arange(0, len(x) + 1) / len(x)
-        integral = np.sum(np.diff(xs) * surv[:-1])
-        assert integral == pytest.approx(x.mean(), abs=1e-9)
 
 
 class TestKsDistance:
@@ -54,6 +32,10 @@ class TestKsDistance:
         expected = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
         assert n == 1 or np.unique(x).size < n
         assert ks_distance(Sample(x), cdf) == expected
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            ks_distance(Sample(np.array([])), lambda x: np.clip(x, 0, 1))
 
     def test_nan_from_the_cdf_is_not_dropped(self):
         sample = Sample(np.linspace(0.0, 1.0, 3 << 14))
