@@ -17,7 +17,6 @@ from .immigration import ImmigrationLaw
 from .limit import (
     AtomSet,
     PrmParams,
-    ShotNoiseSpec,
     fdd_cdf,
     marginal_cdf_extremal,
     marginal_cdf_negslope,
@@ -38,7 +37,7 @@ __all__ = [
     "FluidConfig", "population_log_path", "simulate_cohort", "limit_profile",
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
     "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
-    "PrmParams", "AtomSet", "ShotNoiseSpec", "sample_atoms", "shot_noise_path",
+    "PrmParams", "AtomSet", "sample_atoms", "shot_noise_path",
     "marginal_cdf_negslope", "marginal_cdf_extremal",
     "marginal_cdf_posslope", "fdd_cdf",
     "Sample", "ks_distance", "dkw_band", "uniform_distance",

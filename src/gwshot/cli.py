@@ -290,7 +290,7 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
         for r in range(args.replicates):
             rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
             atoms = limit.sample_atoms(params, rng)
-            path = limit.shot_noise_path(limit.ShotNoiseSpec(slope=slope, atoms=atoms))
+            path = limit.shot_noise_path(atoms, slope)
             end_value = path.value(path.end_time)
             if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
                     and math.isfinite(end_value)):

@@ -35,7 +35,6 @@ class FluidConfig:
     """Switching rules between exact sampling and the fluid regime."""
 
     exactness_threshold: int = 1_000_000
-    refine_on_descent: bool = True
 
     def __post_init__(self) -> None:
         require_count("exactness_threshold", self.exactness_threshold)
@@ -43,15 +42,14 @@ class FluidConfig:
             raise ValueError("exactness threshold below 1e3 makes fluid error bounds meaningless")
         if self.exactness_threshold > EXACT_COUNT_LIMIT:
             raise ValueError(f"exactness threshold must not exceed {EXACT_COUNT_LIMIT}")
-        if not isinstance(self.refine_on_descent, bool):  # bool("false") is True
-            raise ValueError(f"refine_on_descent must be true or false, got {self.refine_on_descent!r}")
 
     @staticmethod
     def from_config(cfg: dict) -> "FluidConfig":
-        return FluidConfig(
-            exactness_threshold=cfg.get("exactness_threshold", 1_000_000),
-            refine_on_descent=cfg.get("refine_on_descent", True),
-        )
+        """Read `exactness_threshold`; any other key is refused, not ignored."""
+        unknown = sorted(set(cfg) - {"exactness_threshold"})
+        if unknown:
+            raise ValueError(f"unknown fluid key(s) {unknown}; only exactness_threshold is read")
+        return FluidConfig(exactness_threshold=cfg.get("exactness_threshold", 1_000_000))
 
 
 def mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: float) -> np.ndarray:
@@ -75,18 +73,18 @@ def population_log_path(
     The total is sampled exactly while it is at most the exactness
     threshold and grows by the mean above it.  A fluid stretch is the
     closed form `mean_recursion`: to the end of the path for a total that
-    cannot descend back below the threshold (mean >= 1, or refinement
-    off), and for a descending one up to the first generation at or below
-    the threshold, where the value is rounded to a count that is sampled
-    exactly again.  An exact total of 0 with no immigrant left stays 0:
-    the rest of the path is -inf without a step.
+    cannot descend back below the threshold (mean >= 1), and for a
+    descending one up to the first generation at or below the threshold,
+    where the value is rounded to a count that is sampled exactly again.
+    An exact total of 0 with no immigrant left stays 0: the rest of the
+    path is -inf without a step.
     """
     size = jlog.shape[0]
     out = np.full(size, _NEG_INF)
     threshold = config.exactness_threshold
     log_m = math.log(threshold)
     log_mu = math.log(family.mean)
-    descends = log_mu < 0 and config.refine_on_descent
+    descends = log_mu < 0
     step = family.exact_step(rng)  # only ever given a count in [1, threshold]
     last_arrival: int | None = None  # found when an exact total first meets a generation without one
     count = 0  # the exact-regime total

@@ -29,10 +29,31 @@ _VARIANTS = ("reciprocal", "pareto_log", "pareto_log_sv")
 # exactly; above it, log(floor(e^V)) equals V to within float64 resolution.
 FLOOR_EXACT_LOG = 36.0
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
 
 def _sv_tail_ratio(x: np.ndarray | float) -> np.ndarray | float:
     """log(e+x)/x, the decreasing tail profile of the slowly-varying variant."""
     return np.log(np.e + x) / x
+
+
+# Below this u the root of log(e+x) = u x lies beyond the float range.
+_SV_LEAST_U = _sv_tail_ratio(_FLOAT_MAX)
+
+
+def _sv_root(u: np.ndarray | float) -> np.ndarray | float:
+    """The x > 0 with log(e+x) = u x, for u in (0, 1]; inf beyond the float range.
+
+    g(x) = log(e+x) - u x is concave and decreasing right of its root, so
+    Newton steps from a point above the root fall monotonically onto it.
+    x0 = w log(e+w) with w = 2/u lies above it, as w log(e+w) < (e+w)^2 - e;
+    five steps reach the root to within a few ulps for every u.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.minimum(2.0 * np.log(np.e + 2.0 / u) / u, _FLOAT_MAX)
+        for _ in range(5):
+            x = x - (np.log(np.e + x) - u * x) / (1.0 / (np.e + x) - u)
+        return np.where(u < _SV_LEAST_U, np.inf, x)
 
 
 @dataclass(frozen=True)
@@ -84,7 +105,7 @@ class ImmigrationLaw:
         return float(t) if t.ndim == 0 else t
 
     def inverse_tail(self, u: float | np.ndarray) -> float | np.ndarray:
-        """V with tail(V) = u, for u in (0, 1]; closed form where available."""
+        """V with tail(V) = u, for u in (0, 1]; inf where V exceeds the float range."""
         u = np.asarray(u, dtype=np.float64)
         if np.any(u <= 0) or np.any(u > 1):
             raise ValueError("inverse_tail needs u in (0, 1]")
@@ -97,27 +118,7 @@ class ImmigrationLaw:
             return self.param / u
         if self.variant == "pareto_log":
             return u ** (-1.0 / self.param)
-        return self._sv_inverse(u, iterations=50)
-
-    @staticmethod
-    def _sv_inverse(u: np.ndarray, iterations: int) -> np.ndarray:
-        """Monotone bisection of log(e+x)/x = u (decreasing in x)."""
-        u = np.atleast_1d(u)
-        lo = np.full_like(u, 1e-12)
-        hi = np.full_like(u, 4.0)
-        # expand hi until the tail has dropped below every target
-        for _ in range(200):
-            mask = _sv_tail_ratio(hi) > u
-            if not mask.any():
-                break
-            hi[mask] *= 2.0
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            above = _sv_tail_ratio(mid) > u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        return out.reshape(u.shape)
+        return _sv_root(u)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -137,28 +138,17 @@ class ImmigrationLaw:
     # ------------------------------------------------------------------
 
     def norming_bn(self, n: int) -> float:
-        """The b with n * tail(b) = 1; closed form except for the sv variant."""
+        """The b with n * tail(b) = 1: the same solve as `inverse_tail(1/n)` for the sv variant."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.variant == "reciprocal":
             return self.param * n
         if self.variant == "pareto_log":
             return float(n) ** (1.0 / self.param)
-        target = 1.0 / n
-        lo, hi = 1e-12, 4.0
-        while _sv_tail_ratio(hi) > target:
-            hi *= 2.0
-            if np.isinf(hi):
-                raise OverflowError(f"b_n for n = {n} exceeds the float range")
-        # bisect to relative tolerance 1e-12 (approx 2 extra decades of margin
-        # versus the 1e-9 residual requirement)
-        while (hi - lo) > 1e-13 * lo:
-            mid = 0.5 * (lo + hi)
-            if _sv_tail_ratio(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        b = float(_sv_root(1.0 / n))
+        if not np.isfinite(b):
+            raise OverflowError(f"b_n for n = {n} exceeds the float range")
+        return b
 
     # ------------------------------------------------------------------
     # Config parsing

@@ -66,7 +66,6 @@ from .paths import CadlagPath
 __all__ = [
     "PrmParams",
     "AtomSet",
-    "ShotNoiseSpec",
     "sample_atoms",
     "shot_noise_path",
     "sample_shot_noise_marginal",
@@ -140,14 +139,6 @@ class AtomSet:
         return len(self.times)
 
 
-@dataclass(frozen=True)
-class ShotNoiseSpec:
-    """Atoms plus the common response slope s = log mu."""
-
-    slope: float
-    atoms: AtomSet
-
-
 def sample_atoms(params: PrmParams, rng: np.random.Generator) -> AtomSet:
     """All atoms above the truncation level: count ~ Poisson(T a delta^{-b}),
     uniform times on [0, T], and marks delta U^{-1/b} with U uniform on (0, 1]."""
@@ -164,8 +155,8 @@ def _floor_value(slope: float, t: float | np.ndarray):
     return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
-def shot_noise_path(spec: ShotNoiseSpec) -> CadlagPath:
-    """Exact piecewise-affine path on [0, horizon].
+def shot_noise_path(atoms: AtomSet, slope: float) -> CadlagPath:
+    """Exact piecewise-affine path on [0, horizon], common response slope s = log mu.
 
     Between events the running max of affine responses with common slope s
     is itself affine with slope s, clamped at the floor; breakpoints sit at
@@ -179,11 +170,11 @@ def shot_noise_path(spec: ShotNoiseSpec) -> CadlagPath:
     at t = -c_k / s, a breakpoint when it comes before the next record.
     Of several records at one time the last (largest) one stands.
     """
-    s = spec.slope
-    end = spec.atoms.params.horizon
-    order = np.argsort(spec.atoms.times, kind="stable")
-    times = spec.atoms.times[order]
-    marks = spec.atoms.marks[order]
+    s = slope
+    end = atoms.params.horizon
+    order = np.argsort(atoms.times, kind="stable")
+    times = atoms.times[order]
+    marks = atoms.marks[order]
     inside = np.searchsorted(times, end, side="right")  # atoms with t_k <= horizon
     times, marks = times[:inside], marks[:inside]
 
@@ -229,7 +220,7 @@ def sample_shot_noise_marginal(
 ) -> np.ndarray:
     """`count` independent draws of the process value at time(s) u.
 
-    Equal in law to the values at u of `shot_noise_path(sample_atoms(...))`
+    Equal in law to the values at u of `shot_noise_path(sample_atoms(...), slope)`
     repeated with horizon max(u).  A scalar u gives a 1-d array of length
     `count`; a 1-d increasing array of times gives a (count, len(u)) array,
     one row per path (the transpose of the sampler's one row per time).

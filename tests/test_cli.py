@@ -27,7 +27,7 @@ SIM_CONFIG = {
     "horizon": 1.0,
     "offspring": {"family": "binary", "mean": 1.0},
     "immigration": {"variant": "reciprocal", "c": 1.0},
-    "fluid": {"exactness_threshold": 1000000, "refine_on_descent": True},
+    "fluid": {"exactness_threshold": 1000000},
     "norm": "n",
 }
 
@@ -154,7 +154,7 @@ class TestSimulate:
             {"norm": "bn", "horizon": 0.0, "n": 100_000,
              "immigration": {"variant": "pareto_log", "alpha": 0.01}},  # b_n = n^100
             {"norm": "bn", "horizon": 0.0, "n": 1.7e308,
-             "immigration": {"variant": "pareto_log_sv"}},  # b_n bisection beyond the float range
+             "immigration": {"variant": "pareto_log_sv"}},  # b_n beyond the float range
             {"supercritical_correction": math.nan},
             {"supercritical_correction": 0.0},
             {"supercritical_correction": [2.0]},
@@ -163,9 +163,9 @@ class TestSimulate:
             {"immigration": {"variant": "reciprocal", "c": 1e308}},  # J above the float range
             {"norm": 1e-320},  # log Y / norm above the float range
             {"offspring": {"family": "poisson", "mean": 1e308}},
-            {"n": 25.5},  # these three were truncated by int() or read by bool()
+            {"n": 25.5},  # these two were truncated by int()
             {"fluid": {"exactness_threshold": 1500.7}},
-            {"fluid": {"refine_on_descent": "false"}},
+            {"fluid": {"refine_on_descent": "false"}},  # a removed key is refused, not ignored
             {"horizon": "1.0"},  # these five were read by float()
             {"offspring": {"family": "binary", "mean": "1.0"}},
             {"immigration": {"variant": "reciprocal", "c": True}},
@@ -472,7 +472,6 @@ _SIM_KEYS = {
     ("immigration", "alpha"): st.floats(0.2, 0.9),
     ("fluid",): None,
     ("fluid", "exactness_threshold"): st.sampled_from([1_000, 1_000_000]),
-    ("fluid", "refine_on_descent"): st.booleans(),
     ("norm",): st.one_of(st.sampled_from(["n", "bn"]), st.floats(0.1, 100.0)),
     ("supercritical_correction",): st.one_of(st.booleans(), st.floats(0.5, 2.0)),
 }
@@ -481,7 +480,7 @@ _SIM_KEYS = {
 @st.composite
 def _sim_configs(draw):
     # Up to two keys take an odd value.  An odd draw for each of these
-    # fourteen keys independently, as for limit-sample, would leave almost
+    # thirteen keys independently, as for limit-sample, would leave almost
     # no config valid; this way about half of the configs exit 0.
     odd = draw(st.sets(st.sampled_from(list(_SIM_KEYS)), max_size=2))
     config = {}

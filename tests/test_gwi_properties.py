@@ -23,7 +23,7 @@ laws = st.one_of(
     st.builds(ImmigrationLaw.reciprocal, st.floats(min_value=0.1, max_value=3.0)),
     st.builds(ImmigrationLaw.pareto_log, st.floats(min_value=0.2, max_value=0.9)),
 )
-configs = st.builds(FluidConfig, st.sampled_from([1_000, 1_000_000]), st.booleans())
+configs = st.builds(FluidConfig, st.sampled_from([1_000, 1_000_000]))
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 

@@ -55,6 +55,34 @@ class TestInverseAndSampling:
             assert law.tail(v) == pytest.approx(u, rel=1e-9)
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=[l.variant for l in ALL_LAWS])
+    def test_scalar_input_gives_a_float(self, law):
+        assert type(law.inverse_tail(0.5)) is float
+        assert type(law.sample_tail_value(streams.substream(103))) is float
+
+    def test_sv_inverse_is_the_lambert_w_root(self):
+        # tail(V) = u solves e + V = -W_{-1}(-u e^{-u e}) / u exactly
+        mp = pytest.importorskip("mpmath")
+        us = np.concatenate((np.logspace(-53, 0, 60, base=2.0), [1e-70, 1e-300]))
+        got = ImmigrationLaw.pareto_log_sv().inverse_tail(us)
+        with mp.workdps(50):
+            for u, v in zip(us.tolist(), got.tolist()):
+                u = mp.mpf(u)
+                want = -mp.lambertw(-u * mp.exp(-u * mp.e), -1).real / u - mp.e
+                assert abs(v - want) <= 1e-15 * want
+
+    def test_sv_inverse_beyond_the_float_range_is_inf(self):
+        law = ImmigrationLaw.pareto_log_sv()
+        assert law.inverse_tail(1e-307) == math.inf
+        assert law.inverse_tail(5e-324) == math.inf
+
+    def test_sv_draws_invert_the_tail_to_rounding(self):
+        # the uniforms behind 10^6 draws, replayed from the same stream
+        law = ImmigrationLaw.pareto_log_sv()
+        v = law.sample_tail_value(streams.substream(104), size=1_000_000)
+        u = 1.0 - streams.substream(104).random(1_000_000)
+        assert np.max(np.abs(law.tail(v) - u) / u) <= 1e-15
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=[l.variant for l in ALL_LAWS])
     def test_sampler_exact_in_distribution(self, law):
         # Kolmogorov distance of 10^6 tail-value draws within the 99% DKW band
         rng = streams.substream(101)
@@ -96,6 +124,6 @@ class TestNorming:
         assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
     def test_sv_solver_beyond_the_float_range_raises(self):
-        # b_n near 7e308: the bracket doubles to inf, where the bisection never ends
+        # b_n near 7e308: the root of log(e+b) = b/n lies beyond the float range
         with pytest.raises(OverflowError):
             ImmigrationLaw.pareto_log_sv().norming_bn(10**306)

@@ -12,7 +12,6 @@ from gwshot import limit, streams
 from gwshot.limit import (
     AtomSet,
     PrmParams,
-    ShotNoiseSpec,
     fdd_cdf,
     marginal_cdf_extremal,
     marginal_cdf_negslope,
@@ -26,25 +25,24 @@ from gwshot.stats import Sample, dkw_band, ks_distance
 LOG2 = math.log(2.0)
 
 
-def shot_noise_value(spec, t):
+def shot_noise_value(atoms, slope, t):
     """Process value at one time, straight from its definition: the oracle
     for `shot_noise_path` and the marginal sampler."""
-    params = spec.atoms.params
-    if t < 0 or t > params.horizon + 1e-12:
+    if t < 0 or t > atoms.params.horizon + 1e-12:
         raise ValueError("evaluation time outside [0, horizon]")
-    floor = spec.slope * t if spec.slope > 0 else 0.0
-    mask = spec.atoms.times <= t
+    floor = slope * t if slope > 0 else 0.0
+    mask = atoms.times <= t
     if not mask.any():
         return float(floor)
-    vals = spec.atoms.marks[mask] + (t - spec.atoms.times[mask]) * spec.slope
+    vals = atoms.marks[mask] + (t - atoms.times[mask]) * slope
     return float(max(floor, vals.max()))
 
 
-def _spec(slope, atoms, horizon=2.0, delta=1e-3):
+def _atoms(pairs, horizon=2.0, delta=1e-3):
     params = PrmParams(a=1.0, b=1.0, horizon=horizon, delta=delta)
-    times = np.array([t for t, _ in atoms])
-    marks = np.array([j for _, j in atoms])
-    return ShotNoiseSpec(slope=slope, atoms=AtomSet(times=times, marks=marks, params=params))
+    times = np.array([t for t, _ in pairs])
+    marks = np.array([j for _, j in pairs])
+    return AtomSet(times=times, marks=marks, params=params)
 
 
 class TestPrmSampling:
@@ -84,33 +82,28 @@ class TestPrmSampling:
 
 class TestShotNoiseValue:
     def test_empty_sup_conventions(self):
-        empty = _spec(-LOG2, [])
-        assert shot_noise_value(empty, 1.0) == 0.0
-        growing = _spec(LOG2, [])
-        assert shot_noise_value(growing, 1.0) == pytest.approx(LOG2)
+        assert shot_noise_value(_atoms([]), -LOG2, 1.0) == 0.0
+        assert shot_noise_value(_atoms([]), LOG2, 1.0) == pytest.approx(LOG2)
 
     def test_single_atom_decay(self):
-        spec = _spec(-LOG2, [(0.5, 3.0)])
-        assert shot_noise_value(spec, 1.5) == pytest.approx(3.0 - LOG2)
-        assert shot_noise_value(spec, 0.25) == 0.0  # atom not yet arrived
+        atoms = _atoms([(0.5, 3.0)])
+        assert shot_noise_value(atoms, -LOG2, 1.5) == pytest.approx(3.0 - LOG2)
+        assert shot_noise_value(atoms, -LOG2, 0.25) == 0.0  # atom not yet arrived
 
     def test_floor_dominates_when_atoms_small(self):
-        spec = _spec(2.0, [(0.1, 0.01)])
-        assert shot_noise_value(spec, 1.0) == pytest.approx(2.0)
+        assert shot_noise_value(_atoms([(0.1, 0.01)]), 2.0, 1.0) == pytest.approx(2.0)
 
 
 class TestShotNoisePath:
     def test_extremal_staircase(self):
-        spec = _spec(0.0, [(0.2, 1.0), (0.6, 2.0)], horizon=1.0)
-        path = shot_noise_path(spec)
+        path = shot_noise_path(_atoms([(0.2, 1.0), (0.6, 2.0)], horizon=1.0), 0.0)
         ts = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.9])
         np.testing.assert_allclose(path.value(ts), [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         jumps = np.diff(np.asarray(path.values))
         assert np.all(jumps >= 0)
 
     def test_negative_slope_decay_and_clamp(self):
-        spec = _spec(-1.0, [(0.5, 1.0)], horizon=2.0)
-        path = shot_noise_path(spec)
+        path = shot_noise_path(_atoms([(0.5, 1.0)], horizon=2.0), -1.0)
         assert path.value(0.4) == 0.0
         assert path.value(0.5) == pytest.approx(1.0)
         assert path.value(1.0) == pytest.approx(0.5)
@@ -123,7 +116,7 @@ class TestShotNoisePath:
     def test_positive_slope_floor(self):
         rng = streams.substream(6, streams.ATOMS)
         atoms = sample_atoms(PrmParams(1.0, 1.0, 2.0, 0.05), rng)
-        path = shot_noise_path(ShotNoiseSpec(slope=LOG2, atoms=atoms))
+        path = shot_noise_path(atoms, LOG2)
         ts = np.linspace(0, 2, 41)
         assert np.all(np.asarray(path.value(ts)) >= LOG2 * ts - 1e-12)
 
@@ -131,10 +124,9 @@ class TestShotNoisePath:
         rng = streams.substream(7, streams.ATOMS)
         for slope in (-LOG2, 0.0, LOG2):
             atoms = sample_atoms(PrmParams(1.0, 1.0, 1.5, 0.02), rng)
-            spec = ShotNoiseSpec(slope=slope, atoms=atoms)
-            path = shot_noise_path(spec)
+            path = shot_noise_path(atoms, slope)
             for t in np.linspace(0, 1.5, 31):
-                assert path.value(float(t)) == pytest.approx(shot_noise_value(spec, float(t)), abs=1e-12)
+                assert path.value(float(t)) == pytest.approx(shot_noise_value(atoms, slope, float(t)), abs=1e-12)
 
 
 PATH_SLOPES = [-2.0, -LOG2, -1e-9, 0.0, 1e-9, LOG2, 2.0]
@@ -151,32 +143,31 @@ def path_specs(draw):
     marks = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 4.0))
     atoms = draw(st.lists(st.tuples(times, marks), min_size=n, max_size=n))
     probes = draw(st.lists(st.floats(0.0, horizon), max_size=5))
-    return _spec(slope, atoms, horizon=horizon), probes
+    return _atoms(atoms, horizon=horizon), slope, probes
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path_specs())
 def test_path_matches_pointwise_oracle(case):
-    spec, probes = case
-    path = shot_noise_path(spec)
-    horizon = spec.atoms.params.horizon
-    ts = np.concatenate([spec.atoms.times, probes, [horizon]])
-    expected = [shot_noise_value(spec, float(t)) for t in ts]
+    atoms, slope, probes = case
+    path = shot_noise_path(atoms, slope)
+    ts = np.concatenate([atoms.times, probes, [atoms.params.horizon]])
+    expected = [shot_noise_value(atoms, slope, float(t)) for t in ts]
     np.testing.assert_allclose(path.value(ts), expected, rtol=0, atol=1e-9)
     # the path only jumps up, at atom times
-    at = spec.atoms.times
+    at = atoms.times
     assert np.all(path.left_limit(at) <= path.value(at) + 1e-9)
-    if spec.slope == 0.0:
+    if slope == 0.0:
         # exact arithmetic: every breakpoint after 0 is a strict record
         inner = path.breakpoints[1:]
         assert np.all(path.left_limit(inner) < path.value(inner))
 
 
-def _loop_path(spec):
+def _loop_path(atoms, s):
     """The per-atom loop the record scan replaced, condensed, kept as its
     bit-exact reference: breakpoints, values and slopes as lists."""
-    s, end = spec.slope, spec.atoms.params.horizon
-    order = np.argsort(spec.atoms.times, kind="stable")
+    end = atoms.params.horizon
+    order = np.argsort(atoms.times, kind="stable")
     bps, vals, slopes = [0.0], [0.0], [s if s > 0 else 0.0]
 
     def push(t, v, k):
@@ -189,8 +180,8 @@ def _loop_path(spec):
                 slopes.append(k)
 
     best, prev = (0.0 if s > 0 else -math.inf), 0.0
-    for t_k, j_k in zip(spec.atoms.times[order].tolist() + [math.inf],
-                        spec.atoms.marks[order].tolist() + [0.0]):
+    for t_k, j_k in zip(atoms.times[order].tolist() + [math.inf],
+                        atoms.marks[order].tolist() + [0.0]):
         seg_end = min(t_k, end)
         if s < 0 and vals[-1] > 0.0 and best > -math.inf and prev < -best / s < seg_end:
             push(-best / s, 0.0, 0.0)  # clamp crossing before this atom
@@ -211,9 +202,9 @@ def _loop_path(spec):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path_specs())
 def test_path_is_bit_equal_to_the_loop_reference(case):
-    spec, _ = case
-    path = shot_noise_path(spec)
-    bps, vals, slopes = _loop_path(spec)
+    atoms, slope, _ = case
+    path = shot_noise_path(atoms, slope)
+    bps, vals, slopes = _loop_path(atoms, slope)
     assert path.breakpoints.tolist() == bps
     assert path.values.tolist() == vals
     assert path.slopes.tolist() == slopes
@@ -223,9 +214,9 @@ def test_path_is_bit_equal_to_the_loop_reference(case):
 def test_sampled_paths_are_bit_equal_to_the_loop_reference(slope):
     rng = streams.substream(8, streams.ATOMS)
     for _ in range(20):
-        spec = ShotNoiseSpec(slope=slope, atoms=sample_atoms(PrmParams(2.0, 0.5, 3.0, 0.01), rng))
-        path = shot_noise_path(spec)
-        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(spec)
+        atoms = sample_atoms(PrmParams(2.0, 0.5, 3.0, 0.01), rng)
+        path = shot_noise_path(atoms, slope)
+        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(atoms, slope)
 
 
 class TestTruncationRefinement:
@@ -328,7 +319,7 @@ class TestLePageSampler:
         n, u = 3000, 1.0
         params = PrmParams(a=a, b=b, horizon=u, delta=delta)
         rng = streams.substream(21, streams.ATOMS)
-        brute = [shot_noise_value(ShotNoiseSpec(slope, sample_atoms(params, rng)), u) for _ in range(n)]
+        brute = [shot_noise_value(sample_atoms(params, rng), slope, u) for _ in range(n)]
         lepage = sample_shot_noise_marginal(a, b, slope, u, n, delta, streams.substream(22, streams.ATOMS))
         assert ks_2samp(brute, lepage).pvalue >= 0.01
 
