@@ -18,9 +18,7 @@ from .limit import (
     AtomSet,
     PrmParams,
     fdd_cdf,
-    marginal_cdf_extremal,
-    marginal_cdf_negslope,
-    marginal_cdf_posslope,
+    marginal_cdf,
     sample_atoms,
     shot_noise_path,
 )
@@ -38,8 +36,7 @@ __all__ = [
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
     "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
     "PrmParams", "AtomSet", "sample_atoms", "shot_noise_path",
-    "marginal_cdf_negslope", "marginal_cdf_extremal",
-    "marginal_cdf_posslope", "fdd_cdf",
+    "marginal_cdf", "fdd_cdf",
     "Sample", "ks_distance", "dkw_band", "uniform_distance",
     "CadlagPath",
 ]

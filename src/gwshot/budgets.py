@@ -12,7 +12,7 @@ import math
 import numbers
 from typing import Sequence
 
-__all__ = ["require_count", "require_number", "require_scale"]
+__all__ = ["reject_unknown_keys", "require_count", "require_number", "require_scale"]
 
 # Limit-sampler draws per check run.  A marginal sample peaks at about 90
 # traced bytes (8.2 MB for 10^5 marginal-limit samples, 9.1 MB for 10^5 fdd
@@ -63,6 +63,17 @@ def require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def reject_unknown_keys(section: str, cfg, read: Sequence[str]) -> None:
+    """Refuse a config section that is not an object, or that holds a key
+    no code reads: a misspelt key would otherwise be ignored, and the run
+    would differ from the one written."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{section} config must be an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(read))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {unknown}; the keys read are {list(read)}")
 
 
 def require_scale(

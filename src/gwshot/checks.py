@@ -23,7 +23,7 @@ import numpy as np
 from . import limit, streams
 from .budgets import require_number, require_scale
 from .gw import FluidConfig, limit_profile, simulate_cohort
-from .gwi import GwiRun, conditional_mean_path, run_replicates
+from .gwi import GwiRun, conditional_mean_path, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
 from .stats import Sample, ks_distance
@@ -72,16 +72,12 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
     a = b = 1.0
     u = 1.0
     threshold = 0.01
-    regimes = {
-        "negative": (-LOG2, partial(limit.marginal_cdf_negslope, a, LOG2, u)),
-        "extremal": (0.0, partial(limit.marginal_cdf_extremal, a, b, u)),
-        "positive": (LOG2, partial(limit.marginal_cdf_posslope, a, LOG2, u)),
-    }
+    regimes = {"negative": -LOG2, "extremal": 0.0, "positive": LOG2}
     stats = {}
-    for idx, (name, (slope, cdf)) in enumerate(regimes.items()):
+    for idx, (name, slope) in enumerate(regimes.items()):
         rng = streams.substream(streams.replicate_seed(seed, idx), streams.ATOMS)
         values = Sample(limit.sample_shot_noise_marginal(a, b, slope, u, sample_count, delta, rng))
-        stats[name] = ks_distance(values, cdf)
+        stats[name] = ks_distance(values, partial(limit.marginal_cdf, a, b, slope, u))
         del values  # before the next regime draws: at the sample budget it is 40 MB
     statistic = max(stats.values())
     return CheckReport(
@@ -132,7 +128,7 @@ def check_marginal_prelimit_thm1(
     """
     ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0),
                                          ns, replicates, float,
-                                         partial(limit.marginal_cdf_extremal, 1.0, 1.0, 1.0))
+                                         partial(limit.marginal_cdf, 1.0, 1.0, 0.0, 1.0))
     statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm1",
@@ -153,7 +149,7 @@ def check_marginal_prelimit_thm2(
     """
     law = ImmigrationLaw.pareto_log(0.5)
     ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.geometric(0.5), law, ns, replicates,
-                                         law.norming_bn, partial(limit.marginal_cdf_extremal, 1.0, 0.5, 1.0))
+                                         law.norming_bn, partial(limit.marginal_cdf, 1.0, 0.5, 0.0, 1.0))
     statistic = ks_by_n[str(ns[-1])]
     return CheckReport(
         check="marginal-prelimit-thm2",
@@ -177,29 +173,18 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
     tol_exact = 1e-9
     sweep_err = 0.0
     # d=1 reduction across the three slope regimes (20 parameter points)
-    for r, s, u, x in [
-        (1.0, 1.0, 1.0, 1.0), (1.0, LOG2, 1.0, 0.5), (2.0, 0.5, 2.0, 1.5),
-        (0.5, 1.5, 0.7, 2.0), (3.0, LOG2, 1.5, 4.0), (1.0, 0.25, 3.0, 0.75),
-        (2.5, 2.0, 0.3, 1.0),
+    for a, b, slope, u, x in [
+        (1.0, 1.0, -1.0, 1.0, 1.0), (1.0, 1.0, -LOG2, 1.0, 0.5), (2.0, 1.0, -0.5, 2.0, 1.5),
+        (0.5, 1.0, -1.5, 0.7, 2.0), (3.0, 1.0, -LOG2, 1.5, 4.0), (1.0, 1.0, -0.25, 3.0, 0.75),
+        (2.5, 1.0, -2.0, 0.3, 1.0),
+        (1.0, 1.0, 0.0, 1.0, 1.0), (1.0, 2.0, 0.0, 1.0, 0.8), (2.0, 1.0, 0.0, 3.0, 5.0),
+        (0.5, 0.5, 0.0, 2.0, 2.5), (1.5, 1.0, 0.0, 0.5, 0.3), (1.0, 3.0, 0.0, 2.0, 1.2),
+        (1.0, 1.0, LOG2, 1.0, 2.0 * LOG2), (1.0, 1.0, 1.0, 1.0, 1.5), (2.0, 1.0, 0.5, 2.0, 1.5),
+        (0.5, 1.0, 2.0, 0.5, 1.2), (3.0, 1.0, LOG2, 2.0, 2.0), (1.0, 1.0, 0.75, 1.5, 1.4),
+        (2.0, 1.0, 1.0, 0.25, 0.3),
     ]:
-        got = limit.fdd_cdf(r, 1.0, -s, np.array([u]), np.array([x]))
-        want = limit.marginal_cdf_negslope(r, s, u, x)
-        sweep_err = max(sweep_err, abs(got - want))
-    for a, b, u, x in [
-        (1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.8), (2.0, 1.0, 3.0, 5.0),
-        (0.5, 0.5, 2.0, 2.5), (1.5, 1.0, 0.5, 0.3), (1.0, 3.0, 2.0, 1.2),
-    ]:
-        got = limit.fdd_cdf(a, b, 0.0, np.array([u]), np.array([x]))
-        want = limit.marginal_cdf_extremal(a, b, u, x)
-        sweep_err = max(sweep_err, abs(got - want))
-    for r, s, u, x in [
-        (1.0, LOG2, 1.0, 2.0 * LOG2), (1.0, 1.0, 1.0, 1.5), (2.0, 0.5, 2.0, 1.5),
-        (0.5, 2.0, 0.5, 1.2), (3.0, LOG2, 2.0, 2.0), (1.0, 0.75, 1.5, 1.4),
-        (2.0, 1.0, 0.25, 0.3),
-    ]:
-        got = limit.fdd_cdf(r, 1.0, s, np.array([u]), np.array([x]))
-        want = limit.marginal_cdf_posslope(r, s, u, x)
-        sweep_err = max(sweep_err, abs(got - want))
+        got = limit.fdd_cdf(a, b, slope, np.array([u]), np.array([x]))
+        sweep_err = max(sweep_err, abs(got - limit.marginal_cdf(a, b, slope, u, x)))
 
     # d=2, slope 0, a=b=1: thresholds (1, 2) at times (1, 2).
     # Hand envelope: min(1,2)^{-1} on [0,1] plus 2^{-1} on [1,2] -> 1.5,
@@ -321,11 +306,7 @@ def _truncated_exceed_frequency(
     run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block_seed)
     exceed = 0
     for bundle in run_replicates(run, replicates, gamma=gamma, c_n=c_n):
-        lv = bundle.truncated_log
-        if correction is not None:
-            lv = lv - np.arange(lv.shape[0]) * math.log(correction)
-        sup = float(np.max(np.maximum(lv, 0.0))) / c_n
-        if sup > level:
+        if np.max(normalized_observable(bundle.truncated_log, c_n, n, correction).values) > level:
             exceed += 1
     return exceed / replicates
 

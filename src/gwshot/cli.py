@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__, limit, streams
-from .budgets import require_number, require_scale
+from .budgets import reject_unknown_keys, require_number, require_scale
 from .checks import CHECK_NAMES, run_check
 from .gwi import GwiRun, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
@@ -113,6 +113,8 @@ def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator
 
 def _parse_simulate_config(cfg: dict) -> dict:
     try:
+        reject_unknown_keys("top-level", cfg, ("n", "horizon", "offspring", "immigration", "fluid", "norm",
+                                               "supercritical_correction"))
         parsed = {
             "n": cfg["n"],  # an integer count, which require_scale checks
             "horizon": require_number("horizon", cfg["horizon"]),
@@ -124,8 +126,7 @@ def _parse_simulate_config(cfg: dict) -> dict:
         }
         if not math.isfinite(parsed["n"] * parsed["horizon"]):
             raise ValueError("horizon and n x horizon must be finite")
-    # AttributeError: a section that is not an object
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
     return parsed
 
@@ -260,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     try:
-        params = limit.PrmParams.from_config(cfg)
+        params = limit.PrmParams.from_config(cfg, also_read=("slope",))
         slope = require_number("slope", cfg["slope"])
         if not math.isfinite(slope):
             raise ValueError("slope must be finite")
@@ -331,6 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict = {}
     if args.config:
         cfg = _load_config(args.config)
+        reject_unknown_keys("verify", cfg, ("check", "overrides"))
         name = cfg.get("check", name)
         overrides = cfg.get("overrides", {})
         if not isinstance(overrides, dict):

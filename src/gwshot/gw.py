@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import require_count
+from .budgets import reject_unknown_keys, require_count
 from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
 __all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
@@ -46,9 +46,7 @@ class FluidConfig:
     @staticmethod
     def from_config(cfg: dict) -> "FluidConfig":
         """Read `exactness_threshold`; any other key is refused, not ignored."""
-        unknown = sorted(set(cfg) - {"exactness_threshold"})
-        if unknown:
-            raise ValueError(f"unknown fluid key(s) {unknown}; only exactness_threshold is read")
+        reject_unknown_keys("fluid", cfg, ("exactness_threshold",))
         return FluidConfig(exactness_threshold=cfg.get("exactness_threshold", 1_000_000))
 
 

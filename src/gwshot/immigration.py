@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import require_number
+from .budgets import reject_unknown_keys, require_number
 
 __all__ = ["ImmigrationLaw", "FLOOR_EXACT_LOG"]
 
@@ -156,14 +156,20 @@ class ImmigrationLaw:
 
     @staticmethod
     def from_config(cfg: dict) -> "ImmigrationLaw":
+        """Read `variant` and its parameters; any other key is refused, not ignored."""
         variant = str(cfg["variant"])
+        if variant not in _VARIANT_PARAMS:
+            raise ValueError(f"unknown immigration variant {variant!r}")
+        reject_unknown_keys(f"{variant} immigration", cfg, ("variant", *_VARIANT_PARAMS[variant]))
         if variant == "reciprocal":
             return ImmigrationLaw.reciprocal(require_number("c", cfg["c"]))
         if variant == "pareto_log":
             return ImmigrationLaw.pareto_log(require_number("alpha", cfg["alpha"]))
-        if variant == "pareto_log_sv":
-            return ImmigrationLaw.pareto_log_sv()
-        raise ValueError(f"unknown immigration variant {variant!r}")
+        return ImmigrationLaw.pareto_log_sv()
+
+
+# The parameter keys each variant reads: `c`, `alpha` or none.
+_VARIANT_PARAMS = {"reciprocal": ("c",), "pareto_log": ("alpha",), "pareto_log_sv": ()}
 
 
 def floored_log(v: np.ndarray) -> np.ndarray:

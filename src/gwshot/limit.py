@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import require_number
+from .budgets import reject_unknown_keys, require_number
 from .paths import CadlagPath
 
 __all__ = [
@@ -69,13 +69,11 @@ __all__ = [
     "sample_atoms",
     "shot_noise_path",
     "sample_shot_noise_marginal",
-    "marginal_cdf_negslope",
-    "marginal_cdf_extremal",
-    "marginal_cdf_posslope",
+    "marginal_cdf",
     "fdd_cdf",
 ]
 
-_SLOPE_EPS = 1e-8  # below this rate the negative/positive-slope CDFs use the s->0 limit
+_SLOPE_EPS = 1e-8  # below this |slope| the marginal CDF uses the slope-0 law
 _ROUND_ATOMS = 1 << 14  # atoms one round of the marginal sampler draws once few samples remain
 
 
@@ -110,7 +108,9 @@ class PrmParams:
         return self.horizon * self.a * level
 
     @staticmethod
-    def from_config(cfg: dict) -> "PrmParams":
+    def from_config(cfg: dict, also_read: tuple[str, ...] = ()) -> "PrmParams":
+        """Read `a`, `b`, `horizon` and `delta`; refuse other keys unless in `also_read`."""
+        reject_unknown_keys("limit-sample", cfg, ("a", "b", "horizon", "delta", *also_read))
         return PrmParams(
             a=require_number("a", cfg["a"]),
             b=require_number("b", cfg["b"]),
@@ -306,76 +306,39 @@ def sample_shot_noise_marginal(
 # ----------------------------------------------------------------------
 
 
-def _float_if_scalar(out: np.ndarray) -> float | np.ndarray:
-    return float(out) if out.ndim == 0 else out
+def marginal_cdf(a: float, b: float, slope: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
+    """P{v(u) <= x}, the law of the process value at time u.
 
-
-def _extremal_closed_form(a: float, b: float, u: float, x: np.ndarray) -> np.ndarray:
-    """exp(-u a x^{-b}), continued by 0 at x = 0."""
-    with np.errstate(divide="ignore"):
-        return np.exp(-u * a * x ** (-b))
-
-
-def marginal_cdf_negslope(r: float, s: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
-    """P{sup over t_k <= u of (j_k - (u - t_k) s) <= x} = (x/(x+su))^{r/s}.
-
-    r is the mark-intensity constant, s > 0 the decay rate (process slope
-    -s).  Near s = 0 the closed form degenerates to 0/0 and the extremal
-    limit e^{-r u / x} is used instead.  x may be a float or an array;
-    a float x gives a float.
+    With s = |slope|: exp(-u a x^{-b}) for slope 0, (x/(x + s u))^{a/s}
+    for a negative slope and ((x - s u)/x)^{a/s} for a positive one,
+    which vanishes at and below the floor s u (Pakes 1979).  A sloped law
+    has a closed form only for b = 1.  Below _SLOPE_EPS the sloped forms
+    degenerate to 0/0 and the slope-0 law, their limit, is used.  The
+    value is positive almost surely for u > 0, so the CDF is 0 at x = 0;
+    with no time (u = 0) it is 1.  x may be a float or an array; a float
+    x gives a float.
     """
-    if r <= 0 or s <= 0:
-        raise ValueError("r and s must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0) or u < 0:
-        raise ValueError("x and u must be nonnegative")
-    if u == 0:
-        out = np.ones_like(x)
-    elif s < _SLOPE_EPS:
-        out = _extremal_closed_form(r, 1.0, u, x)
-    else:
-        out = (x / (x + s * u)) ** (r / s)
-    return _float_if_scalar(out)
-
-
-def marginal_cdf_extremal(a: float, b: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
-    """P{max mark on [0, u] <= x} = exp(-u a x^{-b}) for the slope-0 process.
-
-    The value is positive almost surely for u > 0, so the CDF is 0 at
-    x = 0; with no time (u = 0) it is 1.  x may be a float or an array;
-    a float x gives a float.
-    """
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    out = np.ones_like(x) if u == 0 else _extremal_closed_form(a, b, u, x)
-    return _float_if_scalar(out)
-
-
-def marginal_cdf_posslope(r: float, s: float, u: float, x: float | np.ndarray) -> float | np.ndarray:
-    """P{sup over t_k <= u of (j_k + (u - t_k) s) <= x} for growth rate s > 0.
-
-    The value sits above the floor u*s almost surely, so the CDF vanishes
-    for x <= u*s and equals ((x - us)/x)^{r/s} beyond it.  x may be a
-    float or an array; a float x gives a float.
-    """
-    if r <= 0 or s <= 0:
-        raise ValueError("r and s must be positive")
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite")
+    if slope != 0 and b != 1:
+        raise ValueError("a nonzero slope has a closed-form marginal only for b = 1")
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0) or u < 0:
         raise ValueError("x and u must be nonnegative")
+    s = abs(slope)
     if u == 0:
         out = np.ones_like(x)
     elif s < _SLOPE_EPS:
-        out = _extremal_closed_form(r, 1.0, u, x)
+        with np.errstate(divide="ignore"):  # continued by 0 at x = 0
+            out = np.exp(-u * a * x ** (-b))
+    elif slope < 0:
+        out = (x / (x + s * u)) ** (a / s)
     else:
         above = np.maximum(x - u * s, 0.0)
-        out = (above / np.where(x > 0, x, 1.0)) ** (r / s)
-    return _float_if_scalar(out)
+        out = (above / np.where(x > 0, x, 1.0)) ** (a / s)
+    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

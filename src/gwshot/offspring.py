@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budgets import require_number
+from .budgets import reject_unknown_keys, require_number
 
 __all__ = ["OffspringFamily", "EXACT_COUNT_LIMIT"]
 
@@ -144,4 +144,5 @@ class OffspringFamily:
 
     @staticmethod
     def from_config(cfg: dict) -> "OffspringFamily":
+        reject_unknown_keys("offspring", cfg, ("family", "mean"))
         return OffspringFamily(str(cfg["family"]), require_number("offspring mean", cfg["mean"]))

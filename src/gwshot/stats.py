@@ -2,8 +2,9 @@
 
 KS distances here are descriptive statistics compared against stated
 thresholds, not formal hypothesis tests: the convergence rates of the
-limit theorems being verified are unknown, so thresholds are calibrated
-by the DKW band plus explicit slack.
+limit theorems being verified are unknown.  The KS thresholds are set by
+hand (0.01 for the limit sampler, 0.15 for the prelimit ladders), not from
+`dkw_band`; 0.01 lies above the 99.9% DKW half-width at 10^5 samples, 0.0062.
 """
 
 from __future__ import annotations

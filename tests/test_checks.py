@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gwshot import budgets, checks, limit
+from gwshot import budgets, checks, cli, limit
 from gwshot.gwi import conditional_mean_path
 from gwshot.offspring import OffspringFamily
 
@@ -30,6 +30,19 @@ _SMOKE_SCALE = {
     "lemma-aux3": {"ns": (20, 40), "replicates": 5},
     "proxy-zn": {"n": 10, "replicates": 5},
 }
+
+
+@pytest.mark.parametrize("alias,name", checks._ALIASES.items())
+def test_alias_gives_the_registered_report(tmp_path, alias, name):
+    reports = []
+    for check in (alias, name):
+        cfg = tmp_path / f"{check}.json"
+        cfg.write_text(json.dumps({"check": check, "overrides": _SMOKE_SCALE[name]}), encoding="utf-8")
+        out = tmp_path / f"{check}-report"
+        assert cli.main(["verify", "--config", str(cfg), "--seed", "3", "--out", str(out)]) in (0, 4)
+        reports.append(out.with_suffix(".json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["check"] == name
 
 
 @pytest.mark.parametrize("name", checks.CHECK_NAMES)

@@ -171,13 +171,18 @@ class TestSimulate:
             {"immigration": {"variant": "reciprocal", "c": True}},
             {"norm": True},
             {"supercritical_correction": "2.0"},
+            {"supercritical_corection": True},  # a key no code reads is refused, not ignored
+            {"immigration": {"variant": "reciprocal", "c": 1.0, "alpha": 0.5}},
+            {"immigration": {"variant": "pareto_log_sv", "c": 1.0}},
+            {"offspring": {"family": "binary", "mean": 1.0, "p": 0.5}},
         ],
         ids=["horizon-inf", "horizon-nan", "n-inf", "n-int-1e400", "n-horizon-overflow", "norm-nan",
              "norm-inf", "norm-int-1e400", "bn-overflow", "bn-sv-overflow", "correction-nan",
              "correction-0", "correction-list", "correction-int-1e400", "fluid-number",
              "immigration-overflow", "norm-denormal", "poisson-overflow", "n-float",
              "threshold-float", "refine-string", "horizon-string", "mean-string", "c-bool", "norm-bool",
-             "correction-string"],
+             "correction-string", "unknown-top-level-key", "alpha-beside-c", "c-beside-sv",
+             "unknown-offspring-key"],
     )
     def test_rejected_config_exits_2_without_output(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, dict(SIM_CONFIG, **change))
@@ -304,6 +309,17 @@ class TestLimitSample:
         assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "must be a number" in lines[0]
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("change", [{"detla": 0.5}, {"mu": 2.0}], ids=["misspelt-delta", "unknown-key"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, change):
+        # a misspelt delta must not run at the default 1e-3
+        config = {k: v for k, v in LIMIT_CONFIG.items() if k != "delta"}
+        cfg = write_config(tmp_path, dict(config, **change))
+        out = tmp_path / "uk"
+        assert cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "unknown limit-sample key" in lines[0]
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
     def test_atom_budget_exits_2_before_any_draw(self, tmp_path, capsys):
@@ -459,7 +475,8 @@ def test_limit_sample_config_fuzz(config, replicates):
 
 
 # Every key of the simulate schema, sections included.  The valid ranges
-# keep a run at or below 3 replicates x 101 rows.
+# keep a run at or below 3 replicates x 101 rows.  An immigration variant
+# reads one parameter (_VARIANT_PARAMS), and only that one is drawn.
 _SIM_KEYS = {
     ("n",): st.integers(1, 50),
     ("horizon",): st.floats(0.0, 2.0),
@@ -475,6 +492,7 @@ _SIM_KEYS = {
     ("norm",): st.one_of(st.sampled_from(["n", "bn"]), st.floats(0.1, 100.0)),
     ("supercritical_correction",): st.one_of(st.booleans(), st.floats(0.5, 2.0)),
 }
+_VARIANT_PARAMS = {"reciprocal": "c", "pareto_log": "alpha"}
 
 
 @st.composite
@@ -488,6 +506,8 @@ def _sim_configs(draw):
         section = config if len(key) == 1 else config.get(key[0])
         if not isinstance(section, dict):
             continue  # a leaf of a section that is itself odd or missing
+        if key[-1] in ("c", "alpha") and _VARIANT_PARAMS.get(section.get("variant")) != key[-1]:
+            continue  # a parameter the drawn variant does not read
         value = draw(st.sampled_from(_ODD_VALUES)) if key in odd else {} if valid is None else draw(valid)
         if value is not _MISSING:
             section[key[-1]] = value
@@ -696,15 +716,19 @@ class TestVerify:
     def test_non_integer_count_exits_2(self, tmp_path, capsys, check, overrides):
         assert_verify_rejects(tmp_path, capsys, check, overrides)
 
+    def test_misspelt_overrides_key_exits_2(self, tmp_path, capsys):
+        # ran the check at its default scale and exited 0
+        assert_verify_rejects(tmp_path, capsys, "fdd", {"mc_samples": 2000}, key="overides")
+
     @pytest.mark.parametrize("delta", [True, "0.001"])  # True ran at delta = 1
     def test_non_number_delta_exits_2(self, tmp_path, capsys, delta):
         assert_verify_rejects(tmp_path, capsys, "marginal-limit", {"sample_count": 100, "delta": delta})
 
 
-def assert_verify_rejects(tmp_path, capsys, check, overrides):
+def assert_verify_rejects(tmp_path, capsys, check, overrides, key="overrides"):
     """`verify` exits 2 at once with one error line, no report on stdout and
     no report file."""
-    cfg = write_config(tmp_path, {"check": check, "overrides": overrides})
+    cfg = write_config(tmp_path, {"check": check, key: overrides})
     out = tmp_path / "rep"
     start = time.perf_counter()
     assert cli.main(["verify", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2

@@ -119,6 +119,16 @@ CHECK_DIGESTS = {
         SEED: "a6ac32d3768fcc6b86be5febc2ad3cc1df74737ca0251e70422a189e07a7a5bf",
         1: "05b46c959412ab14188d1a347440afe7addbecb5806154b1e6f386804138af1e",
     }),
+    # at this scale the critical and supercritical exceed frequencies are not
+    # all 0 (0.1/0.475 and 0.025/0.0 at seed 1), so the mu^(-k) correction counts
+    "lemma-aux3": ({"ns": (5, 10), "replicates": 40}, {
+        SEED: "d53356caf611dd7070201a1fd4463a6f6f437141afd7369b82ff72c7ef8ea612",
+        1: "66677faabc1ed88712dfbdbc5cb19f7653f6d161fb71d2667ec1df5d85034d7e",
+    }),
+    "proxy-zn": ({"n": 3, "replicates": 40}, {
+        SEED: "9df5e059814d3bf0b52762f16394e4342f25eac3e75d9a0dc9cc18caf1c9e891",
+        1: "894786eebc56c0433870be4534b7db82b92429cc959b5405f022ae273633b90c",
+    }),
 }
 
 

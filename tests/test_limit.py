@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from gwshot.limit import (
     AtomSet,
     PrmParams,
     fdd_cdf,
-    marginal_cdf_extremal,
-    marginal_cdf_negslope,
-    marginal_cdf_posslope,
+    marginal_cdf,
     sample_atoms,
     sample_shot_noise_marginal,
     shot_noise_path,
@@ -248,62 +247,78 @@ class TestTruncationRefinement:
             assert np.all(fine - coarse <= delta + 1e-12)
 
 
-class TestMarginalCdfs:
-    def test_negslope_substitution(self):
-        assert marginal_cdf_negslope(1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
-        assert marginal_cdf_negslope(1.0, LOG2, 0.0, 5.0) == 1.0
-        assert marginal_cdf_negslope(1.0, LOG2, 2.0, 0.0) == 0.0
+class TestMarginalCdf:
+    def test_negative_slope_substitution(self):
+        assert marginal_cdf(1.0, 1.0, -1.0, 1.0, 1.0) == pytest.approx(0.5)
+        assert marginal_cdf(1.0, 1.0, -LOG2, 0.0, 5.0) == 1.0
+        assert marginal_cdf(1.0, 1.0, -LOG2, 2.0, 0.0) == 0.0
 
-    def test_extremal_values(self):
-        assert marginal_cdf_extremal(1.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
-        assert marginal_cdf_extremal(1.0, 1.0, 0.0, 3.0) == 1.0
-        assert marginal_cdf_extremal(1.0, 1.0, 1.0, 0.0) == 0.0  # the value is > 0 a.s.
-        assert marginal_cdf_extremal(1.0, 1.0, 0.0, 0.0) == 1.0  # no time, no atom
+    def test_slope_zero_values(self):
+        assert marginal_cdf(1.0, 1.0, 0.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
+        assert marginal_cdf(1.0, 1.0, 0.0, 0.0, 3.0) == 1.0
+        assert marginal_cdf(1.0, 1.0, 0.0, 1.0, 0.0) == 0.0  # the value is > 0 a.s.
+        assert marginal_cdf(1.0, 1.0, 0.0, 0.0, 0.0) == 1.0  # no time, no atom
         with pytest.raises(ValueError):
-            marginal_cdf_extremal(1.0, 1.0, 1.0, -1.0)
+            marginal_cdf(1.0, 1.0, 0.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    def test_extremal_is_the_frechet_law_bit_for_bit(self, alpha):
+    def test_slope_zero_is_the_frechet_law_bit_for_bit(self, alpha):
         # the thm1 (alpha = 1) and thm2 (alpha = 1/2) references are
-        # marginal_cdf_extremal(1, alpha, 1, .): exp(-x^-alpha) in the same
+        # marginal_cdf(1, alpha, 0, 1, .): exp(-x^-alpha) in the same
         # float operations, so their KS statistics keep every bit
         xs = np.random.default_rng(11).exponential(3.0, size=200_000) + 1e-300
         want = np.exp(-1.0 * xs ** (-alpha))
-        got = marginal_cdf_extremal(1.0, alpha, 1.0, xs)
+        got = marginal_cdf(1.0, alpha, 0.0, 1.0, xs)
         assert np.array_equal(got, want)
-        assert marginal_cdf_extremal(1.0, alpha, 1.0, 0.0) == 0.0
+        assert marginal_cdf(1.0, alpha, 0.0, 1.0, 0.0) == 0.0
 
-    def test_posslope_values(self):
-        assert marginal_cdf_posslope(1.0, LOG2, 1.0, 0.5 * LOG2) == 0.0
-        got = marginal_cdf_posslope(1.0, LOG2, 1.0, 2.0 * LOG2)
+    def test_positive_slope_values(self):
+        assert marginal_cdf(1.0, 1.0, LOG2, 1.0, 0.5 * LOG2) == 0.0
+        assert marginal_cdf(1.0, 1.0, LOG2, 1.0, LOG2) == 0.0  # at the floor
+        got = marginal_cdf(1.0, 1.0, LOG2, 1.0, 2.0 * LOG2)
         assert got == pytest.approx(0.5 ** (1.0 / LOG2), rel=1e-12)
         assert got == pytest.approx(math.exp(-1.0), rel=1e-12)  # same number, by the identity
-        assert marginal_cdf_posslope(1.0, LOG2, 0.0, 0.0) == 1.0
+        assert marginal_cdf(1.0, 1.0, LOG2, 0.0, 0.0) == 1.0
 
-    def test_small_slope_switches_to_extremal_limit(self):
-        assert abs(marginal_cdf_negslope(1.0, 1e-9, 1.0, 1.0) - math.exp(-1.0)) <= 1e-6
+    @pytest.mark.parametrize("slope", [1e-9, -1e-9, 0.99 * limit._SLOPE_EPS, -0.99 * limit._SLOPE_EPS])
+    def test_tiny_slope_is_the_slope_zero_law(self, slope):
+        xs = np.array([0.0, 0.3, LOG2, 1.0, 5.0])
+        assert np.array_equal(marginal_cdf(1.5, 1.0, slope, 1.0, xs), marginal_cdf(1.5, 1.0, 0.0, 1.0, xs))
+        assert abs(marginal_cdf(1.0, 1.0, slope, 1.0, 1.0) - math.exp(-1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("slope", [2.0 * limit._SLOPE_EPS, -2.0 * limit._SLOPE_EPS])
+    def test_sloped_law_meets_the_slope_zero_law_at_the_switch(self, slope):
+        # just above _SLOPE_EPS the sloped closed forms still hold to
+        # within O(slope) of their slope-0 limit
+        xs = np.array([0.3, LOG2, 1.0, 5.0])
+        np.testing.assert_allclose(marginal_cdf(1.5, 1.0, slope, 1.0, xs),
+                                   marginal_cdf(1.5, 1.0, 0.0, 1.0, xs), rtol=1e-6)
 
     def test_arrays_match_scalars(self):
         xs = np.array([0.0, 0.3, LOG2, 1.0, 2.0 * LOG2, 5.0])
-        for cdf, s in ((marginal_cdf_negslope, LOG2), (marginal_cdf_posslope, LOG2),
-                       (marginal_cdf_negslope, 1e-9), (marginal_cdf_posslope, 1e-9)):
-            got = cdf(1.5, s, 1.0, xs)
+        for a, b, slope in ((1.5, 1.0, -LOG2), (1.5, 1.0, LOG2), (1.5, 1.0, -1e-9), (1.5, 1.0, 1e-9), (2.0, 0.5, 0.0)):
+            got = marginal_cdf(a, b, slope, 1.0, xs)
             assert isinstance(got, np.ndarray) and got.shape == xs.shape
-            np.testing.assert_allclose(got, [cdf(1.5, s, 1.0, float(x)) for x in xs], rtol=1e-14)
-        got = marginal_cdf_extremal(2.0, 0.5, 1.0, xs)
-        np.testing.assert_allclose(got, [marginal_cdf_extremal(2.0, 0.5, 1.0, float(x)) for x in xs], rtol=1e-14)
+            np.testing.assert_allclose(got, [marginal_cdf(a, b, slope, 1.0, float(x)) for x in xs], rtol=1e-14)
         assert got[0] == 0.0
-        assert isinstance(marginal_cdf_posslope(1.0, LOG2, 1.0, 2.0), float)
+        assert isinstance(marginal_cdf(1.0, 1.0, LOG2, 1.0, 2.0), float)
         with pytest.raises(ValueError):
-            marginal_cdf_extremal(1.0, 1.0, 1.0, np.array([1.0, -1e-300]))
+            marginal_cdf(1.0, 1.0, 0.0, 1.0, np.array([1.0, -1e-300]))
 
-    def test_rejections(self):
+    @pytest.mark.parametrize(
+        "a,b,slope,u,x",
+        [(1.0, 1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, 1.0, -1.0), (0.0, 1.0, LOG2, 1.0, 1.0),
+         (1.0, 0.0, 0.0, 1.0, 1.0), (math.nan, 1.0, 0.0, 1.0, 1.0),
+         (1.0, 2.0, LOG2, 1.0, 1.0), (1.0, 0.5, -LOG2, 1.0, 1.0), (1.0, 2.0, 1e-9, 1.0, 1.0),
+         (1.0, 1.0, math.nan, 1.0, 1.0), (1.0, 1.0, math.inf, 1.0, 1.0), (1.0, 1.0, -math.inf, 1.0, 1.0)],
+        ids=["u-negative", "x-negative", "a-zero", "b-zero", "a-nan", "b-2-positive-slope",
+             "b-half-negative-slope", "b-2-tiny-slope", "slope-nan", "slope-inf", "slope-minus-inf"],
+    )
+    def test_rejections(self, a, b, slope, u, x):
+        # a sloped law has no closed form for b != 1, and a non-finite
+        # slope picks no regime
         with pytest.raises(ValueError):
-            marginal_cdf_negslope(1.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            marginal_cdf_negslope(1.0, 1.0, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            marginal_cdf_posslope(0.0, 1.0, 1.0, 1.0)
+            marginal_cdf(a, b, slope, u, x)
 
 
 _LAW_CASES = [(1.0, 1.0, 1e-2), (2.0, 0.5, 1e-2), (1.0, 2.0, 0.5)]
@@ -353,11 +368,8 @@ class TestLePageSampler:
         # at delta = 1e-12 the cap allows 1e12 atoms per sample; the
         # stopping rule ends every sample long before
         n = 20_000
-        cdf = {-LOG2: lambda x: marginal_cdf_negslope(1.0, LOG2, 1.0, x),
-               0.0: lambda x: marginal_cdf_extremal(1.0, 1.0, 1.0, x),
-               LOG2: lambda x: marginal_cdf_posslope(1.0, LOG2, 1.0, x)}[slope]
         values = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, n, 1e-12, streams.substream(24, streams.ATOMS))
-        assert ks_distance(Sample(values), cdf) <= dkw_band(n, 0.999)
+        assert ks_distance(Sample(values), partial(marginal_cdf, 1.0, 1.0, slope, 1.0)) <= dkw_band(n, 0.999)
 
     @pytest.mark.parametrize("times", [1.0, np.array([0.5, 1.0])], ids=["one-time", "two-times"])
     def test_working_set_is_the_samples_and_one_slice(self, times):
@@ -419,7 +431,7 @@ class TestTimeReversalIdentity:
         r, s, u, delta, n = 1.0, LOG2, 1.0, 1e-3, 100_000
 
         def cdf(x):
-            return marginal_cdf_negslope(r, s, u, x)
+            return marginal_cdf(r, 1.0, -s, u, x)
 
         shifted = sample_shot_noise_marginal(r, 1.0, -s, u, n, delta, streams.substream(11, streams.ATOMS))
         records = self._records_form_samples(r, s, u, n, delta, streams.substream(12, streams.ATOMS))
@@ -429,12 +441,10 @@ class TestTimeReversalIdentity:
 
 class TestFddCdf:
     def test_d1_reduces_to_marginals(self):
-        got = fdd_cdf(1.0, 1.0, -1.0, np.array([1.0]), np.array([1.0]))
-        assert got == pytest.approx(marginal_cdf_negslope(1.0, 1.0, 1.0, 1.0), abs=1e-10)
-        got = fdd_cdf(2.0, 1.5, 0.0, np.array([0.7]), np.array([1.3]))
-        assert got == pytest.approx(marginal_cdf_extremal(2.0, 1.5, 0.7, 1.3), abs=1e-10)
-        got = fdd_cdf(1.0, 1.0, LOG2, np.array([1.0]), np.array([2.0 * LOG2]))
-        assert got == pytest.approx(marginal_cdf_posslope(1.0, LOG2, 1.0, 2.0 * LOG2), abs=1e-10)
+        for a, b, slope, u, x in [(1.0, 1.0, -1.0, 1.0, 1.0), (2.0, 1.5, 0.0, 0.7, 1.3),
+                                  (1.0, 1.0, LOG2, 1.0, 2.0 * LOG2)]:
+            got = fdd_cdf(a, b, slope, np.array([u]), np.array([x]))
+            assert got == pytest.approx(marginal_cdf(a, b, slope, u, x), abs=1e-10)
 
     def test_hand_integrated_two_point_values(self):
         # slope 0, a=b=1: thresholds (1,2) at times (1,2): envelope 1 on [0,1]
