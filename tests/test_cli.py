@@ -277,6 +277,30 @@ def test_simulate_rows_hold_a_block_not_a_path():
     assert peak < 13 * 2**20
 
 
+def _float_cell_inputs():
+    rng = np.random.default_rng(19)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000, dtype=np.int64,
+                        endpoint=True).view(np.float64)
+    u = rng.random(20_000)
+    edges = [0.0, 1e-4, 1e16]
+    boundary = [np.nextafter(e, d) for e in edges[1:] for d in (0.0, np.inf)] + edges
+    boundary += [2.0**53, 5e-324, np.finfo(np.float64).max]
+    yield "bit-patterns", bits[np.isfinite(bits)]
+    yield "uniform", u
+    for b in (0.1, 1.0, 3.0):
+        yield f"marks-b{b}", 1e-3 * (1.0 - u) ** (-1.0 / b)  # 1 - u: never 0
+    yield "boundary", np.array(boundary + [-x for x in boundary])
+    yield "strided", (np.arange(30_000.0) / 7.0)[1::3]  # orjson takes no strided view
+    yield "empty", np.array([])
+
+
+@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _float_cell_inputs()])
+def test_float_cells_are_repr(values):
+    # orjson's shortest digits in repr's layout: the bytes of every
+    # limit-sample file rest on this, whatever orjson version is installed
+    assert cli._float_cells(values) == list(map(repr, values.tolist()))
+
+
 class TestLimitSample:
     def test_nondecreasing_extremal_path(self, tmp_path):
         cfg = write_config(tmp_path, LIMIT_CONFIG)

@@ -1,5 +1,6 @@
 """Every public name exists and has a caller, every function the benchmark
-tracer wraps exists, and every benchmark command line parses.
+tracer wraps exists, every benchmark command line parses, and `src` imports
+nothing but the standard library and its declared dependencies.
 
 The tracer only warns about a target it cannot find, so a rename would
 silently drop a layer from the benchmark, and a flag or config key the CLI
@@ -11,6 +12,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,8 @@ import gwshot
 from gwshot import cli
 from gwshot.checks import CHECK_NAMES
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_ROOT = Path(__file__).resolve().parents[1]
+_PERFBENCH = _ROOT / "perfbench"
 _SRC = Path(gwshot.__file__).parent
 # public names that no command or check calls yet, and the ROADMAP item
 # that gives each one a caller
@@ -100,12 +103,31 @@ def test_workload_command_line_parses(name, tmp_path):
 
 def test_cli_import_graph():
     # scipy is a test-only dependency, and no command starts a process pool;
-    # numpy.random is bound at import, so that numpy's lazy load of it does
-    # not fall inside the timed command
+    # orjson is loaded by the limit-sample writer alone, so that no other
+    # command's set-up pays for it; numpy.random is bound at import, so that
+    # numpy's lazy load of it does not fall inside the timed command
     probe = "import json, sys, gwshot.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(Path(gwshot.__file__).parents[1])))
     loaded = set(json.loads(out.stdout))
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
     assert "concurrent.futures.process" not in loaded
+    assert "orjson" not in loaded
     assert "numpy.random" in loaded
+
+
+def test_src_imports_are_the_declared_dependencies():
+    # every import in src, function-level ones included, is the standard
+    # library, gwshot itself or a declared dependency, and every declared
+    # dependency is imported: scipy, hypothesis and mpmath stay test-only
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in project["dependencies"]}
+    imported = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"gwshot"} == declared == {"numpy", "orjson"}
