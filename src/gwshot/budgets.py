@@ -22,8 +22,9 @@ MARGINAL_SAMPLE_BUDGET = 5_000_000
 # Generations in one engine path: a prelimit replicate (n x horizon of
 # them) or a cohort (3n).  The kernel peaks at 48-97 traced bytes per
 # generation (measured at n = 10^4 and 10^5 in all three regimes), so a
-# path at the budget peaks near 0.5 GB; `simulate` writing one peaks at
-# 615 MB RSS.
+# path at the budget peaks near 0.5 GB.  `simulate` writing one (reciprocal
+# immigration) peaks at 245 / 257 / 254 MB RSS in 2.7 / 7.3 / 3.5 s for
+# critical / subcritical / supercritical offspring.
 PATH_GENERATION_BUDGET = 5_000_000
 
 # Generations over all engine paths of a run: replicates x sum over the

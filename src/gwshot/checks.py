@@ -34,6 +34,15 @@ DEFAULT_SEED = 20250809
 
 LOG2 = math.log(2.0)
 
+# The laws of the engine checks, one (offspring, immigration) pair per
+# regime.  Checks look their rows up when they run.  The cohort checks seed
+# each family by its index here, so the order is part of their streams.
+_REGIMES = {
+    "subcritical": (OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5)),
+    "critical": (OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0)),
+    "supercritical": (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0)),
+}
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -94,28 +103,34 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
 # ----------------------------------------------------------------------
 
 
-def _prelimit_ladder(
-    seed: int,
-    family: OffspringFamily,
-    law: ImmigrationLaw,
-    ns: tuple[int, ...],
-    replicates: int,
-    norm: Callable[[int], float],
-    cdf: Callable[[np.ndarray], np.ndarray],
-) -> tuple[dict[str, float], bool]:
-    """KS(log⁺Y_n / norm(n), cdf) at t = 1 along the n-ladder, rung idx on
-    block seed replicate_seed(seed, idx), and whether the KS does not
-    increase by more than 0.02 from one rung to the next."""
+def _prelimit_ladder(check: str, seed: int, family: OffspringFamily, law: ImmigrationLaw, b: float,
+                     ns: tuple[int, ...], replicates: int) -> CheckReport:
+    """KS(log⁺Y_n / b_n, exp(-x^(-b))) at t = 1 along the n-ladder, b_n =
+    law.norming_bn(n), rung idx on block seed replicate_seed(seed, idx).
+
+    Passes when the KS does not increase by more than 0.02 from one rung to
+    the next and ends at or below 0.15.
+    """
     require_scale(replicates, ns)
-    ks = {}
+    cdf = partial(limit.marginal_cdf, 1.0, b, 0.0, 1.0)
+    ks_by_n, norming = {}, {}
     for idx, n in enumerate(ns):
         run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=streams.replicate_seed(seed, idx))
-        c_n = norm(n)
+        c_n = law.norming_bn(n)
         values = np.array([max(bundle.y_log[-1], 0.0) / c_n for bundle in run_replicates(run, replicates)])
-        ks[n] = ks_distance(Sample(values), cdf)
-    seq = [ks[n] for n in ns]
+        ks_by_n[str(n)] = ks_distance(Sample(values), cdf)
+        norming[str(n)] = c_n
+    seq = [ks_by_n[str(n)] for n in ns]
     monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
-    return {str(n): ks[n] for n in ns}, monotone
+    statistic = seq[-1]
+    return CheckReport(
+        check=check,
+        statistic=statistic,
+        threshold=0.15,
+        passed=monotone and statistic <= 0.15,
+        details={"ks_by_n": ks_by_n, "monotone_with_slack": monotone,
+                 "replicates": replicates, "norming": norming},
+    )
 
 
 def check_marginal_prelimit_thm1(
@@ -126,17 +141,7 @@ def check_marginal_prelimit_thm1(
     KS(log⁺Y_n / n, exp(-1/x)) must not increase along the n-ladder (0.02
     slack between consecutive rungs) and must end below 0.15.
     """
-    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0),
-                                         ns, replicates, float,
-                                         partial(limit.marginal_cdf, 1.0, 1.0, 0.0, 1.0))
-    statistic = ks_by_n[str(ns[-1])]
-    return CheckReport(
-        check="marginal-prelimit-thm1",
-        statistic=statistic,
-        threshold=0.15,
-        passed=monotone and statistic <= 0.15,
-        details={"ks_by_n": ks_by_n, "monotone_with_slack": monotone, "replicates": replicates},
-    )
+    return _prelimit_ladder("marginal-prelimit-thm1", seed, *_REGIMES["critical"], 1.0, ns, replicates)
 
 
 def check_marginal_prelimit_thm2(
@@ -147,18 +152,7 @@ def check_marginal_prelimit_thm2(
     KS(log⁺Y_n / b_n, exp(-x^(-1/2))) <= 0.15 at the top rung, and the
     coarser rung is no better than 0.02 beyond it.
     """
-    law = ImmigrationLaw.pareto_log(0.5)
-    ks_by_n, monotone = _prelimit_ladder(seed, OffspringFamily.geometric(0.5), law, ns, replicates,
-                                         law.norming_bn, partial(limit.marginal_cdf, 1.0, 0.5, 0.0, 1.0))
-    statistic = ks_by_n[str(ns[-1])]
-    return CheckReport(
-        check="marginal-prelimit-thm2",
-        statistic=statistic,
-        threshold=0.15,
-        passed=monotone and statistic <= 0.15,
-        details={"ks_by_n": ks_by_n, "monotone_with_slack": monotone,
-                 "replicates": replicates, "norming": {str(n): law.norming_bn(n) for n in ns}},
-    )
+    return _prelimit_ladder("marginal-prelimit-thm2", seed, *_REGIMES["subcritical"], 0.5, ns, replicates)
 
 
 # ----------------------------------------------------------------------
@@ -225,13 +219,6 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
 # Cohort growth profiles
 # ----------------------------------------------------------------------
 
-_PROFILE_FAMILIES = (
-    OffspringFamily.geometric(0.5),
-    OffspringFamily.binary(0.5),
-    OffspringFamily.poisson(2.0),
-)
-
-
 def _cohort_exceed_report(
     check: str,
     seed: int,
@@ -253,7 +240,7 @@ def _cohort_exceed_report(
     generations = int(n * horizon)
     grid = np.arange(generations + 1) / n
     fractions = {}
-    for fam_idx, family in enumerate(_PROFILE_FAMILIES):
+    for fam_idx, (family, _) in enumerate(_REGIMES.values()):
         target = profile(family, grid)
         exceed = 0
         for rep in range(replicates):
@@ -292,25 +279,6 @@ def check_cohort_flatness(seed: int, n: int = 100, replicates: int = 200) -> Che
 # ----------------------------------------------------------------------
 
 
-def _truncated_exceed_frequency(
-    family: OffspringFamily,
-    law: ImmigrationLaw,
-    n: int,
-    c_n: float,
-    gamma: float,
-    level: float,
-    replicates: int,
-    block_seed: int,
-) -> float:
-    correction = family.mean if family.mean > 1.0 else None
-    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block_seed)
-    exceed = 0
-    for bundle in run_replicates(run, replicates, gamma=gamma, c_n=c_n):
-        if np.max(normalized_observable(bundle.truncated_log, c_n, n, correction).values) > level:
-            exceed += 1
-    return exceed / replicates
-
-
 def check_truncation_negligible(
     seed: int, ns: tuple[int, ...] = (50, 100, 200), replicates: int = 400
 ) -> CheckReport:
@@ -318,22 +286,24 @@ def check_truncation_negligible(
     gamma + delta on the normalized log scale, more surely as n grows."""
     gamma, slack = 0.2, 0.1
     level = gamma + slack
-    branches = {
-        "critical_cn_n": (OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0), "n"),
-        "supercritical_cn_n": (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0), "n"),
-        "subcritical_cn_bn": (OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5), "bn"),
-    }
+    branches = {"critical_cn_n": "critical", "supercritical_cn_n": "supercritical",
+                "subcritical_cn_bn": "subcritical"}
     require_scale(replicates, tuple(ns) * len(branches))  # one path per branch per rung
     freqs: dict[str, list[float]] = {}
     worst_increase = -math.inf
-    for b_idx, (name, (family, law, scaling)) in enumerate(branches.items()):
+    for b_idx, (name, regime) in enumerate(branches.items()):
+        family, law = _REGIMES[regime]
+        correction = family.mean if family.mean > 1.0 else None
         seq = []
         for n_idx, n in enumerate(ns):
-            c_n = float(n) if scaling == "n" else law.norming_bn(n)
+            c_n = law.norming_bn(n)
             block = streams.replicate_seed(seed, 1000 + 10 * b_idx + n_idx)
-            seq.append(
-                _truncated_exceed_frequency(family, law, n, c_n, gamma, level, replicates, block)
+            run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block)
+            exceed = sum(
+                1 for bundle in run_replicates(run, replicates, gamma=gamma, c_n=c_n)
+                if np.max(normalized_observable(bundle.truncated_log, c_n, n, correction).values) > level
             )
+            seq.append(exceed / replicates)
         freqs[name] = seq
         worst_increase = max(worst_increase, max(np.diff(seq), default=0.0))
     passed = worst_increase <= 0.0
@@ -351,8 +321,7 @@ def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200)
     """log⁺Y_n stays within 0.05*n of log⁺Z_n, Z the conditional mean given
     the immigrant counts, in at least 90% of coupled replicates."""
     require_scale(replicates, (n,))
-    family = OffspringFamily.poisson(2.0)
-    law = ImmigrationLaw.reciprocal(1.0)
+    family, law = _REGIMES["supercritical"]
     tol = 0.05
     run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=seed)
     exceed = 0

@@ -319,7 +319,7 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
         for r in range(args.replicates):
             rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
             atoms = limit.sample_atoms(params, rng)
-            path = limit.shot_noise_path(atoms, slope)
+            path = limit.shot_noise_path(atoms, params.horizon, slope)
             end_value = path.value(path.end_time)
             if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
                     and math.isfinite(end_value)):

@@ -121,11 +121,11 @@ class PrmParams:
 
 @dataclass(frozen=True)
 class AtomSet:
-    """Finite realization of the measure above the truncation level."""
+    """Atoms (t_k, j_k): a finite realization of the measure above the
+    truncation level, or any other atoms a path is built from."""
 
     times: np.ndarray
     marks: np.ndarray
-    params: PrmParams
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=np.float64)
@@ -143,19 +143,19 @@ def sample_atoms(params: PrmParams, rng: np.random.Generator) -> AtomSet:
     """All atoms above the truncation level: count ~ Poisson(T a delta^{-b}),
     uniform times on [0, T], and marks delta U^{-1/b} with U uniform on (0, 1]."""
     if params.horizon == 0.0:  # no atoms, even where delta^{-b} overflows
-        return AtomSet(times=np.empty(0), marks=np.empty(0), params=params)
+        return AtomSet(times=np.empty(0), marks=np.empty(0))
     level = params.delta ** (-params.b)  # mu_{a,b}((delta, inf]) / a
     count = int(rng.poisson(params.horizon * params.a * level))
     times = rng.uniform(0.0, params.horizon, count)
     marks = ((1.0 - rng.random(count)) * level) ** (-1.0 / params.b)
-    return AtomSet(times=times, marks=marks, params=params)
+    return AtomSet(times=times, marks=marks)
 
 
 def _floor_value(slope: float, t: float | np.ndarray):
     return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
-def shot_noise_path(atoms: AtomSet, slope: float) -> CadlagPath:
+def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
     """Exact piecewise-affine path on [0, horizon], common response slope s = log mu.
 
     Between events the running max of affine responses with common slope s
@@ -168,14 +168,14 @@ def shot_noise_path(atoms: AtomSet, slope: float) -> CadlagPath:
     for s > 0, where the floor is s t).  A record's value is s t_k + c_k,
     clamped at 0 for s <= 0; for s < 0 the line s t + c_k meets the clamp
     at t = -c_k / s, a breakpoint when it comes before the next record.
-    Of several records at one time the last (largest) one stands.
+    Of several records at one time the last (largest) one stands.  Atoms
+    after the horizon are ignored.
     """
     s = slope
-    end = atoms.params.horizon
     order = np.argsort(atoms.times, kind="stable")
     times = atoms.times[order]
     marks = atoms.marks[order]
-    inside = np.searchsorted(times, end, side="right")  # atoms with t_k <= horizon
+    inside = np.searchsorted(times, horizon, side="right")  # atoms with t_k <= horizon
     times, marks = times[:inside], marks[:inside]
 
     c = marks - s * times
@@ -193,7 +193,7 @@ def shot_noise_path(atoms: AtomSet, slope: float) -> CadlagPath:
         if s < 0:
             slopes[above] = s
             t_x = -c / s
-            cross = above & (t < t_x) & (t_x < np.append(t[1:], end))
+            cross = above & (t < t_x) & (t_x < np.append(t[1:], horizon))
             after = np.flatnonzero(cross) + 1
             t = np.insert(t, after, t_x[cross])
             vals = np.insert(vals, after, 0.0)
@@ -205,7 +205,7 @@ def shot_noise_path(atoms: AtomSet, slope: float) -> CadlagPath:
         bps[last_at_time],
         np.concatenate(([0.0], vals))[last_at_time],
         np.concatenate(([s if s > 0 else 0.0], slopes))[last_at_time],
-        end,
+        horizon,
     )
 
 
@@ -220,8 +220,8 @@ def sample_shot_noise_marginal(
 ) -> np.ndarray:
     """`count` independent draws of the process value at time(s) u.
 
-    Equal in law to the values at u of `shot_noise_path(sample_atoms(...), slope)`
-    repeated with horizon max(u).  A scalar u gives a 1-d array of length
+    Equal in law to the values at u of `shot_noise_path(sample_atoms(...),
+    max(u), slope)`, repeated.  A scalar u gives a 1-d array of length
     `count`; a 1-d increasing array of times gives a (count, len(u)) array,
     one row per path (the transpose of the sampler's one row per time).
     Atoms come in decreasing mark order (LePage series), and a sample

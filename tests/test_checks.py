@@ -5,6 +5,7 @@ import pytest
 
 from gwshot import budgets, checks, cli, limit
 from gwshot.gwi import conditional_mean_path
+from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
 
 
@@ -70,9 +71,34 @@ def test_marginal_limit_fails_for_a_flipped_slope(monkeypatch):
 def test_lemma_aux3_budget_counts_each_branch(monkeypatch):
     # three branches per rung: the default ladder costs 3 x (350 + 3 x 100)
     # budgeted generations per replicate
-    monkeypatch.setattr(checks, "_truncated_exceed_frequency", lambda *args: 0.0)
+    monkeypatch.setattr(checks, "run_replicates", lambda *args, **kwargs: iter(()))
     checks.run_check("lemma-aux3")
     bound = budgets.ENGINE_GENERATION_BUDGET // (3 * (50 + 100 + 200 + 3 * budgets.PATH_SETUP_GENERATIONS))
     checks.run_check("lemma-aux3", replicates=bound)
     with pytest.raises(ValueError, match="engine budget"):
         checks.run_check("lemma-aux3", replicates=bound + 1)
+
+
+# check: (regime row it reads, one-rung scale, mutant row).  At 300
+# replicates, over DEFAULT_SEED and seeds 1-7, the default rows read KS
+# 0.035-0.065 (thm1) and 0.031-0.073 (thm2); the mutants read 0.243-0.263
+# and 0.171-0.266, against the 0.15 threshold.  thm1 cannot see a mildly
+# supercritical engine: poisson(1.2) offspring reads 0.060-0.103 here and
+# 0.057 at the default scale (ROADMAP Baseline).  Seeing it needs a sharper
+# rule than a KS against the limit, not a lower threshold.
+_THEOREM_MUTANTS = {
+    "marginal-prelimit-thm1": ("critical", (200,),
+                               (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0))),
+    "marginal-prelimit-thm2": ("subcritical", (100,),
+                               (OffspringFamily.geometric(0.5), ImmigrationLaw.reciprocal(1.0))),
+}
+
+
+@pytest.mark.parametrize("check", list(_THEOREM_MUTANTS))
+def test_theorem_check_fails_on_a_mutant_regime(monkeypatch, check):
+    # the checks read their laws from checks._REGIMES when they run, so a
+    # swapped row is the engine they test
+    regime, ns, mutant = _THEOREM_MUTANTS[check]
+    assert checks.run_check(check, ns=ns, replicates=300).passed is True
+    monkeypatch.setitem(checks._REGIMES, regime, mutant)
+    assert checks.run_check(check, ns=ns, replicates=300).passed is False

@@ -27,8 +27,8 @@ LOG2 = math.log(2.0)
 def shot_noise_value(atoms, slope, t):
     """Process value at one time, straight from its definition: the oracle
     for `shot_noise_path` and the marginal sampler."""
-    if t < 0 or t > atoms.params.horizon + 1e-12:
-        raise ValueError("evaluation time outside [0, horizon]")
+    if t < 0:
+        raise ValueError("evaluation time before 0")
     floor = slope * t if slope > 0 else 0.0
     mask = atoms.times <= t
     if not mask.any():
@@ -37,11 +37,9 @@ def shot_noise_value(atoms, slope, t):
     return float(max(floor, vals.max()))
 
 
-def _atoms(pairs, horizon=2.0, delta=1e-3):
-    params = PrmParams(a=1.0, b=1.0, horizon=horizon, delta=delta)
-    times = np.array([t for t, _ in pairs])
-    marks = np.array([j for _, j in pairs])
-    return AtomSet(times=times, marks=marks, params=params)
+def _atoms(pairs):
+    """Atoms at hand-picked (time, mark) pairs, as a prelimit caller builds them."""
+    return AtomSet(times=np.array([t for t, _ in pairs]), marks=np.array([j for _, j in pairs]))
 
 
 class TestPrmSampling:
@@ -95,14 +93,14 @@ class TestShotNoiseValue:
 
 class TestShotNoisePath:
     def test_extremal_staircase(self):
-        path = shot_noise_path(_atoms([(0.2, 1.0), (0.6, 2.0)], horizon=1.0), 0.0)
+        path = shot_noise_path(_atoms([(0.2, 1.0), (0.6, 2.0)]), 1.0, 0.0)
         ts = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.9])
         np.testing.assert_allclose(path.value(ts), [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         jumps = np.diff(np.asarray(path.values))
         assert np.all(jumps >= 0)
 
     def test_negative_slope_decay_and_clamp(self):
-        path = shot_noise_path(_atoms([(0.5, 1.0)], horizon=2.0), -1.0)
+        path = shot_noise_path(_atoms([(0.5, 1.0)]), 2.0, -1.0)
         assert path.value(0.4) == 0.0
         assert path.value(0.5) == pytest.approx(1.0)
         assert path.value(1.0) == pytest.approx(0.5)
@@ -115,7 +113,7 @@ class TestShotNoisePath:
     def test_positive_slope_floor(self):
         rng = streams.substream(6, streams.ATOMS)
         atoms = sample_atoms(PrmParams(1.0, 1.0, 2.0, 0.05), rng)
-        path = shot_noise_path(atoms, LOG2)
+        path = shot_noise_path(atoms, 2.0, LOG2)
         ts = np.linspace(0, 2, 41)
         assert np.all(np.asarray(path.value(ts)) >= LOG2 * ts - 1e-12)
 
@@ -123,7 +121,7 @@ class TestShotNoisePath:
         rng = streams.substream(7, streams.ATOMS)
         for slope in (-LOG2, 0.0, LOG2):
             atoms = sample_atoms(PrmParams(1.0, 1.0, 1.5, 0.02), rng)
-            path = shot_noise_path(atoms, slope)
+            path = shot_noise_path(atoms, 1.5, slope)
             for t in np.linspace(0, 1.5, 31):
                 assert path.value(float(t)) == pytest.approx(shot_noise_value(atoms, slope, float(t)), abs=1e-12)
 
@@ -142,15 +140,15 @@ def path_specs(draw):
     marks = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 4.0))
     atoms = draw(st.lists(st.tuples(times, marks), min_size=n, max_size=n))
     probes = draw(st.lists(st.floats(0.0, horizon), max_size=5))
-    return _atoms(atoms, horizon=horizon), slope, probes
+    return _atoms(atoms), horizon, slope, probes
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path_specs())
 def test_path_matches_pointwise_oracle(case):
-    atoms, slope, probes = case
-    path = shot_noise_path(atoms, slope)
-    ts = np.concatenate([atoms.times, probes, [atoms.params.horizon]])
+    atoms, horizon, slope, probes = case
+    path = shot_noise_path(atoms, horizon, slope)
+    ts = np.concatenate([atoms.times, probes, [horizon]])
     expected = [shot_noise_value(atoms, slope, float(t)) for t in ts]
     np.testing.assert_allclose(path.value(ts), expected, rtol=0, atol=1e-9)
     # the path only jumps up, at atom times
@@ -162,10 +160,9 @@ def test_path_matches_pointwise_oracle(case):
         assert np.all(path.left_limit(inner) < path.value(inner))
 
 
-def _loop_path(atoms, s):
+def _loop_path(atoms, end, s):
     """The per-atom loop the record scan replaced, condensed, kept as its
     bit-exact reference: breakpoints, values and slopes as lists."""
-    end = atoms.params.horizon
     order = np.argsort(atoms.times, kind="stable")
     bps, vals, slopes = [0.0], [0.0], [s if s > 0 else 0.0]
 
@@ -201,9 +198,9 @@ def _loop_path(atoms, s):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path_specs())
 def test_path_is_bit_equal_to_the_loop_reference(case):
-    atoms, slope, _ = case
-    path = shot_noise_path(atoms, slope)
-    bps, vals, slopes = _loop_path(atoms, slope)
+    atoms, horizon, slope, _ = case
+    path = shot_noise_path(atoms, horizon, slope)
+    bps, vals, slopes = _loop_path(atoms, horizon, slope)
     assert path.breakpoints.tolist() == bps
     assert path.values.tolist() == vals
     assert path.slopes.tolist() == slopes
@@ -214,8 +211,8 @@ def test_sampled_paths_are_bit_equal_to_the_loop_reference(slope):
     rng = streams.substream(8, streams.ATOMS)
     for _ in range(20):
         atoms = sample_atoms(PrmParams(2.0, 0.5, 3.0, 0.01), rng)
-        path = shot_noise_path(atoms, slope)
-        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(atoms, slope)
+        path = shot_noise_path(atoms, 3.0, slope)
+        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(atoms, 3.0, slope)
 
 
 class TestTruncationRefinement:
