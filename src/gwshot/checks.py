@@ -22,7 +22,7 @@ import numpy as np
 
 from . import limit, streams
 from .budgets import require_number, require_scale
-from .gw import FluidConfig, limit_profile, simulate_cohort
+from .gw import limit_profile
 from .gwi import GwiRun, conditional_mean_path, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
@@ -35,8 +35,8 @@ DEFAULT_SEED = 20250809
 LOG2 = math.log(2.0)
 
 # The laws of the engine checks, one (offspring, immigration) pair per
-# regime.  Checks look their rows up when they run.  The cohort checks seed
-# each family by its index here, so the order is part of their streams.
+# regime.  Checks look their rows up when they run.  The cohort check seeds
+# each family by its index here, so the order is part of its streams.
 _REGIMES = {
     "subcritical": (OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5)),
     "critical": (OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0)),
@@ -219,59 +219,36 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
 # Cohort growth profiles
 # ----------------------------------------------------------------------
 
-def _cohort_exceed_report(
-    check: str,
-    seed: int,
-    seed_base: int,
-    n: int,
-    replicates: int,
-    power: int,
-    profile: Callable[[OffspringFamily, np.ndarray], np.ndarray | float],
-    tol: float,
-) -> CheckReport:
-    """Per family, the fraction of cohorts of e^(c_n) individuals, c_n =
-    n^power, whose log⁺/c_n path over 3n generations leaves profile(family,
-    k/n) by more than tol.  Replicate rep of family idx runs on
-    replicate_seed(replicate_seed(seed, seed_base + idx), rep)."""
-    horizon = 3.0
+def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
+    """A cohort of e^n individuals follows (1 + t log mu)^+ on the log/n scale.
+
+    Per family, the fraction of cohorts whose log⁺/n path over 3n
+    generations leaves the profile by more than 0.1.  A cohort is the run
+    whose one immigrant batch is its founders; family idx runs on block
+    seed replicate_seed(seed, idx).
+    """
+    horizon, tol = 3.0, 0.1
     require_scale(replicates, (n,), horizon=horizon)
-    c_n = float(n) ** power
-    config = FluidConfig()
-    generations = int(n * horizon)
-    grid = np.arange(generations + 1) / n
     fractions = {}
-    for fam_idx, (family, _) in enumerate(_REGIMES.values()):
-        target = profile(family, grid)
-        exceed = 0
-        for rep in range(replicates):
-            rng = streams.substream(
-                streams.replicate_seed(streams.replicate_seed(seed, seed_base + fam_idx), rep),
-                streams.OFFSPRING,
-            )
-            logs = simulate_cohort(family, c_n, generations, config, rng)
-            if np.max(np.abs(np.maximum(logs, 0.0) / c_n - target)) > tol:
-                exceed += 1
+    for fam_idx, (family, law) in enumerate(_REGIMES.values()):
+        run = GwiRun(n=n, horizon=horizon, family=family, law=law, seed=streams.replicate_seed(seed, fam_idx))
+        founders = np.full(run.num_steps + 1, -math.inf)
+        founders[0] = n
+        target = limit_profile(1.0, family.mean, np.arange(run.num_steps + 1) / n)
+        exceed = sum(
+            1 for bundle in run_replicates(run, replicates, immigrant_log_j=founders)
+            if np.max(np.abs(np.maximum(bundle.y_log, 0.0) / n - target)) > tol
+        )
         fractions[family.family] = exceed / replicates
     statistic = max(fractions.values())
     return CheckReport(
-        check=check,
+        check="lemma-aux2",
         statistic=statistic,
         threshold=0.05,
         passed=statistic <= 0.05,
         details={"exceed_fraction_by_family": fractions, "tolerance": tol,
                  "n": n, "replicates": replicates},
     )
-
-
-def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
-    """A cohort of e^n individuals follows (1 + t log mu)^+ on the log/n scale."""
-    return _cohort_exceed_report("lemma-aux2", seed, 0, n, replicates, 1,
-                                 lambda family, grid: limit_profile(1.0, family.mean, grid), 0.1)
-
-
-def check_cohort_flatness(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
-    """A cohort of e^(n^2) individuals is flat at 1 on the log/n^2 scale."""
-    return _cohort_exceed_report("lemma-aux2a", seed, 100, n, replicates, 2, lambda family, grid: 1.0, 0.05)
 
 
 # ----------------------------------------------------------------------
@@ -350,14 +327,12 @@ _REGISTRY: dict[str, Callable[..., CheckReport]] = {
     "marginal-prelimit-thm2": check_marginal_prelimit_thm2,
     "fdd": check_fdd,
     "lemma-aux2": check_cohort_profile,
-    "lemma-aux2a": check_cohort_flatness,
     "lemma-aux3": check_truncation_negligible,
     "proxy-zn": check_conditional_mean_proxy,
 }
 
 _ALIASES = {
     "cohort-profile": "lemma-aux2",
-    "cohort-flatness": "lemma-aux2a",
     "truncation-negligible": "lemma-aux3",
     "conditional-mean-proxy": "proxy-zn",
 }

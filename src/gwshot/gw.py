@@ -11,8 +11,8 @@ descent the kernel re-enters the exact regime (rounding to the nearest
 integer) so extinction happens at a random time, reproducing the kink of
 the limiting growth profile instead of an artificially sharp one.
 
-By the branching property a lone cohort is the same process with a single
-founding batch and no later immigrants (`simulate_cohort`).
+By the branching property a lone cohort is the same process with its
+founders as J_0 and no later immigrants (`gwi.run_coupled`'s `immigrant_log_j`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .budgets import reject_unknown_keys, require_count
 from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
-__all__ = ["FluidConfig", "population_log_path", "mean_recursion", "simulate_cohort", "limit_profile"]
+__all__ = ["FluidConfig", "population_log_path", "mean_recursion", "limit_profile"]
 
 _NEG_INF = float("-inf")
 
@@ -127,22 +127,6 @@ def population_log_path(
         out[m] = math.log(count) if count else _NEG_INF
         m += 1
     return out
-
-
-def simulate_cohort(
-    family: OffspringFamily,
-    initial_log: float,
-    generations: int,
-    config: FluidConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """log of one cohort's size at generations 0..`generations`, founded by
-    e^`initial_log` individuals; -inf encodes 0."""
-    if generations < 0:
-        raise ValueError("generations must be >= 0")
-    jlog = np.full(generations + 1, _NEG_INF)
-    jlog[0] = initial_log
-    return population_log_path(family, jlog, config, rng)
 
 
 def limit_profile(a: float, mu: float, t: float | np.ndarray) -> float | np.ndarray:

@@ -84,11 +84,12 @@ def run_coupled(
 ) -> CoupledPaths:
     """One engine pass; optionally also the truncated process.
 
-    `immigrant_log_j` overrides the immigration draws (deterministic test
-    hook).  When `gamma` is given, the immigrants with log J_k <= gamma * c_n
-    found the truncated population T on the offspring substream and the
-    excluded ones found a second population R on its own substream;
-    Y = T + R, so T <= Y holds seed by seed.
+    `immigrant_log_j` replaces the immigration draws: a lone cohort is the
+    run whose one immigrant batch, at generation 0, is its founders.  When
+    `gamma` is given, the immigrants with log J_k <= gamma * c_n found the
+    truncated population T on the offspring substream and the excluded ones
+    found a second population R on its own substream; Y = T + R, so T <= Y
+    holds seed by seed.
     """
     size = run.num_steps + 1
     if immigrant_log_j is None:
@@ -124,15 +125,17 @@ def run_replicates(
     replicates: int,
     gamma: float | None = None,
     c_n: float | None = None,
+    immigrant_log_j: np.ndarray | None = None,
 ) -> Iterator[CoupledPaths]:
     """`run_coupled` for replicate r = 0.. of `run`, in order.
 
     Replicate r runs with seed `replicate_seed(run.seed, r)`, so each
     replicate's output depends on its index alone, not on how many others
-    run before it.
+    run before it.  Given `immigrant_log_j`, every replicate shares those
+    immigrants and only its offspring draws differ.
     """
     for r in range(replicates):
-        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), gamma, c_n)
+        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), gamma, c_n, immigrant_log_j)
 
 
 def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import budgets, cli
+from gwshot import budgets, checks, cli
 from gwshot.gwi import GwiRun, normalized_observable, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -565,8 +565,10 @@ def test_simulate_config_fuzz(config, replicates):
 
 
 # Each check's override keys, with valid values small enough that a run
-# takes milliseconds.  Odd values stand in for one key at a time; a missing
-# key would run that key's default scale, which the acceptance suite covers.
+# takes milliseconds.  Odd values stand in for one key at a time.  For the
+# checks whose default scale takes at most 0.1 s (_CHEAP_DEFAULTS) one key may
+# be left out instead, which runs its default; the acceptance suite runs the
+# others' defaults.
 _SMALL_LADDER = st.lists(st.integers(1, 20), min_size=1, max_size=3)
 _VERIFY_KEYS = {
     "marginal-limit": {"sample_count": st.integers(1, 300), "delta": st.floats(0.01, 5.0)},
@@ -574,11 +576,15 @@ _VERIFY_KEYS = {
     "marginal-prelimit-thm2": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
     "fdd": {"mc_samples": st.integers(1, 300)},
     "lemma-aux2": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
-    "lemma-aux2a": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
     "lemma-aux3": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
     "proxy-zn": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
 }
+_CHEAP_DEFAULTS = {"marginal-limit", "fdd", "lemma-aux2", "proxy-zn"}
 _ODD_OVERRIDES = [v for v in _ODD_VALUES if v is not _MISSING] + [True, 2.5, [], [3, 2.5], [10**400], {}]
+
+
+def test_verify_keys_name_every_registered_check():
+    assert set(_VERIFY_KEYS) == set(checks.CHECK_NAMES)
 
 
 @st.composite
@@ -586,8 +592,9 @@ def _verify_configs(draw):
     check = draw(st.sampled_from(list(_VERIFY_KEYS)))
     keys = _VERIFY_KEYS[check]
     odd = draw(st.sampled_from([None, "unknown-key", *keys]))
+    missing = draw(st.sampled_from([None, *keys])) if check in _CHEAP_DEFAULTS and odd is None else None
     overrides = {key: draw(st.sampled_from(_ODD_OVERRIDES) if key == odd else valid)
-                 for key, valid in keys.items()}
+                 for key, valid in keys.items() if key != missing}
     if odd == "unknown-key":
         overrides["unknown"] = 1
     return {"check": check, "overrides": overrides}
@@ -621,6 +628,14 @@ def test_verify_config_fuzz(config):
 class TestVerify:
     def test_unknown_check_exits_2(self, tmp_path):
         assert cli.main(["verify", "foo", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("name", ["lemma-aux2a", "cohort-flatness"])
+    def test_retired_check_exits_2(self, capsys, name):
+        # the e^(n^2) cohort is fluid from n = 5 on: acceptance criterion-06 tests its closed form
+        assert cli.main(["verify", name, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown check {name!r}; registered checks: ")
 
     def test_passing_check_writes_report(self, tmp_path):
         cfg = write_config(tmp_path, {"check": "fdd", "overrides": {"mc_samples": 20000}})
@@ -681,14 +696,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "check,overrides",
         [
-            ("lemma-aux2", {"replicates": 0}),  # each of these four divided by zero
-            ("lemma-aux2a", {"replicates": 0}),
+            ("lemma-aux2", {"replicates": 0}),  # each of these three divided by zero
             ("lemma-aux3", {"replicates": 0}),
             ("proxy-zn", {"replicates": 0}),
             ("marginal-prelimit-thm1", {"ns": []}),  # these two indexed an empty list
             ("marginal-prelimit-thm2", {"ns": []}),
-            ("lemma-aux2", {"n": 0}),  # these three passed on an empty statistic
-            ("lemma-aux2a", {"n": 0}),
+            ("lemma-aux2", {"n": 0}),  # these two passed on an empty statistic
             ("lemma-aux3", {"ns": []}),
         ],
     )
@@ -703,13 +716,13 @@ class TestVerify:
             ("marginal-limit", {"sample_count": budgets.MARGINAL_SAMPLE_BUDGET + 1}),
             ("marginal-prelimit-thm1", {"ns": [50, 10**12]}),
             ("lemma-aux2", {"n": budgets.PATH_GENERATION_BUDGET // 3 + 1}),  # 3n generations
-            ("lemma-aux2a", {"n": 10**400}),
+            ("lemma-aux2", {"n": 10**400}),
             ("lemma-aux3", {"ns": [budgets.PATH_GENERATION_BUDGET + 1]}),
             ("proxy-zn", {"n": 10**9}),
             ("marginal-prelimit-thm1", {"replicates": 10**12}),  # these ran without end
             ("marginal-prelimit-thm2", {"ns": [1], "replicates": 10**12}),
             ("lemma-aux2", {"replicates": 10**400}),
-            ("lemma-aux2a", {"n": 1, "replicates": 10**9}),
+            ("lemma-aux2", {"n": 1, "replicates": 10**9}),
             ("lemma-aux3", {"replicates": 10**12}),
             ("proxy-zn", {"replicates": 10**12}),
             # n generations and the set-up per path, one path more than the budget holds
@@ -730,7 +743,7 @@ class TestVerify:
             ("marginal-prelimit-thm1", {"replicates": True}),  # ran one replicate
             ("marginal-prelimit-thm1", {"ns": [50, 2e2]}),
             ("lemma-aux2", {"n": 20.0}),
-            ("lemma-aux2a", {"replicates": 2.5}),
+            ("lemma-aux2", {"replicates": 2.5}),
             ("lemma-aux3", {"ns": [False]}),
             ("proxy-zn", {"n": "100"}),
             ("marginal-limit", {"sample_count": 1000.0}),
@@ -752,6 +765,7 @@ class TestVerify:
 def assert_verify_rejects(tmp_path, capsys, check, overrides, key="overrides"):
     """`verify` exits 2 at once with one error line, no report on stdout and
     no report file."""
+    assert check in checks.CHECK_NAMES  # an unknown check exits 2 as well, whatever the overrides
     cfg = write_config(tmp_path, {"check": check, key: overrides})
     out = tmp_path / "rep"
     start = time.perf_counter()

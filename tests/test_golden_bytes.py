@@ -2,11 +2,12 @@
 on it, for fixed seeds.
 
 The digests of runs without a descending fluid stretch (critical,
-supercritical, thm1, and lemma-aux2/aux2a at their small scales, where
-every cohort stays exact) were computed before the kernel's scalar fast
-path (scalar offspring draws, skipped zero counts) and before thm1/thm2
-and lemma-aux2/aux2a were folded into one shared loop each; the code must
-reproduce them exactly.  The subcritical ones (simulate, truncated pair,
+supercritical, thm1, and lemma-aux2 at its small scale, where every
+cohort stays exact) were computed before the kernel's scalar fast path
+(scalar offspring draws, skipped zero counts), before thm1/thm2 were
+folded into one shared loop and before lemma-aux2 drew its cohorts
+through `run_replicates` with the founders as the one immigrant batch;
+the code must reproduce them exactly.  The subcritical ones (simulate, truncated pair,
 cohort, thm2) were made when a descending fluid stretch became the closed
 form `mean_recursion`.  The marginal-limit and fdd digests pin the limit
 sampler's draws as they are since its rounds were cut to 2^14 atoms, so
@@ -29,8 +30,8 @@ import numpy as np
 import pytest
 
 from gwshot import cli, streams
-from gwshot.checks import run_check
-from gwshot.gw import FluidConfig, simulate_cohort
+from gwshot.checks import CHECK_NAMES, run_check
+from gwshot.gw import FluidConfig, population_log_path
 from gwshot.gwi import GwiRun, run_coupled
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -117,10 +118,6 @@ CHECK_DIGESTS = {
         SEED: "c1cda6933cef14700e16a6b591e41feb3cfeec49511237415c690f9c5336ba00",
         1: "4bd14e6e0effcd79781c0e50559a0e02f720f93a0003cb1d3e7c00a7169b97c2",
     }),
-    "lemma-aux2a": ({"n": 2, "replicates": 40}, {
-        SEED: "a6ac32d3768fcc6b86be5febc2ad3cc1df74737ca0251e70422a189e07a7a5bf",
-        1: "05b46c959412ab14188d1a347440afe7addbecb5806154b1e6f386804138af1e",
-    }),
     # at this scale the critical and supercritical exceed frequencies are not
     # all 0 (0.1/0.475 and 0.025/0.0 at seed 1), so the mu^(-k) correction counts
     "lemma-aux3": ({"ns": (5, 10), "replicates": 40}, {
@@ -175,9 +172,16 @@ def test_truncated_pair_bytes():
 
 
 def test_cohort_bytes():
+    founders = np.full(301, -math.inf)
+    founders[0] = 30.0
     rng = streams.substream(SEED, streams.OFFSPRING)
-    logs = simulate_cohort(OffspringFamily.geometric(0.5), 30.0, 300, FluidConfig(), rng)
+    logs = population_log_path(OffspringFamily.geometric(0.5), founders, FluidConfig(), rng)
     assert sha256(logs.tobytes()) == COHORT_DIGEST
+
+
+def test_check_digests_name_registered_checks():
+    # a retired check takes its digests with it
+    assert set(CHECK_DIGESTS) <= set(CHECK_NAMES)
 
 
 @pytest.mark.parametrize("check,seed", [(c, s) for c, (_, by_seed) in CHECK_DIGESTS.items() for s in by_seed])

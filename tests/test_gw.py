@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gwshot import gw, streams
-from gwshot.gw import FluidConfig, limit_profile, population_log_path, simulate_cohort
+from gwshot.gw import FluidConfig, limit_profile, population_log_path
 from gwshot.gwi import normalized_observable
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -13,6 +13,14 @@ from gwshot.offspring import OffspringFamily
 LOG2 = math.log(2.0)
 # log of the default exactness threshold: values at or below it are exact counts
 LOG_THRESHOLD = math.log(FluidConfig().exactness_threshold)
+
+
+def _cohort(family, initial_log, generations, rng):
+    """log sizes at generations 0..`generations` of one cohort of
+    e^`initial_log` founders: the kernel with one founding batch."""
+    jlog = np.full(generations + 1, -math.inf)
+    jlog[0] = initial_log
+    return population_log_path(family, jlog, FluidConfig(), rng)
 
 
 class TestFluidConfig:
@@ -33,22 +41,22 @@ class TestFluidConfig:
             FluidConfig.from_config({key: 2_000})
 
 
-class TestSimulateCohort:
+class TestLoneCohort:
     def test_zero_initial_is_absorbing(self):
         rng = streams.substream(1)
-        logs = simulate_cohort(OffspringFamily.binary(0.5), -math.inf, 50, FluidConfig(), rng)
+        logs = _cohort(OffspringFamily.binary(0.5), -math.inf, 50, rng)
         assert logs.shape == (51,) and np.all(logs == -math.inf)
 
     def test_extinction_is_absorbing(self):
         rng = streams.substream(2)
-        logs = simulate_cohort(OffspringFamily.geometric(0.2), math.log(3), 200, FluidConfig(), rng)
+        logs = _cohort(OffspringFamily.geometric(0.2), math.log(3), 200, rng)
         dead = np.nonzero(logs == -math.inf)[0]
         assert dead.size > 0
         assert np.all(logs[dead[0]:] == -math.inf)
 
     def test_critical_fluid_fixed_point(self):
         rng = streams.substream(3)
-        logs = simulate_cohort(OffspringFamily.binary(0.5), 20.0, 100, FluidConfig(), rng)
+        logs = _cohort(OffspringFamily.binary(0.5), 20.0, 100, rng)
         assert np.all(logs == 20.0)
 
     def test_subcritical_descent_reenters_exact_and_dies(self):
@@ -59,7 +67,7 @@ class TestSimulateCohort:
         entries = []
         for rep in range(1000):
             rng = streams.substream(streams.replicate_seed(400, rep), streams.OFFSPRING)
-            logs = simulate_cohort(family, 30.0, 100, FluidConfig(), rng)
+            logs = _cohort(family, 30.0, 100, rng)
             exact = np.nonzero(logs <= LOG_THRESHOLD)[0]
             assert exact.size > 0
             entries.append(exact[0])
@@ -74,27 +82,18 @@ class TestSimulateCohort:
 
     def test_determinism_bit_identical(self):
         fam = OffspringFamily.poisson(1.1)
-        a = simulate_cohort(fam, math.log(10), 300, FluidConfig(), streams.substream(9))
-        b = simulate_cohort(fam, math.log(10), 300, FluidConfig(), streams.substream(9))
+        a = _cohort(fam, math.log(10), 300, streams.substream(9))
+        b = _cohort(fam, math.log(10), 300, streams.substream(9))
         assert np.array_equal(a, b)
 
     def test_monotone_fluid_coupling(self):
         # raising the initial by a factor e shifts every fluid value up by 1
         fam = OffspringFamily.poisson(2.0)
-        lo = simulate_cohort(fam, 20.0, 50, FluidConfig(), streams.substream(10))
-        hi = simulate_cohort(fam, 21.0, 50, FluidConfig(), streams.substream(10))
+        lo = _cohort(fam, 20.0, 50, streams.substream(10))
+        hi = _cohort(fam, 21.0, 50, streams.substream(10))
         both_fluid = (lo > LOG_THRESHOLD) & (hi > LOG_THRESHOLD)
         assert both_fluid.any()
         np.testing.assert_allclose(hi[both_fluid] - lo[both_fluid], 1.0, atol=1e-9)
-
-    def test_cohort_is_the_population_with_one_founding_batch(self):
-        fam = OffspringFamily.geometric(0.5)
-        jlog = np.full(61, -math.inf)
-        jlog[0] = 17.0
-        via_cohort = simulate_cohort(fam, 17.0, 60, FluidConfig(), streams.substream(14))
-        via_kernel = population_log_path(fam, jlog, FluidConfig(), streams.substream(14))
-        assert np.array_equal(via_cohort, via_kernel)
-
 
     def test_late_immigrant_after_extinction_is_stepped(self):
         # a zero total is skipped only when no immigrant is left
@@ -256,13 +255,13 @@ class TestMeanRecursion:
 class TestNormalizedLogPath:
     def test_zero_path_maps_to_zero_function(self):
         rng = streams.substream(12)
-        logs = simulate_cohort(OffspringFamily.binary(0.5), -math.inf, 10, FluidConfig(), rng)
+        logs = _cohort(OffspringFamily.binary(0.5), -math.inf, 10, rng)
         f = normalized_observable(logs, norm=10.0, n=10)
         assert np.all(np.asarray(f.value(np.linspace(0, 1, 21))) == 0.0)
 
     def test_constant_path_normalizes_to_one(self):
         rng = streams.substream(13)
-        logs = simulate_cohort(OffspringFamily.binary(0.5), 30.0, 30, FluidConfig(), rng)
+        logs = _cohort(OffspringFamily.binary(0.5), 30.0, 30, rng)
         f = normalized_observable(logs, norm=30.0, n=30)
         assert f.value(0.0) == 1.0 and f.value(1.0) == 1.0
         assert f.breakpoints[1] == pytest.approx(1.0 / 30.0)
@@ -277,7 +276,7 @@ class TestNormalizedLogPath:
             bad = 0
             for rep in range(reps):
                 rng = streams.substream(streams.replicate_seed(500, rep), streams.OFFSPRING)
-                logs = simulate_cohort(family, float(n), int(n * horizon), FluidConfig(), rng)
+                logs = _cohort(family, float(n), int(n * horizon), rng)
                 normalized = np.maximum(logs, 0.0) / n
                 if np.max(np.abs(normalized - profile)) > 0.1:
                     bad += 1

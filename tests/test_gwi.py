@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gwshot import streams
-from gwshot.gw import FluidConfig
+from gwshot.gw import FluidConfig, population_log_path
 from gwshot.gwi import (
     GwiRun,
     conditional_mean_path,
@@ -76,6 +76,42 @@ class TestRunReplicates:
             want = run_coupled(_run(n=20, seed=streams.replicate_seed(17, r)), gamma=0.2, c_n=20.0)
             assert np.array_equal(bundle.y_log, want.y_log)
             assert np.array_equal(bundle.truncated_log, want.truncated_log)
+
+    def test_founders_reach_every_replicate(self):
+        # a lone cohort per replicate: the one-batch kernel on the offspring
+        # substream of replicate_seed(seed, r), with the founders unchanged
+        run = _run(n=20, horizon=3.0, family=OffspringFamily.geometric(0.5), seed=41)
+        founders = np.full(run.num_steps + 1, -math.inf)
+        founders[0] = 20.0
+        for r, bundle in enumerate(run_replicates(run, 4, immigrant_log_j=founders)):
+            rng = streams.substream(streams.replicate_seed(41, r), streams.OFFSPRING)
+            want = population_log_path(run.family, founders, FluidConfig(), rng)
+            assert np.array_equal(bundle.immigrant_log_j, founders)
+            assert np.array_equal(bundle.y_log, want)
+
+    def test_founders_leave_only_offspring_draws_to_differ(self):
+        # three founders stay in the exact regime, so replicates part ways
+        run = _run(n=20, seed=42)
+        founders = np.full(run.num_steps + 1, -math.inf)
+        founders[0] = math.log(3.0)
+        paths = {tuple(b.y_log) for b in run_replicates(run, 20, immigrant_log_j=founders)}
+        assert len(paths) > 1
+
+    def test_founders_of_the_wrong_length_are_rejected(self):
+        run = _run(n=10, seed=43)
+        with pytest.raises(ValueError, match="length 11"):
+            list(run_replicates(run, 1, immigrant_log_j=np.zeros(12)))
+
+    def test_truncation_sends_a_large_founding_batch_to_the_rest(self):
+        # founders above gamma * c_n are excluded: T stays empty and Y is the
+        # cohort on the excluded-offspring substream
+        run = _run(n=10, seed=44)
+        founders = np.full(run.num_steps + 1, -math.inf)
+        founders[0] = 8.0
+        bundle = next(run_replicates(run, 1, gamma=0.5, c_n=10.0, immigrant_log_j=founders))
+        rng = streams.substream(streams.replicate_seed(44, 0), streams.EXCLUDED_OFFSPRING)
+        assert np.all(bundle.truncated_log == -math.inf)
+        assert np.array_equal(bundle.y_log, population_log_path(CRITICAL, founders, FluidConfig(), rng))
 
 
 class TestMeanIdentities:
