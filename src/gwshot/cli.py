@@ -4,8 +4,10 @@ Three subcommands: `simulate` runs replicated prelimit experiments and
 writes normalized-path CSV plus a metadata sidecar, `limit-sample` draws
 limit shot-noise paths, `verify` executes a registered statistical check
 and writes its report.  Outputs are byte-stable for a fixed seed: CSV is
-UTF-8 with LF endings and shortest-roundtrip floats, JSON is pretty-printed
-with sorted keys.
+ASCII with LF endings and shortest-roundtrip floats, JSON is pretty-printed
+with sorted keys, and both are written as bytes.  The `limit-sample`
+floats are laid out by orjson through `_repr_dumps`, which gives each
+one in `repr`'s digits.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 verification
 failure.
@@ -21,7 +23,7 @@ import sys
 import time
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,72 +66,75 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return secrets.randbits(63)
 
 
-def _write_csv(path: Path, lines: Iterable[str], header: tuple[str, ...]) -> None:
-    """Header, then the given text, whole lines each ending in LF."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+def _write_csv(path: Path, lines: Iterable[bytes], header: tuple[str, ...]) -> None:
+    """Header, then the given ASCII bytes, whole lines each ending in LF."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
         fh.writelines(lines)
 
 
 def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> None:
     """`payload` pretty-printed with sorted keys, plus an "atoms" key when
     `atoms` holds (times, marks) arrays of finite floats: one [[t, j], ...]
-    list per replicate, in the bytes `json.dump` writes for those lists.
-    The atom floats go through `_float_cells`, so each is `repr`'s text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    list per replicate, in the bytes `json.dump` writes for those lists."""
+    with open(path, "wb") as fh:
         if not atoms:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(payload, indent=2, sort_keys=True).encode())
         else:
             fields = dict(payload, atoms=None)
             for i, key in enumerate(sorted(fields)):
-                fh.write(("," if i else "{") + "\n  " + json.dumps(key) + ": ")
+                fh.write((("," if i else "{") + "\n  " + json.dumps(key) + ": ").encode())
                 if key == "atoms":
                     fh.writelines(_json_atom_lists(atoms))
                 else:  # json escapes newlines in strings: each one here is layout
-                    fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
-            fh.write("\n}")
-        fh.write("\n")
+                    fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ").encode())
+            fh.write(b"\n}")
+        fh.write(b"\n")
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """`repr` of each float of a finite array, in order.
+def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option: int) -> bytes:
+    """orjson's bytes for `obj(values)`, with each float of `values` in
+    `repr`'s digits.
 
-    orjson writes the same shortest round-trip digits as `repr`, several
-    times faster, and lays out only the cells with x != 0 and |x| < 1e-4
-    or |x| >= 1e16 apart from it (`0.00001` and `1e16` where `repr` has
-    `1e-05` and `1e+16`); those few are formatted with `repr`.
+    orjson writes the same shortest round-trip digits as `repr`, and lays
+    out only the cells with x != 0 and |x| < 1e-4 or |x| >= 1e16 apart
+    from it (`0.00001` and `1e16` where `repr` has `1e-05` and `1e+16`).
+    Those few go in as NaN, which orjson writes as `null`, and each `null`
+    is then replaced, in order, by its cell's `repr`.  orjson writes a NaN
+    or infinite value as `null` too, which the splice would take for a
+    cell, so such a value raises ValueError before anything is written.
+    That is checked on the values, not by counting the `null`s: a scan of
+    the bytes would cost a third of orjson's own time.
     """
     import orjson  # only limit-sample writes through here, so no other command loads it
 
-    values = np.ascontiguousarray(values, dtype=np.float64)  # orjson takes no strided array
-    if not values.size:
-        return []
-    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    values = np.array(values, dtype=np.float64)  # a contiguous copy: orjson takes no strided array
+    if not np.isfinite(values).all():
+        raise ValueError("only finite floats can be written")
     size = np.abs(values)
-    for i in np.flatnonzero(((size < 1e-4) & (values != 0.0)) | (size >= 1e16)).tolist():
-        cells[i] = repr(float(values[i]))
-    return cells
+    odd = ((size < 1e-4) & (values != 0.0)) | (size >= 1e16)
+    cells = [repr(x).encode() for x in values[odd].tolist()]
+    values[odd] = np.nan
+    out = orjson.dumps(obj(values), option=option | orjson.OPT_SERIALIZE_NUMPY)
+    if not cells:
+        return out
+    parts = out.split(b"null")
+    return b"".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
 
 
-_TIME_TO_MARK = ",\n        "  # within one [t, j] pair
-_MARK_TO_TIME = "\n      ],\n      [\n        "  # from a pair's mark to the next pair's time
+_ATOMS_HEAD = len(b'{\n  "": [\n    ')  # the layout around one replicate's list in
+_ATOMS_TAIL = len(b"\n  ]\n}")  # {"": [pairs]}, which puts the list at indent level 2
 
 
-def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
     """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it out."""
-    yield "["
+    import orjson
+
+    yield b"["
     for r, (times, marks) in enumerate(atoms):
-        yield ("," if r else "") + "\n    "
-        if len(times):
-            # t, sep, j, sep for each pair, the last pair's closing sep dropped
-            parts = [_TIME_TO_MARK, _TIME_TO_MARK, _TIME_TO_MARK, _MARK_TO_TIME] * len(times)
-            del parts[-1]
-            parts[0::4] = _float_cells(times)
-            parts[2::4] = _float_cells(marks)
-            yield "[\n      [\n        " + "".join(parts) + "\n      ]\n    ]"
-        else:
-            yield "[]"
-    yield "\n  ]"
+        pairs = _repr_dumps(lambda v: {"": [v]}, np.column_stack((times, marks)), orjson.OPT_INDENT_2)
+        yield (b",\n    " if r else b"\n    ") + pairs[_ATOMS_HEAD:-_ATOMS_TAIL]
+    yield b"\n  ]"
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +271,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             values.append(obs)
 
-    _write_csv(Path(f"{args.out}.csv"), _simulate_rows(values, n), ("replicate", "t", "value"))
+    _write_csv(Path(f"{args.out}.csv"), map(str.encode, _simulate_rows(values, n)), ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {
@@ -296,13 +301,13 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     return params, slope
 
 
-def _limit_path_lines(paths: list, end_values: np.ndarray) -> Iterator[str]:
+def _limit_path_lines(paths: list, end_values: np.ndarray) -> Iterator[bytes]:
     """CSV lines of each path at its breakpoints and at its end time, where
     it takes the matching entry of `end_values`."""
     for r, (path, end_value) in enumerate(zip(paths, end_values.tolist())):
-        times = _float_cells(np.append(path.breakpoints, path.end_time))
-        values = _float_cells(np.append(path.values, end_value))
-        yield "".join(f"{r},{t},{v}\n" for t, v in zip(times, values))
+        rows = np.column_stack((np.append(path.breakpoints, path.end_time), np.append(path.values, end_value)))
+        pairs = _repr_dumps(lambda v: v, rows, 0)  # [[t,v],[t,v],...]
+        yield b"%d,%s\n" % (r, pairs[2:-2].replace(b"],[", b"\n%d," % r))
 
 
 def cmd_limit_sample(args: argparse.Namespace) -> int:

@@ -56,10 +56,14 @@ def mean_recursion(log_start: float, start: int, jlog_rest: np.ndarray, log_mu: 
     Closed form m log mu + logaddexp.accumulate(log X_start - start log mu,
     log J_k - k log mu); `jlog_rest` holds log J_{start+1}, ... .
     """
-    steps = np.arange(start, start + jlog_rest.shape[0] + 1, dtype=np.float64) * log_mu
-    terms = np.empty(steps.shape[0])
-    terms[0] = log_start - steps[0]
-    np.subtract(jlog_rest, steps[1:], out=terms[1:])
+    terms = np.empty(jlog_rest.shape[0] + 1)
+    if log_mu == 0.0:  # every step k log mu is a zero, whose sign changes no bit of the result
+        steps = first = rest = log_mu
+    else:
+        steps = np.arange(start, start + terms.shape[0], dtype=np.float64) * log_mu
+        first, rest = steps[0], steps[1:]
+    terms[0] = log_start - first
+    np.subtract(jlog_rest, rest, out=terms[1:])
     return np.add(np.logaddexp.accumulate(terms, out=terms), steps, out=terms)  # in place: less peak memory
 
 

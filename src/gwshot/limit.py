@@ -172,16 +172,15 @@ def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
     after the horizon are ignored.
     """
     s = slope
-    order = np.argsort(atoms.times, kind="stable")
+    order = np.argsort(atoms.times)  # ties in any order: of them the last record has the largest c
     times = atoms.times[order]
-    marks = atoms.marks[order]
     inside = np.searchsorted(times, horizon, side="right")  # atoms with t_k <= horizon
-    times, marks = times[:inside], marks[:inside]
+    times, marks = times[:inside], atoms.marks[order[:inside]]
 
     c = marks - s * times
-    start = 0.0 if s > 0 else -np.inf
-    best_before = np.maximum.accumulate(np.concatenate(([start], c)))[:-1]
-    record = c > best_before
+    record = c > (0.0 if s > 0 else -np.inf)  # the floor, the first record to beat
+    best = np.maximum.accumulate(c)
+    np.logical_and(record[1:], c[1:] > best[:-1], out=record[1:])
     t, c = times[record], c[record]
     v = s * t + c
     if s > 0:
@@ -189,15 +188,15 @@ def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
     else:
         above = v > 0.0
         vals = np.where(above, v, 0.0)
-        slopes = np.zeros_like(v)
+        slopes = np.where(above, s, 0.0) if s < 0 else np.zeros_like(v)  # +0.0, also for s = -0.0
         if s < 0:
-            slopes[above] = s
             t_x = -c / s
             cross = above & (t < t_x) & (t_x < np.append(t[1:], horizon))
-            after = np.flatnonzero(cross) + 1
-            t = np.insert(t, after, t_x[cross])
-            vals = np.insert(vals, after, 0.0)
-            slopes = np.insert(slopes, after, 0.0)
+            if cross.any():
+                after = np.flatnonzero(cross) + 1
+                t = np.insert(t, after, t_x[cross])
+                vals = np.insert(vals, after, 0.0)
+                slopes = np.insert(slopes, after, 0.0)
 
     bps = np.concatenate(([0.0], t))
     last_at_time = np.append(bps[1:] != bps[:-1], True)

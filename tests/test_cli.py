@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import budgets, checks, cli
+from gwshot import budgets, checks, cli, limit, streams
 from gwshot.gwi import GwiRun, normalized_observable, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -298,7 +298,22 @@ def _float_cell_inputs():
 def test_float_cells_are_repr(values):
     # orjson's shortest digits in repr's layout: the bytes of every
     # limit-sample file rest on this, whatever orjson version is installed
-    assert cli._float_cells(values) == list(map(repr, values.tolist()))
+    import orjson
+
+    flat = cli._repr_dumps(lambda v: v, values, 0)
+    assert flat == b"[" + b",".join(repr(x).encode() for x in values.tolist()) + b"]"
+    pairs = np.column_stack((values, values[::-1]))
+    nested = cli._repr_dumps(lambda v: {"": [v]}, pairs, orjson.OPT_INDENT_2)
+    assert nested == json.dumps({"": [pairs.tolist()]}, indent=2).encode()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("others", [[], [0.5, 2.0], [1e-5, 1e16]], ids=["alone", "plain", "spliced"])
+def test_repr_dumps_refuses_non_finite(bad, others):
+    # a NaN or inf is written as null, like a spliced cell, so it must stop
+    # the write rather than shift the cells after it
+    with pytest.raises(ValueError, match="finite"):
+        cli._repr_dumps(lambda v: v, np.array([*others, bad, *others]), 0)
 
 
 class TestLimitSample:
@@ -394,8 +409,9 @@ class TestLimitSample:
             (dict(LIMIT_CONFIG, delta=1.0), 40, 3, None),  # mostly 0 or 1 atom
             (dict(LIMIT_CONFIG, horizon=0.0), 3, 3, None),  # every atom list empty
             ({"a": 100.0, "b": 0.1, "slope": 0.5, "horizon": 1.0, "delta": 0.05}, 3, 4, "e+"),
+            ({"a": 100.0, "b": 1.0, "slope": -0.693, "horizon": 1e-3, "delta": 1e-3}, 3, 5, "e-05"),
         ],
-        ids=["default", "delta-1", "horizon-0", "exponent-marks"],
+        ids=["default", "delta-1", "horizon-0", "exponent-marks", "exponent-times"],
     )
     def test_sidecar_bytes_match_json_dump(self, tmp_path, config, replicates, seed, form):
         cfg = write_config(tmp_path, config)
@@ -410,8 +426,21 @@ class TestLimitSample:
             assert meta["atoms"] == [[]] * replicates
         if config.get("delta") == 1.0:
             assert {0, 1} <= set(meta["atom_counts"])
+        # the CSV against its rows formatted one by one from the same paths
+        params, slope = cli._parse_limit_config(config)
+        rows = []
+        for r in range(replicates):
+            atoms = limit.sample_atoms(params, streams.substream(streams.replicate_seed(seed, r), streams.ATOMS))
+            path = limit.shot_noise_path(atoms, params.horizon, slope)
+            ts = [*path.breakpoints.tolist(), path.end_time]
+            vs = [*path.values.tolist(), path.value(path.end_time)]
+            rows += [f"{r},{t!r},{v!r}" for t, v in zip(ts, vs)]
+        csv = out.with_suffix(".csv").read_text(encoding="utf-8")
+        assert csv.splitlines() == ["replicate,t,value", *rows]
         if form is not None:  # floats printed in exponent form are covered
             assert form in text
+        if form == "e-05":  # in the CSV's times too
+            assert form in csv
 
     def test_replicates_are_a_prefix_of_a_longer_run(self, tmp_path):
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693))

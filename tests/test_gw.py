@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gwshot import gw, streams
 from gwshot.gw import FluidConfig, limit_profile, population_log_path
@@ -250,6 +252,25 @@ class TestMeanRecursion:
         # mu = 1: every later value is the start, bit for bit
         got = gw.mean_recursion(20.0, 7, np.full(30, -math.inf), 0.0)
         assert np.all(got == 20.0) and got.shape == (31,)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        log_start=st.one_of(st.sampled_from([0.0, -0.0, -math.inf]), st.floats(-50.0, 50.0)),
+        start=st.integers(-1, 10**6),  # gwi starts the immigrant-only sum at -1
+        jlog=st.lists(st.one_of(st.sampled_from([0.0, -0.0, -math.inf]), st.floats(-50.0, 50.0)), max_size=40),
+        log_mu=st.sampled_from([0.0, -0.0]),
+    )
+    @example(log_start=-0.0, start=0, jlog=[], log_mu=0.0)  # the final + 0.0 makes it +0.0
+    @example(log_start=-0.0, start=-1, jlog=[-0.0, -math.inf], log_mu=0.0)  # step -1 * 0.0 is -0.0
+    @example(log_start=-0.0, start=-1, jlog=[-0.0, -math.inf], log_mu=-0.0)
+    def test_unit_mean_is_the_general_form_bit_for_bit(self, log_start, start, jlog, log_mu):
+        # with log mu = 0 no array of steps k log mu is built; the result
+        # must keep the bits of the form that builds one
+        steps = np.arange(start, start + len(jlog) + 1, dtype=np.float64) * log_mu
+        terms = np.concatenate(([log_start - steps[0]], np.array(jlog) - steps[1:]))
+        want = np.logaddexp.accumulate(terms) + steps
+        got = gw.mean_recursion(log_start, start, np.array(jlog, dtype=np.float64), log_mu)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNormalizedLogPath:

@@ -117,6 +117,12 @@ class TestShotNoisePath:
         ts = np.linspace(0, 2, 41)
         assert np.all(np.asarray(path.value(ts)) >= LOG2 * ts - 1e-12)
 
+    @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
+    def test_no_atoms_give_the_floor(self, slope):
+        path = shot_noise_path(_atoms([]), 1.5, slope)
+        assert path.breakpoints.tolist() == path.values.tolist() == [0.0]
+        assert path.slopes.tolist() == [max(slope, 0.0)] and path.end_time == 1.5
+
     def test_masked_atoms_agree_with_pointwise_value(self):
         rng = streams.substream(7, streams.ATOMS)
         for slope in (-LOG2, 0.0, LOG2):
@@ -204,6 +210,20 @@ def test_path_is_bit_equal_to_the_loop_reference(case):
     assert path.breakpoints.tolist() == bps
     assert path.values.tolist() == vals
     assert path.slopes.tolist() == slopes
+
+
+@pytest.mark.parametrize("slope", PATH_SLOPES)
+def test_tied_times_in_any_order_give_one_path(slope):
+    # the atoms are sorted by time with no regard to their order within a
+    # tie: of the records at one time the last has the largest c, whichever it is
+    rng = np.random.default_rng(22)
+    times = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0], size=200)  # at 0 and past the horizon too
+    marks = np.where(rng.random(200) < 0.5, rng.choice([0.25, 1.0, 2.0], size=200), rng.uniform(0.01, 3.0, 200))
+    want = _loop_path(AtomSet(times, marks), 1.5, slope)
+    for _ in range(20):
+        shuffled = rng.permutation(200)
+        path = shot_noise_path(AtomSet(times[shuffled], marks[shuffled]), 1.5, slope)
+        assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == want
 
 
 @pytest.mark.parametrize("slope", [-5.0, -LOG2, 0.0, 1e-9, LOG2])
