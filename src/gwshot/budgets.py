@@ -77,9 +77,12 @@ def reject_unknown_keys(section: str, cfg, read: Sequence[str]) -> None:
         raise ValueError(f"unknown {section} key(s) {unknown}; the keys read are {list(read)}")
 
 
+_NO_PATHS = object()  # the default of `ns`: a run without engine paths (None is a malformed ladder)
+
+
 def require_scale(
     replicates: int = 1,
-    ns: Sequence[int] | None = None,
+    ns: Sequence[int] = _NO_PATHS,
     horizon: float = 1.0,
     samples: int = 1,
     atoms: float | None = None,
@@ -87,7 +90,7 @@ def require_scale(
     """Reject a run whose counts are not integers >= 1 or exceed a budget.
 
     Each of `replicates` replicates runs one engine path of n x `horizon`
-    generations per n in `ns` (none when `ns` is None) and, when `atoms`
+    generations per n in `ns` (none when `ns` is not given) and, when `atoms`
     is given, one limit path of that many expected atoms; `samples` counts
     limit-sampler draws.  Every comparison is exact for ints of any size.
     """
@@ -95,9 +98,9 @@ def require_scale(
     require_count("sample count", samples)
     if samples > MARGINAL_SAMPLE_BUDGET:
         raise ValueError(f"sample count {samples} exceeds the budget of {MARGINAL_SAMPLE_BUDGET:.0e}")
-    if ns is not None:
-        if not ns:
-            raise ValueError("ns must hold at least one n")
+    if ns is not _NO_PATHS:
+        if not isinstance(ns, Sequence) or not ns:  # a number or null, as an override may give, is no ladder
+            raise ValueError(f"ns must be a list of at least one n, got {ns!r}")
         for n in ns:
             require_count("n", n)
         if not 0 <= horizon < math.inf:

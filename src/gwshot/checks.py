@@ -103,8 +103,17 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
 # ----------------------------------------------------------------------
 
 
-def _prelimit_ladder(check: str, seed: int, family: OffspringFamily, law: ImmigrationLaw, b: float,
-                     ns: tuple[int, ...], replicates: int) -> CheckReport:
+def _rung(regime: str, n: int, seed: int, replicates: int, read: Callable, horizon: float = 1.0,
+          **runs) -> np.ndarray:
+    """`read(run, bundle)` for each replicate of one cell, in order, as one array.  A cell is
+    one (regime, n) pair run on block seed `seed`, `runs` passed to `run_replicates`; `read`
+    gives one value or one tuple (a column per statistic) per replicate, never a path."""
+    run = GwiRun(n, horizon, *_REGIMES[regime], seed=seed)
+    return np.array([read(run, bundle) for bundle in run_replicates(run, replicates, **runs)])
+
+
+def _prelimit_ladder(check: str, seed: int, regime: str, b: float, ns: tuple[int, ...],
+                     replicates: int) -> CheckReport:
     """KS(log⁺Y_n / b_n, exp(-x^(-b))) at t = 1 along the n-ladder, b_n =
     law.norming_bn(n), rung idx on block seed replicate_seed(seed, idx).
 
@@ -115,11 +124,10 @@ def _prelimit_ladder(check: str, seed: int, family: OffspringFamily, law: Immigr
     cdf = partial(limit.marginal_cdf, 1.0, b, 0.0, 1.0)
     ks_by_n, norming = {}, {}
     for idx, n in enumerate(ns):
-        run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=streams.replicate_seed(seed, idx))
-        c_n = law.norming_bn(n)
-        values = np.array([max(bundle.y_log[-1], 0.0) / c_n for bundle in run_replicates(run, replicates)])
+        norming[str(n)] = c_n = _REGIMES[regime][1].norming_bn(n)
+        values = _rung(regime, n, streams.replicate_seed(seed, idx), replicates,
+                       lambda run, bundle: max(bundle.y_log[-1], 0.0) / c_n)
         ks_by_n[str(n)] = ks_distance(Sample(values), cdf)
-        norming[str(n)] = c_n
     seq = [ks_by_n[str(n)] for n in ns]
     monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
     statistic = seq[-1]
@@ -141,7 +149,7 @@ def check_marginal_prelimit_thm1(
     KS(log⁺Y_n / n, exp(-1/x)) must not increase along the n-ladder (0.02
     slack between consecutive rungs) and must end below 0.15.
     """
-    return _prelimit_ladder("marginal-prelimit-thm1", seed, *_REGIMES["critical"], 1.0, ns, replicates)
+    return _prelimit_ladder("marginal-prelimit-thm1", seed, "critical", 1.0, ns, replicates)
 
 
 def check_marginal_prelimit_thm2(
@@ -152,7 +160,7 @@ def check_marginal_prelimit_thm2(
     KS(log⁺Y_n / b_n, exp(-x^(-1/2))) <= 0.15 at the top rung, and the
     coarser rung is no better than 0.02 beyond it.
     """
-    return _prelimit_ladder("marginal-prelimit-thm2", seed, *_REGIMES["subcritical"], 0.5, ns, replicates)
+    return _prelimit_ladder("marginal-prelimit-thm2", seed, "subcritical", 0.5, ns, replicates)
 
 
 # ----------------------------------------------------------------------
@@ -229,17 +237,15 @@ def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> Chec
     """
     horizon, tol = 3.0, 0.1
     require_scale(replicates, (n,), horizon=horizon)
+    founders = np.full(3 * n + 1, -math.inf)  # generations 0..3n, the founders at 0
+    founders[0] = n
     fractions = {}
-    for fam_idx, (family, law) in enumerate(_REGIMES.values()):
-        run = GwiRun(n=n, horizon=horizon, family=family, law=law, seed=streams.replicate_seed(seed, fam_idx))
-        founders = np.full(run.num_steps + 1, -math.inf)
-        founders[0] = n
-        target = limit_profile(1.0, family.mean, np.arange(run.num_steps + 1) / n)
-        exceed = sum(
-            1 for bundle in run_replicates(run, replicates, immigrant_log_j=founders)
-            if np.max(np.abs(np.maximum(bundle.y_log, 0.0) / n - target)) > tol
-        )
-        fractions[family.family] = exceed / replicates
+    for fam_idx, (regime, (family, _)) in enumerate(_REGIMES.items()):
+        target = limit_profile(1.0, family.mean, np.arange(3 * n + 1) / n)
+        gaps = _rung(regime, n, streams.replicate_seed(seed, fam_idx), replicates,
+                     lambda run, bundle: np.max(np.abs(np.maximum(bundle.y_log, 0.0) / n - target)),
+                     horizon, immigrant_log_j=founders)
+        fractions[family.family] = np.count_nonzero(gaps > tol) / replicates
     statistic = max(fractions.values())
     return CheckReport(
         check="lemma-aux2",
@@ -265,6 +271,7 @@ def check_truncation_negligible(
     level = gamma + slack
     branches = {"critical_cn_n": "critical", "supercritical_cn_n": "supercritical",
                 "subcritical_cn_bn": "subcritical"}
+    require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
     require_scale(replicates, tuple(ns) * len(branches))  # one path per branch per rung
     freqs: dict[str, list[float]] = {}
     worst_increase = -math.inf
@@ -274,21 +281,18 @@ def check_truncation_negligible(
         seq = []
         for n_idx, n in enumerate(ns):
             c_n = law.norming_bn(n)
-            block = streams.replicate_seed(seed, 1000 + 10 * b_idx + n_idx)
-            run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=block)
-            exceed = sum(
-                1 for bundle in run_replicates(run, replicates, gamma=gamma, c_n=c_n)
-                if np.max(normalized_observable(bundle.truncated_log, c_n, n, correction).values) > level
-            )
-            seq.append(exceed / replicates)
+            peaks = _rung(regime, n, streams.replicate_seed(seed, 1000 + 10 * b_idx + n_idx), replicates,
+                          lambda run, bundle: np.max(
+                              normalized_observable(bundle.truncated_log, c_n, n, correction).values),
+                          cutoff=gamma * c_n)
+            seq.append(np.count_nonzero(peaks > level) / replicates)
         freqs[name] = seq
         worst_increase = max(worst_increase, max(np.diff(seq), default=0.0))
-    passed = worst_increase <= 0.0
     return CheckReport(
         check="lemma-aux3",
         statistic=float(worst_increase),
         threshold=0.0,
-        passed=passed,
+        passed=worst_increase <= 0.0,
         details={"exceed_frequency_by_branch": freqs, "ns": list(ns),
                  "gamma": gamma, "slack": slack, "replicates": replicates},
     )
@@ -298,16 +302,10 @@ def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200)
     """log⁺Y_n stays within 0.05*n of log⁺Z_n, Z the conditional mean given
     the immigrant counts, in at least 90% of coupled replicates."""
     require_scale(replicates, (n,))
-    family, law = _REGIMES["supercritical"]
     tol = 0.05
-    run = GwiRun(n=n, horizon=1.0, family=family, law=law, seed=seed)
-    exceed = 0
-    for bundle in run_replicates(run, replicates):
-        z_log = conditional_mean_path(run, bundle.immigrant_log_j)
-        diff = abs(max(bundle.y_log[-1], 0.0) - max(z_log[-1], 0.0)) / n
-        if diff > tol:
-            exceed += 1
-    statistic = exceed / replicates
+    gaps = _rung("supercritical", n, seed, replicates, lambda run, bundle: abs(
+        max(bundle.y_log[-1], 0.0) - max(conditional_mean_path(run, bundle.immigrant_log_j)[-1], 0.0)) / n)
+    statistic = np.count_nonzero(gaps > tol) / replicates
     return CheckReport(
         check="proxy-zn",
         statistic=statistic,
@@ -341,8 +339,10 @@ CHECK_NAMES = tuple(_REGISTRY)
 
 
 def run_check(name: str, seed: int = DEFAULT_SEED, **overrides) -> CheckReport:
-    """Run a registered check; raises KeyError for unknown names."""
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        raise KeyError(name)
-    return _REGISTRY[resolved](seed, **overrides)
+    """Run the check registered as `name` or its alias."""
+    return _lookup(name)(seed, **overrides)
+
+
+def _lookup(name: str) -> Callable[..., CheckReport]:
+    """The check registered as `name` or its alias; KeyError for any other name."""
+    return _REGISTRY[_ALIASES.get(name, name)]

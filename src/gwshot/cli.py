@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import secrets
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__, limit, streams
 from .budgets import reject_unknown_keys, require_number, require_scale
-from .checks import CHECK_NAMES, run_check
+from .checks import CHECK_NAMES, _lookup, run_check
 from .gwi import GwiRun, normalized_observable, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
@@ -77,19 +78,15 @@ def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.
     """`payload` pretty-printed with sorted keys, plus an "atoms" key when
     `atoms` holds (times, marks) arrays of finite floats: one [[t, j], ...]
     list per replicate, in the bytes `json.dump` writes for those lists."""
+    text = json.dumps(dict(payload, atoms=0) if atoms else payload, indent=2, sort_keys=True)
+    # the first '"atoms": 0' is the key's own: only "atom_counts", a list of ints, sorts before it
+    head, _, tail = text.partition('"atoms": 0') if atoms else (text, "", "")
     with open(path, "wb") as fh:
-        if not atoms:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True).encode())
-        else:
-            fields = dict(payload, atoms=None)
-            for i, key in enumerate(sorted(fields)):
-                fh.write((("," if i else "{") + "\n  " + json.dumps(key) + ": ").encode())
-                if key == "atoms":
-                    fh.writelines(_json_atom_lists(atoms))
-                else:  # json escapes newlines in strings: each one here is layout
-                    fh.write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ").encode())
-            fh.write(b"\n}")
-        fh.write(b"\n")
+        fh.write(head.encode())
+        if atoms:
+            fh.write(b'"atoms": ')
+            fh.writelines(_json_atom_lists(atoms))
+        fh.write(tail.encode() + b"\n")
 
 
 def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option: int) -> bytes:
@@ -375,16 +372,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verify needs a check name (argument or config 'check')")
     seed = _resolve_seed(args)
     try:
-        overrides = {str(k): _coerce_override(v) for k, v in overrides.items()}
-        start = time.perf_counter()
-        report = run_check(name, seed=seed, **overrides)
-        elapsed = time.perf_counter() - start
+        check = _lookup(name)
     except KeyError:
-        raise ConfigError(
-            f"unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}"
-        ) from None
-    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond the float range
+        raise ConfigError(f"unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}") from None
+    overrides = {str(k): _coerce_override(v) for k, v in overrides.items()}
+    try:  # an unknown or missing key, before the check runs: its own TypeErrors are faults
+        inspect.signature(check).bind(seed, **overrides)
+    except TypeError as exc:
+        raise ConfigError(f"invalid overrides for check {name!r}: {exc}") from None
+    start = time.perf_counter()
+    try:
+        report = run_check(name, seed=seed, **overrides)
+    except OverflowError as exc:  # an int override beyond the float range
         raise ConfigError(f"invalid overrides for check {name!r}: {exc}") from exc
+    elapsed = time.perf_counter() - start
 
     payload = report.to_json()
     payload.update({"seed": seed, "version": __version__})

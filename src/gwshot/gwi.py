@@ -78,15 +78,14 @@ class CoupledPaths:
 
 def run_coupled(
     run: GwiRun,
-    gamma: float | None = None,
-    c_n: float | None = None,
+    cutoff: float | None = None,
     immigrant_log_j: np.ndarray | None = None,
 ) -> CoupledPaths:
     """One engine pass; optionally also the truncated process.
 
     `immigrant_log_j` replaces the immigration draws: a lone cohort is the
     run whose one immigrant batch, at generation 0, is its founders.  When
-    `gamma` is given, the immigrants with log J_k <= gamma * c_n found the
+    `cutoff` is given, the immigrants with log J_k <= cutoff found the
     truncated population T on the offspring substream and the excluded ones
     found a second population R on its own substream; Y = T + R, so T <= Y
     holds seed by seed.
@@ -99,14 +98,10 @@ def run_coupled(
         if jlog.shape != (size,):
             raise ValueError(f"immigrant log sequence must have length {size}")
     off_rng = streams.substream(run.seed, streams.OFFSPRING)
-    if gamma is None:
+    if cutoff is None:
         y_log = population_log_path(run.family, jlog, run.config, off_rng)
         return CoupledPaths(immigrant_log_j=jlog, y_log=y_log, truncated_log=None)
-    if not (0 < gamma < 1):
-        raise ValueError("gamma must lie in (0, 1)")
-    if c_n is None or c_n <= 0:
-        raise ValueError("c_n must be positive")
-    kept = jlog <= gamma * c_n
+    kept = jlog <= cutoff
     truncated = population_log_path(run.family, np.where(kept, jlog, _NEG_INF), run.config, off_rng)
     rest_rng = streams.substream(run.seed, streams.EXCLUDED_OFFSPRING)
     rest = population_log_path(run.family, np.where(kept, _NEG_INF, jlog), run.config, rest_rng)
@@ -123,8 +118,7 @@ def immigrant_log_draws(run: GwiRun) -> np.ndarray:
 def run_replicates(
     run: GwiRun,
     replicates: int,
-    gamma: float | None = None,
-    c_n: float | None = None,
+    cutoff: float | None = None,
     immigrant_log_j: np.ndarray | None = None,
 ) -> Iterator[CoupledPaths]:
     """`run_coupled` for replicate r = 0.. of `run`, in order.
@@ -135,7 +129,7 @@ def run_replicates(
     immigrants and only its offspring draws differ.
     """
     for r in range(replicates):
-        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), gamma, c_n, immigrant_log_j)
+        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), cutoff, immigrant_log_j)
 
 
 def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_criterion_11b_truncation_coupling_monotonicity():
             config=FluidConfig(),
             seed=streams.replicate_seed(DEFAULT_SEED, rep),
         )
-        bundle = run_coupled(run, gamma=0.3, c_n=25.0)
+        bundle = run_coupled(run, cutoff=0.3 * 25.0)
         if not np.all(bundle.truncated_log <= bundle.y_log):
             violations += 1
     _report(

@@ -53,3 +53,12 @@ def test_require_count_refuses_what_is_not_a_count(value):
 def test_require_count_admits_ints_of_any_size():
     require_count("n", 1)
     require_count("n", 10**400)
+
+
+@pytest.mark.parametrize(
+    "ns", [5, 2.5, True, None, {}, ()], ids=["int", "float", "bool", "none", "object", "empty"]
+)
+def test_ladder_must_be_a_nonempty_list(ns):
+    # a number here raised TypeError, not ValueError, on the way to the first n
+    with pytest.raises(ValueError, match="ns must be a list"):
+        require_scale(1, ns)

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from gwshot import budgets, checks, cli, limit
-from gwshot.gwi import conditional_mean_path
+from gwshot.gwi import GwiRun, conditional_mean_path, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
 
@@ -106,3 +107,21 @@ def test_theorem_check_fails_on_a_mutant_regime(monkeypatch, check):
     assert checks.run_check(check, ns=ns, replicates=300).passed is True
     monkeypatch.setitem(checks._REGIMES, regime, mutant)
     assert checks.run_check(check, ns=ns, replicates=300).passed is False
+
+
+# At their default scales both ladders fail at these seeds on the 0.02
+# monotone slack alone, each rung well below the 0.15 threshold:
+# thm1 reads KS 0.0273 / 0.0094 / 0.0335 along n = 50 / 200 / 800, thm2
+# 0.0241 -> 0.0452 along n = 25 / 100.
+@pytest.mark.xfail(strict=True, reason="ROADMAP P: 0.02 monotone slack fails on noise")
+@pytest.mark.parametrize("check,seed", [("marginal-prelimit-thm1", 15), ("marginal-prelimit-thm2", 32)])
+def test_theorem_check_passes_at_its_default_scale(check, seed):
+    assert checks.run_check(check, seed=seed).passed is True
+
+
+def test_rung_reads_each_replicate_in_order():
+    # a tuple reader gives one column per statistic, row r from replicate r
+    pairs = checks._rung("critical", 10, 5, 4, lambda run, bundle: (bundle.y_log[-1], bundle.immigrant_log_j[0]))
+    run = GwiRun(10, 1.0, *checks._REGIMES["critical"], seed=5)
+    want = [(bundle.y_log[-1], bundle.immigrant_log_j[0]) for bundle in run_replicates(run, 4)]
+    assert pairs.shape == (4, 2) and np.array_equal(pairs, want)

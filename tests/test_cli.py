@@ -277,7 +277,7 @@ def test_simulate_rows_hold_a_block_not_a_path():
     assert peak < 13 * 2**20
 
 
-def _float_cell_inputs():
+def _repr_dumps_inputs():
     rng = np.random.default_rng(19)
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000, dtype=np.int64,
                         endpoint=True).view(np.float64)
@@ -294,8 +294,8 @@ def _float_cell_inputs():
     yield "empty", np.array([])
 
 
-@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _float_cell_inputs()])
-def test_float_cells_are_repr(values):
+@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _repr_dumps_inputs()])
+def test_repr_dumps_gives_repr_digits(values):
     # orjson's shortest digits in repr's layout: the bytes of every
     # limit-sample file rest on this, whatever orjson version is installed
     import orjson
@@ -655,8 +655,12 @@ def test_verify_config_fuzz(config):
 
 
 class TestVerify:
-    def test_unknown_check_exits_2(self, tmp_path):
-        assert cli.main(["verify", "foo", "--seed", "1"]) == 2
+    def test_unknown_check_exits_2(self, capsys):
+        assert cli.main(["verify", "no-such-check", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        listed = captured.err.removeprefix("error: unknown check 'no-such-check'; registered checks: ")
+        assert listed.rstrip("\n").split(", ") == list(checks.CHECK_NAMES)
 
     @pytest.mark.parametrize("name", ["lemma-aux2a", "cohort-flatness"])
     def test_retired_check_exits_2(self, capsys, name):
@@ -777,10 +781,33 @@ class TestVerify:
             ("proxy-zn", {"n": "100"}),
             ("marginal-limit", {"sample_count": 1000.0}),
             ("fdd", {"mc_samples": True}),
+            ("lemma-aux3", {"ns": 5}),  # these three raised TypeError inside the check
+            ("marginal-prelimit-thm1", {"ns": 2.5}),
+            ("marginal-prelimit-thm2", {"ns": None}),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, check, overrides):
         assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+    @pytest.mark.parametrize(
+        "check,overrides", [("fdd", {"unknown": 1}), ("fdd", {"seed": 5}), ("proxy-zn", {"n": 10, "ns": [10]})]
+    )
+    def test_override_key_the_check_does_not_take_exits_2(self, tmp_path, capsys, check, overrides):
+        assert_verify_rejects(tmp_path, capsys, check, overrides)
+
+    @pytest.mark.parametrize("fault,body", [(KeyError, lambda: {}["x"]), (TypeError, lambda: len(5))],
+                             ids=["KeyError", "TypeError"])
+    def test_fault_inside_a_check_is_no_config_error(self, tmp_path, monkeypatch, capsys, fault, body):
+        # a KeyError inside a check read as "unknown check 'fdd'", and a
+        # TypeError as invalid overrides, both with exit 2; a fault propagates
+        def faulty(seed, mc_samples=100):
+            return body()
+
+        monkeypatch.setitem(checks._REGISTRY, "fdd", faulty)
+        cfg = write_config(tmp_path, {"overrides": {"mc_samples": 5}})  # bound before the check runs
+        with pytest.raises(fault):
+            cli.main(["verify", "fdd", "--config", cfg, "--seed", "1"])
+        assert capsys.readouterr().err == ""
 
     def test_misspelt_overrides_key_exits_2(self, tmp_path, capsys):
         # ran the check at its default scale and exited 0

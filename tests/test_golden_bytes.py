@@ -70,7 +70,7 @@ SIMULATE_DIGESTS = {
         "fb86df7438df54adc4c7eb08782ab29ac1315739f9e42f6885e05e9034e9df47",
     ),
 }
-# y_log then truncated_log of one run_coupled(gamma=0.5, c_n=n), subcritical
+# y_log then truncated_log of one run_coupled(cutoff=0.5 * n), subcritical
 TRUNCATED_PAIR_DIGEST = "7c5b8b6ba09787f97f830aeab62637250006477988515978788d8b8417bb3b6f"
 # a lone e^30 geometric(0.5) cohort over 300 generations: extinct from generation 44
 COHORT_DIGEST = "e879baefa1ad484f6689f874c041dbfc3c89fdebf920861c2b9af62233acb90e"
@@ -167,7 +167,7 @@ def test_limit_sample_bytes(tmp_path, regime):
 def test_truncated_pair_bytes():
     run = GwiRun(n=800, horizon=1.0, family=OffspringFamily.geometric(0.5),
                  law=ImmigrationLaw.reciprocal(1.0), seed=SEED)
-    bundle = run_coupled(run, gamma=0.5, c_n=800.0)
+    bundle = run_coupled(run, cutoff=0.5 * 800.0)
     assert sha256(bundle.y_log.tobytes(), bundle.truncated_log.tobytes()) == TRUNCATED_PAIR_DIGEST
 
 

@@ -168,7 +168,7 @@ def _parts_at_a_tie(got, want, jlog, log_mu, log_m):
 
 def test_closed_form_stretches_match_the_stepped_kernel():
     # per (family, law): cohorts and the full, truncated T and rest R
-    # populations of run_coupled(gamma=1/2, c_n=n) at n = 200
+    # populations of run_coupled(cutoff=0.5 * n) at n = 200
     n, paths = 200, 300
     config = FluidConfig()
     log_m = math.log(config.exactness_threshold)

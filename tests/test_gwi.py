@@ -56,24 +56,24 @@ class TestDeterminismAndCoupling:
         # exact pointwise domination on 10^3 coupled runs
         for rep in range(1000):
             run = _run(n=25, seed=streams.replicate_seed(9000, rep))
-            bundle = run_coupled(run, gamma=0.3, c_n=25.0)
+            bundle = run_coupled(run, cutoff=0.3 * 25.0)
             assert np.all(bundle.truncated_log <= bundle.y_log)
 
     def test_truncation_keeps_unit_immigrants(self):
-        # J = 1 cohorts always survive the cutoff since gamma*c_n >= 0
+        # J = 1 cohorts always survive a cutoff >= 0
         run = _run(n=10, seed=1)
         ones = np.zeros(11)
         full = run_coupled(run, immigrant_log_j=ones).y_log
-        bundle = run_coupled(run, gamma=0.5, c_n=10.0, immigrant_log_j=ones)
+        bundle = run_coupled(run, cutoff=0.5 * 10.0, immigrant_log_j=ones)
         assert np.array_equal(bundle.truncated_log, full)
 
 
 class TestRunReplicates:
     def test_replicate_seeds_and_order(self):
         run = _run(n=20, seed=17)
-        got = list(run_replicates(run, 3, gamma=0.2, c_n=20.0))
+        got = list(run_replicates(run, 3, cutoff=0.2 * 20.0))
         for r, bundle in enumerate(got):
-            want = run_coupled(_run(n=20, seed=streams.replicate_seed(17, r)), gamma=0.2, c_n=20.0)
+            want = run_coupled(_run(n=20, seed=streams.replicate_seed(17, r)), cutoff=0.2 * 20.0)
             assert np.array_equal(bundle.y_log, want.y_log)
             assert np.array_equal(bundle.truncated_log, want.truncated_log)
 
@@ -103,12 +103,12 @@ class TestRunReplicates:
             list(run_replicates(run, 1, immigrant_log_j=np.zeros(12)))
 
     def test_truncation_sends_a_large_founding_batch_to_the_rest(self):
-        # founders above gamma * c_n are excluded: T stays empty and Y is the
+        # founders above the cutoff are excluded: T stays empty and Y is the
         # cohort on the excluded-offspring substream
         run = _run(n=10, seed=44)
         founders = np.full(run.num_steps + 1, -math.inf)
         founders[0] = 8.0
-        bundle = next(run_replicates(run, 1, gamma=0.5, c_n=10.0, immigrant_log_j=founders))
+        bundle = next(run_replicates(run, 1, cutoff=0.5 * 10.0, immigrant_log_j=founders))
         rng = streams.substream(streams.replicate_seed(44, 0), streams.EXCLUDED_OFFSPRING)
         assert np.all(bundle.truncated_log == -math.inf)
         assert np.array_equal(bundle.y_log, population_log_path(CRITICAL, founders, FluidConfig(), rng))

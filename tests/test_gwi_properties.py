@@ -35,7 +35,7 @@ def _run(family, law, config, n, seed):
 @given(families, laws, configs, st.integers(1, 60), seeds,
        st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.5, max_value=60.0))
 def test_truncated_never_exceeds_full(family, law, config, n, seed, gamma, c_n):
-    bundle = run_coupled(_run(family, law, config, n, seed), gamma=gamma, c_n=c_n)
+    bundle = run_coupled(_run(family, law, config, n, seed), cutoff=gamma * c_n)
     assert np.all(bundle.truncated_log <= bundle.y_log)
 
 

@@ -101,6 +101,20 @@ def test_workload_command_line_parses(name, tmp_path):
         assert w.config["check"] in CHECK_NAMES
 
 
+def test_checks_run_the_engine_only_through_the_rung_reader():
+    # one engine pass per cell, read by as many readers as a check needs: a
+    # check that builds its own run or replicate loop goes through `_rung`
+    engine = {"GwiRun", "run_coupled", "run_replicates"}
+    calls = []
+    for top in ast.parse((_SRC / "checks.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in engine:
+                    calls.append((getattr(top, "name", None), name))
+    assert sorted(calls) == [("_rung", "GwiRun"), ("_rung", "run_replicates")]
+
+
 def test_cli_import_graph():
     # scipy is a test-only dependency, and no command starts a process pool;
     # orjson is loaded by the limit-sample writer alone, so that no other
