@@ -20,7 +20,7 @@ from .limit import (
     fdd_cdf,
     marginal_cdf,
     sample_atoms,
-    shot_noise_path,
+    shot_noise_paths,
 )
 from .offspring import OffspringFamily
 from .paths import CadlagPath
@@ -35,7 +35,7 @@ __all__ = [
     "FluidConfig", "population_log_path", "limit_profile",
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
     "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
-    "PrmParams", "AtomSet", "sample_atoms", "shot_noise_path",
+    "PrmParams", "AtomSet", "sample_atoms", "shot_noise_paths",
     "marginal_cdf", "fdd_cdf",
     "Sample", "ks_distance", "dkw_band", "uniform_distance",
     "CadlagPath",

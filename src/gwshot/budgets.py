@@ -42,10 +42,13 @@ PATH_SETUP_GENERATIONS = 370
 
 # Atoms over all limit-sample paths: replicates x (expected atoms +
 # PATH_SETUP_ATOMS).  Every atom is kept as two float64s and written to the
-# JSON sidecar, about 18 traced bytes and 2-2.5 us each (paths of 10^3 and
-# 10^4 atoms).  A path without atoms still holds about 850 bytes and takes
-# 170-230 us (at horizon 0), as much time as about 100 atoms.  A run at the
-# budget peaks near 0.11 GB RSS and takes about 11 s.
+# JSON sidecar, about 18 traced bytes and 0.3 us each (4545 paths of 10^3
+# atoms in 1.7-1.8 s).  A path without atoms still holds about 850 bytes and
+# takes 43-52 us (at horizon 0), as much time as 100-150 atoms.  A run at
+# the budget peaks near 0.11 GB RSS and takes 2-3 s at delta = 1e-3 or at
+# horizon 0; one path that holds all its atoms (delta = 2.1e-7) peaks near
+# 0.37 GB and takes about 8 s, most of it writing marks below 1e-4, which
+# the sidecar writer formats one by one.
 LIMIT_ATOM_BUDGET = 5_000_000
 PATH_SETUP_ATOMS = 100
 

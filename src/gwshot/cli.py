@@ -101,17 +101,21 @@ def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option:
     or infinite value as `null` too, which the splice would take for a
     cell, so such a value raises ValueError before anything is written.
     That is checked on the values, not by counting the `null`s: a scan of
-    the bytes would cost a third of orjson's own time.
+    the bytes would cost a third of orjson's own time.  `values` is
+    copied only when it has such cells, or is not a contiguous float64
+    array (orjson takes no strided one).
     """
     import orjson  # only limit-sample writes through here, so no other command loads it
 
-    values = np.array(values, dtype=np.float64)  # a contiguous copy: orjson takes no strided array
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("only finite floats can be written")
     size = np.abs(values)
     odd = ((size < 1e-4) & (values != 0.0)) | (size >= 1e16)
     cells = [repr(x).encode() for x in values[odd].tolist()]
-    values[odd] = np.nan
+    if cells:
+        values = values.copy()
+        values[odd] = np.nan
     out = orjson.dumps(obj(values), option=option | orjson.OPT_SERIALIZE_NUMPY)
     if not cells:
         return out
@@ -121,16 +125,31 @@ def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option:
 
 _ATOMS_HEAD = len(b'{\n  "": [\n    ')  # the layout around one replicate's list in
 _ATOMS_TAIL = len(b"\n  ]\n}")  # {"": [pairs]}, which puts the list at indent level 2
+_LIST_END = len(b"\n    ]")  # the end of a replicate's list, dropped from all but its last chunk
+_PAIR_CHUNK = 1 << 16  # atoms per orjson call, which bounds the writer's memory on a large replicate
 
 
-def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
-    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it out."""
+def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes | memoryview]:
+    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it out.
+
+    A replicate's list is laid out `_PAIR_CHUNK` pairs at a time: each
+    chunk is a list of its own, and a chunk's pairs follow the previous
+    chunk's after a comma, in place of the closing of the one list and
+    the opening of the other."""
     import orjson
 
     yield b"["
     for r, (times, marks) in enumerate(atoms):
-        pairs = _repr_dumps(lambda v: {"": [v]}, np.column_stack((times, marks)), orjson.OPT_INDENT_2)
-        yield (b",\n    " if r else b"\n    ") + pairs[_ATOMS_HEAD:-_ATOMS_TAIL]
+        yield b",\n    " if r else b"\n    "
+        for lo in range(0, max(len(times), 1), _PAIR_CHUNK):  # an empty list is one chunk, []
+            hi = lo + _PAIR_CHUNK
+            pairs = np.column_stack((times[lo:hi], marks[lo:hi]))
+            text = _repr_dumps(lambda v: {"": [v]}, pairs, orjson.OPT_INDENT_2)
+            start = _ATOMS_HEAD + 1 if lo else _ATOMS_HEAD  # a later chunk drops its "["
+            end = len(text) - _ATOMS_TAIL - (_LIST_END if hi < len(times) else 0)
+            if lo:
+                yield b","
+            yield memoryview(text)[start:end]
     yield b"\n  ]"
 
 
@@ -298,13 +317,35 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     return params, slope
 
 
+_PATH_BLOCK_CELLS = 1 << 16  # padded (replicate x atom) cells of one block of paths built at once
+
+
 def _limit_path_lines(paths: list, end_values: np.ndarray) -> Iterator[bytes]:
     """CSV lines of each path at its breakpoints and at its end time, where
     it takes the matching entry of `end_values`."""
     for r, (path, end_value) in enumerate(zip(paths, end_values.tolist())):
-        rows = np.column_stack((np.append(path.breakpoints, path.end_time), np.append(path.values, end_value)))
+        size = len(path.breakpoints)
+        rows = np.empty((size + 1, 2))
+        rows[:size, 0], rows[size, 0] = path.breakpoints, path.end_time
+        rows[:size, 1], rows[size, 1] = path.values, end_value
         pairs = _repr_dumps(lambda v: v, rows, 0)  # [[t,v],[t,v],...]
         yield b"%d,%s\n" % (r, pairs[2:-2].replace(b"],[", b"\n%d," % r))
+
+
+def _limit_blocks(params: limit.PrmParams, seed: int, replicates: int) -> Iterator[list[limit.AtomSet]]:
+    """Each replicate's atoms, drawn on its own substream, in blocks of
+    consecutive replicates that lay out at most `_PATH_BLOCK_CELLS` padded
+    cells (one atom or none counting as one), or of one replicate."""
+    block: list[limit.AtomSet] = []
+    widest = 1
+    for r in range(replicates):
+        atoms = limit.sample_atoms(params, streams.substream(streams.replicate_seed(seed, r), streams.ATOMS))
+        if block and (len(block) + 1) * max(widest, len(atoms)) > _PATH_BLOCK_CELLS:
+            yield block
+            block, widest = [], 1
+        block.append(atoms)
+        widest = max(widest, len(atoms))
+    yield block
 
 
 def cmd_limit_sample(args: argparse.Namespace) -> int:
@@ -318,24 +359,24 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
     atom_arrays = []
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(args.replicates):
-            rng = streams.substream(streams.replicate_seed(seed, r), streams.ATOMS)
-            atoms = limit.sample_atoms(params, rng)
-            path = limit.shot_noise_path(atoms, params.horizon, slope)
-            end_value = path.value(path.end_time)
-            if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
-                    and math.isfinite(end_value)):
-                raise ConfigError(
-                    f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
-                    "raise b or delta, or lower |slope| x horizon"
-                )
-            if slope == 0.0:
-                jumps = np.diff(np.append(path.values, end_value))
-                if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
-                    raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
-            paths.append(path)
-            end_values[r] = end_value
-            atom_arrays.append((atoms.times, atoms.marks))
+        for block in _limit_blocks(params, seed, args.replicates):
+            for atoms, path in zip(block, limit.shot_noise_paths(block, params.horizon, slope)):
+                r = len(paths)
+                # the last segment at the end time, as `path.value(path.end_time)` gives it
+                end_value = path.values[-1] + path.slopes[-1] * (path.end_time - path.breakpoints[-1])
+                if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
+                        and math.isfinite(end_value)):
+                    raise ConfigError(
+                        f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
+                        "raise b or delta, or lower |slope| x horizon"
+                    )
+                if slope == 0.0:
+                    jumps = np.diff(np.append(path.values, end_value))
+                    if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
+                        raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
+                paths.append(path)
+                end_values[r] = end_value
+                atom_arrays.append((atoms.times, atoms.marks))
 
     _write_csv(Path(f"{args.out}.csv"), _limit_path_lines(paths, end_values), ("replicate", "t", "value"))
     _write_json(

@@ -11,7 +11,8 @@ at least t*s).  Atoms below the truncation level delta contribute at most
 delta on top of the floor, so truncated evaluation is exact to within an
 additive delta.
 
-Paths (`sample_atoms`, `shot_noise_path`) draw every atom above delta.
+Paths draw every atom above delta (`sample_atoms`) and are built a block
+at a time (`shot_noise_paths`).
 Values at a few fixed times (`sample_shot_noise_marginal`) use the LePage
 series instead (LePage, Woodroofe & Zinn 1981): with Gamma_i the arrival
 times of a unit-rate Poisson process, the marks in decreasing order are
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +69,7 @@ __all__ = [
     "PrmParams",
     "AtomSet",
     "sample_atoms",
-    "shot_noise_path",
+    "shot_noise_paths",
     "sample_shot_noise_marginal",
     "marginal_cdf",
     "fdd_cdf",
@@ -155,8 +157,10 @@ def _floor_value(slope: float, t: float | np.ndarray):
     return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
-def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
-    """Exact piecewise-affine path on [0, horizon], common response slope s = log mu.
+def shot_noise_paths(atom_sets: Sequence[AtomSet], horizon: float, slope: float) -> list[CadlagPath]:
+    """Exact piecewise-affine paths on [0, horizon], one per atom set, with
+    common response slope s = log mu.  The path of one set is
+    `shot_noise_paths([atoms], horizon, slope)[0]`.
 
     Between events the running max of affine responses with common slope s
     is itself affine with slope s, clamped at the floor; breakpoints sit at
@@ -170,19 +174,41 @@ def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
     at t = -c_k / s, a breakpoint when it comes before the next record.
     Of several records at one time the last (largest) one stands.  Atoms
     after the horizon are ignored.
-    """
-    s = slope
-    order = np.argsort(atoms.times)  # ties in any order: of them the last record has the largest c
-    times = atoms.times[order]
-    inside = np.searchsorted(times, horizon, side="right")  # atoms with t_k <= horizon
-    times, marks = times[:inside], atoms.marks[order[:inside]]
 
-    c = marks - s * times
-    record = c > (0.0 if s > 0 else -np.inf)  # the floor, the first record to beat
-    best = np.maximum.accumulate(c)
-    np.logical_and(record[1:], c[1:] > best[:-1], out=record[1:])
+    The sets are laid out as one (sets x largest count) array, padded with
+    atoms after the horizon, so that one sort and one running maximum
+    along its rows find every set's records.  The records, the crossings
+    and each path's breakpoint at 0 are then placed in one flat array,
+    set after set, and each path is a slice of it.
+    """
+    if not atom_sets:
+        return []
+    s = slope
+    counts = [len(atoms) for atoms in atom_sets]
+    width = max(counts)
+    times = np.full((len(counts), width), np.inf)
+    marks = np.zeros_like(times)
+    for t_row, j_row, atoms, count in zip(times, marks, atom_sets, counts):
+        t_row[:count], j_row[:count] = atoms.times, atoms.marks
+    order = np.argsort(times, axis=1)  # ties in any order: of them the last record has the largest c
+    order += np.arange(len(counts))[:, None] * width  # positions in the flat arrays
+    times, marks = times.ravel().take(order), marks.ravel().take(order)
+    inside = times <= horizon
+    c = np.full(times.shape, -np.inf)  # c_k, and -inf for a pad or an atom after the horizon
+    np.multiply(times, s, out=c, where=inside)
+    np.subtract(marks, c, out=c, where=inside)
+
+    # a record beats every earlier c and the floor (0 for s > 0)
+    best = np.maximum.accumulate(c, axis=1)
+    if s > 0:
+        np.maximum(best, 0.0, out=best)
+    record = np.empty(c.shape, dtype=bool)
+    record[:, :1] = c[:, :1] > (0.0 if s > 0 else -np.inf)
+    np.greater(c[:, 1:], best[:, :-1], out=record[:, 1:])
+    rows = np.nonzero(record)[0]  # each record's set, in set-major time order
     t, c = times[record], c[record]
     v = s * t + c
+    cross = np.zeros(t.shape, dtype=bool)
     if s > 0:
         vals, slopes = v, np.full_like(v, s)
     else:
@@ -191,21 +217,38 @@ def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
         slopes = np.where(above, s, 0.0) if s < 0 else np.zeros_like(v)  # +0.0, also for s = -0.0
         if s < 0:
             t_x = -c / s
-            cross = above & (t < t_x) & (t_x < np.append(t[1:], horizon))
-            if cross.any():
-                after = np.flatnonzero(cross) + 1
-                t = np.insert(t, after, t_x[cross])
-                vals = np.insert(vals, after, 0.0)
-                slopes = np.insert(slopes, after, 0.0)
+            until = np.append(t[1:], horizon)  # the set's next record, or the horizon after its last
+            until[:-1][rows[1:] != rows[:-1]] = horizon
+            cross = above & (t < t_x) & (t_x < until)
 
-    bps = np.concatenate(([0.0], t))
-    last_at_time = np.append(bps[1:] != bps[:-1], True)
-    return CadlagPath(
-        bps[last_at_time],
-        np.concatenate(([0.0], vals))[last_at_time],
-        np.concatenate(([s if s > 0 else 0.0], slopes))[last_at_time],
-        horizon,
-    )
+    # one flat array holds every path, set after set: its breakpoint at 0,
+    # then each record, each followed by its crossing if it has one
+    sizes = 1 + np.bincount(rows, minlength=len(counts)) + np.bincount(rows[cross], minlength=len(counts))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    at = np.arange(t.size) + rows + 1 + np.cumsum(cross) - cross
+    bps, out_vals, out_slopes = np.empty(ends[-1]), np.empty(ends[-1]), np.empty(ends[-1])
+    bps[starts], out_vals[starts], out_slopes[starts] = 0.0, 0.0, s if s > 0 else 0.0
+    bps[at], out_vals[at], out_slopes[at] = t, vals, slopes
+    if cross.any():
+        at_x = at[cross] + 1
+        bps[at_x], out_vals[at_x], out_slopes[at_x] = t_x[cross], 0.0, 0.0
+
+    last_at_time = np.ones(bps.size, dtype=bool)
+    last_at_time[:-1] = bps[1:] != bps[:-1]
+    last_at_time[ends - 1] = True  # a path's last breakpoint, whatever the next path's first
+    bounds = [0, *np.cumsum(last_at_time)[ends - 1].tolist()]
+    bps, out_vals, out_slopes = bps[last_at_time], out_vals[last_at_time], out_slopes[last_at_time]
+    return [
+        CadlagPath(bps[lo:hi], out_vals[lo:hi], out_slopes[lo:hi], horizon)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def shot_noise_path(atoms: AtomSet, horizon: float, slope: float) -> CadlagPath:
+    """`shot_noise_paths([atoms], horizon, slope)[0]`.  Not public: the
+    benchmark's tracer (`perfbench/spans.py`) still names this function."""
+    return shot_noise_paths([atoms], horizon, slope)[0]
 
 
 def sample_shot_noise_marginal(
@@ -219,8 +262,8 @@ def sample_shot_noise_marginal(
 ) -> np.ndarray:
     """`count` independent draws of the process value at time(s) u.
 
-    Equal in law to the values at u of `shot_noise_path(sample_atoms(...),
-    max(u), slope)`, repeated.  A scalar u gives a 1-d array of length
+    Equal in law to the values at u of `shot_noise_paths([sample_atoms(...)],
+    max(u), slope)[0]`, repeated.  A scalar u gives a 1-d array of length
     `count`; a 1-d increasing array of times gives a (count, len(u)) array,
     one row per path (the transpose of the sampler's one row per time).
     Atoms come in decreasing mark order (LePage series), and a sample

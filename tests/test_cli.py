@@ -277,6 +277,24 @@ def test_simulate_rows_hold_a_block_not_a_path():
     assert peak < 13 * 2**20
 
 
+def test_atom_lists_hold_a_chunk_not_a_replicate():
+    # one replicate of 6e5 atoms, 43 MiB of sidecar with a few times below
+    # 1e-4 to splice: laid out 2^16 pairs per orjson call, the writer
+    # peaks at about 30 MiB, a few chunks' text whatever the replicate's
+    # size (in one call it peaks at about 220 MiB)
+    rng = np.random.default_rng(41)
+    times = rng.uniform(0.0, 1.0, 600_000)
+    marks = 1e-3 / (1.0 - rng.random(600_000))
+    tracemalloc.start()
+    try:
+        written = sum(map(len, cli._json_atom_lists([(times, marks)])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 42 * 2**20
+    assert peak < 40 * 2**20
+
+
 def _repr_dumps_inputs():
     rng = np.random.default_rng(19)
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000, dtype=np.int64,
@@ -431,7 +449,7 @@ class TestLimitSample:
         rows = []
         for r in range(replicates):
             atoms = limit.sample_atoms(params, streams.substream(streams.replicate_seed(seed, r), streams.ATOMS))
-            path = limit.shot_noise_path(atoms, params.horizon, slope)
+            path = limit.shot_noise_paths([atoms], params.horizon, slope)[0]
             ts = [*path.breakpoints.tolist(), path.end_time]
             vs = [*path.values.tolist(), path.value(path.end_time)]
             rows += [f"{r},{t!r},{v!r}" for t, v in zip(ts, vs)]
@@ -441,6 +459,48 @@ class TestLimitSample:
             assert form in text
         if form == "e-05":  # in the CSV's times too
             assert form in csv
+
+    @pytest.mark.parametrize("slope", [-0.693, 0.0, 0.693])
+    @pytest.mark.parametrize("delta", [0.05, 0.5], ids=["20-atoms", "2-atoms"])
+    def test_bytes_do_not_depend_on_the_block_sizes(self, tmp_path, slope, delta):
+        # blocks of paths and chunks of atom pairs, from one cell or pair
+        # up: at 2 atoms a path, caps of 2 and 7 put several paths in a block
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=slope, delta=delta))
+        builder = limit.shot_noise_paths
+        outputs, shared = {}, {}
+        for size in (1, 2, 7, None):
+            cap = cli._PATH_BLOCK_CELLS if size is None else size
+            with mock.patch.object(cli, "_PATH_BLOCK_CELLS", cap), \
+                    mock.patch.object(cli, "_PAIR_CHUNK", size or cli._PAIR_CHUNK), \
+                    mock.patch.object(limit, "shot_noise_paths", side_effect=builder) as build:
+                out = tmp_path / f"size{size}"
+                args = ["limit-sample", "--config", cfg, "--seed", "29", "--replicates", "12"]
+                assert cli.main(args + ["--out", str(out)]) == 0
+            blocks = [call.args[0] for call in build.call_args_list]
+            shared[size] = any(len(b) > 1 for b in blocks)
+            assert all(len(b) * max(1, *map(len, b)) <= cap for b in blocks if len(b) > 1)
+            outputs[size] = out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
+        assert outputs[1] == outputs[2] == outputs[7] == outputs[None]
+        assert shared[None] and shared[7] == (delta == 0.5)  # the default cap takes all 12 in one block
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 64])
+    def test_a_large_set_among_small_ones_gets_a_block_of_its_own(self, cap):
+        # blocks go in replicate order, hold at most `cap` padded cells
+        # unless they hold one replicate, and end only where the next
+        # replicate would take them over the cap
+        sizes = [1, 2, 0, 1, 40, 1, 3, 0, 0, 2, 5, 0]
+        draws = [limit.AtomSet(np.linspace(0.0, 1.0, n), np.full(n, 2.0)) for n in sizes]
+        params = limit.PrmParams(1.0, 1.0, 1.0, 0.5)
+        with mock.patch.object(limit, "sample_atoms", side_effect=draws), \
+                mock.patch.object(cli, "_PATH_BLOCK_CELLS", cap):
+            blocks = list(cli._limit_blocks(params, 3, len(sizes)))
+        assert [len(a) for b in blocks for a in b] == sizes
+        def cells(b):
+            return len(b) * max(1, *map(len, b))
+        assert all(cells(b) <= cap for b in blocks if len(b) > 1)
+        assert all(cells(b + nxt[:1]) > cap for b, nxt in zip(blocks, blocks[1:]))
+        if cap == 64:
+            assert [len(b) for b in blocks] == [4, 1, 7]  # the 40-atom set alone
 
     def test_replicates_are_a_prefix_of_a_longer_run(self, tmp_path):
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693))

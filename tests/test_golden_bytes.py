@@ -16,8 +16,11 @@ their rounds fits in one slice of the sampler, so walking rounds in
 slices left them as they were.  The thm1 digests were re-made when its
 report gained `details.norming` (b_n = n), with every KS value kept to
 the bit.  The limit-sample digests pin
-`sample_atoms`, `shot_noise_path` and the CSV and JSON atom writers,
-which the marginal sampler does not share.  numpy may change its
+`sample_atoms`, `shot_noise_paths` and the CSV and JSON atom writers,
+which the marginal sampler does not share; they were made when each
+path was built on its own and each replicate's atoms laid out in one
+orjson call, and hold for paths built a block at a time and atoms
+written in chunks.  numpy may change its
 Generator streams between versions, so the digests are only
 checked on the numpy major.minor that made them.
 """

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import ks_2samp
@@ -17,7 +17,7 @@ from gwshot.limit import (
     marginal_cdf,
     sample_atoms,
     sample_shot_noise_marginal,
-    shot_noise_path,
+    shot_noise_paths,
 )
 from gwshot.stats import Sample, dkw_band, ks_distance
 
@@ -26,7 +26,7 @@ LOG2 = math.log(2.0)
 
 def shot_noise_value(atoms, slope, t):
     """Process value at one time, straight from its definition: the oracle
-    for `shot_noise_path` and the marginal sampler."""
+    for `shot_noise_paths` and the marginal sampler."""
     if t < 0:
         raise ValueError("evaluation time before 0")
     floor = slope * t if slope > 0 else 0.0
@@ -93,14 +93,14 @@ class TestShotNoiseValue:
 
 class TestShotNoisePath:
     def test_extremal_staircase(self):
-        path = shot_noise_path(_atoms([(0.2, 1.0), (0.6, 2.0)]), 1.0, 0.0)
+        path = shot_noise_paths([_atoms([(0.2, 1.0), (0.6, 2.0)])], 1.0, 0.0)[0]
         ts = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.9])
         np.testing.assert_allclose(path.value(ts), [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         jumps = np.diff(np.asarray(path.values))
         assert np.all(jumps >= 0)
 
     def test_negative_slope_decay_and_clamp(self):
-        path = shot_noise_path(_atoms([(0.5, 1.0)]), 2.0, -1.0)
+        path = shot_noise_paths([_atoms([(0.5, 1.0)])], 2.0, -1.0)[0]
         assert path.value(0.4) == 0.0
         assert path.value(0.5) == pytest.approx(1.0)
         assert path.value(1.0) == pytest.approx(0.5)
@@ -113,13 +113,13 @@ class TestShotNoisePath:
     def test_positive_slope_floor(self):
         rng = streams.substream(6, streams.ATOMS)
         atoms = sample_atoms(PrmParams(1.0, 1.0, 2.0, 0.05), rng)
-        path = shot_noise_path(atoms, 2.0, LOG2)
+        path = shot_noise_paths([atoms], 2.0, LOG2)[0]
         ts = np.linspace(0, 2, 41)
         assert np.all(np.asarray(path.value(ts)) >= LOG2 * ts - 1e-12)
 
     @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
     def test_no_atoms_give_the_floor(self, slope):
-        path = shot_noise_path(_atoms([]), 1.5, slope)
+        path = shot_noise_paths([_atoms([])], 1.5, slope)[0]
         assert path.breakpoints.tolist() == path.values.tolist() == [0.0]
         assert path.slopes.tolist() == [max(slope, 0.0)] and path.end_time == 1.5
 
@@ -127,7 +127,7 @@ class TestShotNoisePath:
         rng = streams.substream(7, streams.ATOMS)
         for slope in (-LOG2, 0.0, LOG2):
             atoms = sample_atoms(PrmParams(1.0, 1.0, 1.5, 0.02), rng)
-            path = shot_noise_path(atoms, 1.5, slope)
+            path = shot_noise_paths([atoms], 1.5, slope)[0]
             for t in np.linspace(0, 1.5, 31):
                 assert path.value(float(t)) == pytest.approx(shot_noise_value(atoms, slope, float(t)), abs=1e-12)
 
@@ -153,7 +153,7 @@ def path_specs(draw):
 @given(path_specs())
 def test_path_matches_pointwise_oracle(case):
     atoms, horizon, slope, probes = case
-    path = shot_noise_path(atoms, horizon, slope)
+    path = shot_noise_paths([atoms], horizon, slope)[0]
     ts = np.concatenate([atoms.times, probes, [horizon]])
     expected = [shot_noise_value(atoms, slope, float(t)) for t in ts]
     np.testing.assert_allclose(path.value(ts), expected, rtol=0, atol=1e-9)
@@ -205,7 +205,7 @@ def _loop_path(atoms, end, s):
 @given(path_specs())
 def test_path_is_bit_equal_to_the_loop_reference(case):
     atoms, horizon, slope, _ = case
-    path = shot_noise_path(atoms, horizon, slope)
+    path = shot_noise_paths([atoms], horizon, slope)[0]
     bps, vals, slopes = _loop_path(atoms, horizon, slope)
     assert path.breakpoints.tolist() == bps
     assert path.values.tolist() == vals
@@ -222,7 +222,7 @@ def test_tied_times_in_any_order_give_one_path(slope):
     want = _loop_path(AtomSet(times, marks), 1.5, slope)
     for _ in range(20):
         shuffled = rng.permutation(200)
-        path = shot_noise_path(AtomSet(times[shuffled], marks[shuffled]), 1.5, slope)
+        path = shot_noise_paths([AtomSet(times[shuffled], marks[shuffled])], 1.5, slope)[0]
         assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == want
 
 
@@ -231,8 +231,53 @@ def test_sampled_paths_are_bit_equal_to_the_loop_reference(slope):
     rng = streams.substream(8, streams.ATOMS)
     for _ in range(20):
         atoms = sample_atoms(PrmParams(2.0, 0.5, 3.0, 0.01), rng)
-        path = shot_noise_path(atoms, 3.0, slope)
+        path = shot_noise_paths([atoms], 3.0, slope)[0]
         assert (path.breakpoints.tolist(), path.values.tolist(), path.slopes.tolist()) == _loop_path(atoms, 3.0, slope)
+
+
+def _bits(*arrays):
+    """The bit patterns of float arrays, so that -0.0 and 0.0 compare apart."""
+    return [np.asarray(a, dtype=np.float64).view(np.int64).tolist() for a in arrays]
+
+
+@st.composite
+def path_batches(draw):
+    """A batch of atom sets for one horizon and slope: empty sets, single
+    atoms, ties in time, atoms at 0, at and past the horizon, and counts
+    that differ from set to set, so that most rows of the padded layout
+    end in padding."""
+    horizon = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    slope = draw(st.sampled_from([-LOG2, -0.0, 0.0, LOG2]))
+    times = st.one_of(st.sampled_from([0.0, horizon / 2, horizon, horizon + 1.0]), st.floats(0.0, horizon + 1.0))
+    marks = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 4.0))
+    atom_set = st.one_of(
+        st.just([]),
+        st.lists(st.tuples(times, marks), min_size=1, max_size=1),
+        st.lists(st.tuples(times, marks), max_size=12),
+    )
+    sets = draw(st.lists(atom_set.map(_atoms), min_size=1, max_size=6))
+    return sets, horizon, slope
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(path_batches())
+# the first set's crossing at 0.93 comes after the second set's first record
+@example(([_atoms([(0.5, 0.3)]), _atoms([(0.1, 2.0)])], 1.0, -LOG2))
+def test_batched_paths_are_bit_equal_to_each_set_alone(case):
+    # the padding, the set boundaries in the flat arrays and the tie drop
+    # must not leak from one set into another: each path of a batch is the
+    # set's path built alone and the loop reference's, to the bit, and so
+    # is its end value, read off the last segment as limit-sample does
+    sets, horizon, slope = case
+    batch = shot_noise_paths(sets, horizon, slope)
+    assert len(batch) == len(sets)
+    for atoms, path in zip(sets, batch):
+        bps, vals, slopes = _loop_path(atoms, horizon, slope)
+        want = _bits(bps, vals, slopes, [vals[-1] + slopes[-1] * (horizon - bps[-1])])
+        for got in (path, limit.shot_noise_path(atoms, horizon, slope)):
+            end = got.values[-1] + got.slopes[-1] * (got.end_time - got.breakpoints[-1])
+            assert _bits(got.breakpoints, got.values, got.slopes, [end]) == want
+            assert _bits([got.value(got.end_time)]) == want[3:]
 
 
 class TestTruncationRefinement:
