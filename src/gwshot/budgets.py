@@ -29,14 +29,16 @@ PATH_GENERATION_BUDGET = 5_000_000
 
 # Generations over all engine paths of a run: replicates x sum over the
 # n-ladder of (n x horizon + PATH_SETUP_GENERATIONS), a rung once per path
-# it runs (three for lemma-aux3's branches).  Setting up a path costs about
-# as much as 370 generations cost to step: a `simulate` replicate takes
-# 67-130 us at horizon 0 and 0.2-0.4 us more per generation at n = 800
-# (critical binary offspring, reciprocal immigration), a ratio of 234-464
-# over nine alternating runs, median 389.  Counted so, a run at the budget
-# takes about 5-7 s (simulate: 5.2-7.0 s at horizon 0, 4.8-7.3 s at
-# n = 800; lemma-aux3, the slowest check: 6.7 s).  The default scales use
-# up to 4.3e6 (marginal-prelimit-thm1).
+# it runs (three for lemma-aux3's branches).  Setting up a path cost about
+# as much as 370 generations cost to step when each replicate was set up
+# on its own (a ratio of 234-464, median 389).  Set up a block at a time
+# (`gwi.run_replicates`), a `simulate` replicate takes 48-65 us at
+# horizon 0 and 0.19-0.28 us more per generation at n = 800 (critical
+# binary offspring, reciprocal immigration), a ratio of 173-321 over six
+# alternating runs, median 248.  The count stays 370, so the budget admits
+# the same runs, which take about 2-8 s at the budget (simulate: 2.3-3.5 s
+# at horizon 0, 2.7-4.8 s at n = 800; lemma-aux3, the slowest check:
+# 5.6-8.0 s).  The default scales use up to 4.3e6 (marginal-prelimit-thm1).
 ENGINE_GENERATION_BUDGET = 20_000_000
 PATH_SETUP_GENERATIONS = 370
 

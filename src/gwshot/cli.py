@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, limit, streams
 from .budgets import reject_unknown_keys, require_number, require_scale
 from .checks import CHECK_NAMES, _lookup, run_check
-from .gwi import GwiRun, normalized_observable, run_replicates
+from .gwi import GwiRun, normalized_log, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
 from .gw import FluidConfig
@@ -222,7 +222,8 @@ def _time_cells(n: int, lo: int, hi: int) -> tuple[str, np.ndarray]:
 
 
 def _simulate_rows(values: Sequence[np.ndarray], n: int) -> Iterator[str]:
-    """CSV rows `r,k/n,value` of each replicate's values, a block at a time.
+    """CSV rows `r,k/n,value` of each replicate's values (a row of `values`
+    each, as a list or as one 2-D array), a block at a time.
 
     A path is constant over long stretches (a fluid total, a record in the
     extremal regime), so each run of equal values is formatted once, and
@@ -275,17 +276,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=seed,
     )
 
-    values = []
+    values = np.empty((args.replicates, run.num_steps + 1))
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r, bundle in enumerate(run_replicates(run, args.replicates)):
-            obs = normalized_observable(bundle.y_log, norm, n, correction).values
+        for r, (bundle, obs) in enumerate(zip(run_replicates(run, args.replicates), values)):
+            normalized_log(bundle.y_log, norm, correction, out=obs)
             if not np.isfinite(obs).all():
                 raise ConfigError(
                     f"replicate {r} has a value outside the float range (log Y / norm); "
                     "lower the immigration scale or raise norm"
                 )
-            values.append(obs)
 
     _write_csv(Path(f"{args.out}.csv"), map(str.encode, _simulate_rows(values, n)), ("replicate", "t", "value"))
     _write_json(
@@ -338,8 +338,8 @@ def _limit_blocks(params: limit.PrmParams, seed: int, replicates: int) -> Iterat
     cells (one atom or none counting as one), or of one replicate."""
     block: list[limit.AtomSet] = []
     widest = 1
-    for r in range(replicates):
-        atoms = limit.sample_atoms(params, streams.substream(streams.replicate_seed(seed, r), streams.ATOMS))
+    for replicate_seed in streams.replicate_seeds(seed, 0, replicates).tolist():
+        atoms = limit.sample_atoms(params, streams.substream(replicate_seed, streams.ATOMS))
         if block and (len(block) + 1) * max(widest, len(atoms)) > _PATH_BLOCK_CELLS:
             yield block
             block, widest = [], 1

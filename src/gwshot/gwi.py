@@ -14,13 +14,16 @@ Immigrant draws and offspring draws come from separate counter-based
 substreams of the run seed, so the immigrant sequence is reproducible on
 its own (the coupling point for the conditional-mean proxy Z).
 `run_replicates` derives one run per replicate seed, the one replicate
-loop behind the CLI and the checks.
+loop behind the CLI and the checks.  It sets replicates up a block at a
+time: one pass derives a block's seeds and one draws all its immigrants,
+and each replicate's draws are the ones it would make on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -36,12 +39,21 @@ __all__ = [
     "CoupledPaths",
     "conditional_mean_path",
     "immigrant_log_draws",
+    "normalized_log",
     "normalized_observable",
     "run_coupled",
     "run_replicates",
 ]
 
 _NEG_INF = float("-inf")
+
+# A block of replicates set up at once holds at most _BLOCK_CELLS
+# generations, so that its immigrant draws hold at most that many float64s
+# (a path longer than this is a block of its own), and at most
+# _BLOCK_REPLICATES replicates, whose generators (about 1 KB each) are all
+# alive while the block draws.
+_BLOCK_CELLS = 1 << 14
+_BLOCK_REPLICATES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,7 @@ def run_coupled(
 
 def immigrant_log_draws(run: GwiRun) -> np.ndarray:
     """The run's immigrant log J sequence (the coupling point for Z)."""
-    imm_rng = streams.substream(run.seed, streams.IMMIGRATION)
-    return run.law.sample_log_j_array(imm_rng, run.num_steps + 1)
+    return run.law.sample_log_j_array([streams.substream(run.seed, streams.IMMIGRATION)], run.num_steps + 1)[0]
 
 
 def run_replicates(
@@ -126,10 +137,23 @@ def run_replicates(
     Replicate r runs with seed `replicate_seed(run.seed, r)`, so each
     replicate's output depends on its index alone, not on how many others
     run before it.  Given `immigrant_log_j`, every replicate shares those
-    immigrants and only its offspring draws differ.
+    immigrants and only its offspring draws differ.  Replicates are set up
+    in blocks of consecutive ones, at most `_BLOCK_CELLS` generations and
+    `_BLOCK_REPLICATES` replicates but at least one replicate: one
+    `replicate_seeds` call and one immigrant draw over the block's
+    substreams, whose row for replicate r is what `immigrant_log_draws`
+    gives replicate r's run.
     """
-    for r in range(replicates):
-        yield run_coupled(replace(run, seed=streams.replicate_seed(run.seed, r)), cutoff, immigrant_log_j)
+    size = run.num_steps + 1
+    per_block = max(1, min(_BLOCK_REPLICATES, _BLOCK_CELLS // size))
+    for lo in range(0, replicates, per_block):
+        seeds = streams.replicate_seeds(run.seed, lo, min(lo + per_block, replicates)).tolist()
+        if immigrant_log_j is None:
+            rows = run.law.sample_log_j_array([streams.substream(s, streams.IMMIGRATION) for s in seeds], size)
+        else:
+            rows = repeat(immigrant_log_j)
+        for seed, row in zip(seeds, rows):
+            yield run_coupled(replace(run, seed=seed), cutoff, row)
 
 
 def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:
@@ -138,13 +162,13 @@ def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarra
     return mean_recursion(_NEG_INF, -1, jlog, math.log(run.family.mean))[1:]  # from Z_{-1} = 0
 
 
-def normalized_observable(
+def normalized_log(
     log_values: np.ndarray,
     norm: float,
-    n: int,
     supercritical_correction: float | None = None,
-) -> CadlagPath:
-    """Step path t -> log⁺(values[floor(n t)] * mu^{-floor(n t)}) / norm.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """log⁺(values[k] * mu^{-k}) / norm for k = 0.., into `out` if given.
 
     `log_values` holds the log of the values.  The correction factor (pass
     mu > 1) removes the deterministic mean growth so supercritical
@@ -157,8 +181,20 @@ def normalized_observable(
         if supercritical_correction <= 0:
             raise ValueError("correction mean must be positive")
         lv = lv - np.arange(lv.shape[0]) * math.log(supercritical_correction)
-    obs = np.maximum(lv, 0.0)
+    obs = np.maximum(lv, 0.0, out=out)
     obs /= norm
-    times = np.arange(lv.shape[0], dtype=np.float64)
+    return obs
+
+
+def normalized_observable(
+    log_values: np.ndarray,
+    norm: float,
+    n: int,
+    supercritical_correction: float | None = None,
+) -> CadlagPath:
+    """Step path t -> `normalized_log(log_values, ...)[floor(n t)]`, that is
+    log⁺(values[floor(n t)] * mu^{-floor(n t)}) / norm."""
+    obs = normalized_log(log_values, norm, supercritical_correction)
+    times = np.arange(obs.shape[0], dtype=np.float64)
     times /= n
     return CadlagPath.step(times, obs)

@@ -16,6 +16,7 @@ value, so J is integer, J >= 1, and log J differs from V by at most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -129,9 +130,19 @@ class ImmigrationLaw:
         v = self._inverse_tail(np.asarray(1.0 - rng.random(size)))
         return float(v) if v.ndim == 0 else v
 
-    def sample_log_j_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """log J draws, J = max(1, floor(e^V)), as a float64 log-value array."""
-        return floored_log(self.sample_tail_value(rng, size))
+    def sample_log_j_array(self, rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
+        """log J draws, J = max(1, floor(e^V)), as a (len(rngs), size) float64
+        log-value array: row i holds `size` draws from generator i.
+
+        Each row takes its uniforms from its own generator, then the whole
+        block goes through the transform at once; a row equals the draws
+        of its generator alone bit for bit.
+        """
+        u = np.empty((len(rngs), size))
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        np.subtract(1.0, u, out=u)  # U on (0, 1]
+        return floored_log(self._inverse_tail(u))
 
     # ------------------------------------------------------------------
     # Norming sequence

@@ -5,15 +5,18 @@ Every stream is a Philox generator keyed by (seed, stream id), so any
 sequential jumping.  Replicate-level seeds are derived from the master
 seed with SeedSequence spawn keys, so a replicate's draws depend on the
 master seed and its index alone, not on which replicates ran before it.
+`replicate_seeds` computes numpy's SeedSequence hash for a range of
+consecutive indices at once: the master's part of the hash once, and the
+index's part as a few uint32 array passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence  # numpy 2 loads it lazily: load it here, not at the first draw
+from numpy.random import Generator, Philox  # numpy 2 loads it lazily: load it here, not at the first draw
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["substream", "replicate_seed", "IMMIGRATION", "OFFSPRING", "ATOMS", "GENERIC",
+__all__ = ["substream", "replicate_seed", "replicate_seeds", "IMMIGRATION", "OFFSPRING", "ATOMS", "GENERIC",
            "EXCLUDED_OFFSPRING"]
 
 # Purpose tags for the second Philox key word.
@@ -54,5 +57,58 @@ def substream(seed: int, purpose: int = GENERIC) -> Generator:
 
 def replicate_seed(master_seed: int, index: int) -> int:
     """Well-mixed 64-bit seed for replicate `index` under a master seed."""
-    ss = SeedSequence(entropy=master_seed & _MASK64, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(replicate_seeds(master_seed, index, index + 1)[0])
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+_POOL_SIZE = 4
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of two uint32 words, `y` an int or a uint32 array."""
+    r = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def replicate_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """`replicate_seed(master_seed, i)` for i in [start, stop), as uint64.
+
+    Seed i is `SeedSequence(entropy=master_seed mod 2^64, spawn_key=(i,))
+    .generate_state(1, np.uint64)[0]`.  Its entropy is the master's 32-bit
+    words, low first and zero-padded to the pool size, then i's one word;
+    only that last word differs from seed to seed, so the pool is mixed
+    from the master once and i is hashed into it for all i at once.  An
+    index outside [0, 2^32) would be two words, and is refused.
+    """
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"replicate indices [{start}, {stop}) must lie in [0, 2^32)")
+    master = master_seed & _MASK64
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) & _MASK32
+        h = (h * _MULT_A) & _MASK32
+        v = (v * h) & _MASK32
+        return v ^ (v >> 16)
+
+    pool = [hashmix((master >> (32 * w)) & _MASK32) for w in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    index = np.arange(start, stop, dtype=np.uint32)
+    seeds = np.zeros(stop - start, dtype=np.uint64)
+    g = _INIT_B
+    # i's word mixes into every pool word, but the state's two words (low first) read only the first two
+    for k in range(2):
+        w = _mix(pool[k], hashmix(index)) ^ np.uint32(g)
+        g = (g * _MULT_B) & _MASK32
+        w *= np.uint32(g)
+        w ^= w >> 16
+        seeds |= w.astype(np.uint64) << np.uint64(32 * k)
+    return seeds

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import budgets, checks, cli, limit, streams
-from gwshot.gwi import GwiRun, normalized_observable, run_replicates
+from gwshot import budgets, checks, cli, gwi, limit, streams
+from gwshot.gwi import CoupledPaths, GwiRun, normalized_observable, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
 
@@ -224,6 +224,38 @@ class TestSimulate:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "outside the float range" in lines[0], proc.stderr
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("change", [{"horizon": 0.0}, {}], ids=["horizon-0", "n-10"])
+    def test_bytes_do_not_depend_on_the_block_sizes(self, tmp_path, change):
+        # replicates set up in blocks of one up to all of them write the same bytes
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, **change))
+        outputs = {}
+        for cells, most in [(1, None), (2, None), (7, None), (None, 3), (None, None)]:
+            out = tmp_path / f"cap{cells}-{most}"
+            with mock.patch.object(gwi, "_BLOCK_CELLS", cells or gwi._BLOCK_CELLS), \
+                    mock.patch.object(gwi, "_BLOCK_REPLICATES", most or gwi._BLOCK_REPLICATES):
+                args = ["simulate", "--config", cfg, "--seed", "23", "--replicates", "10"]
+                assert cli.main(args + ["--out", str(out)]) == 0
+            outputs[cells, most] = out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
+        assert len(set(outputs.values())) == 1
+
+    def test_a_later_replicate_out_of_range_exits_2_without_output(self, tmp_path, capsys):
+        # the first replicate whose values leave the float range is named,
+        # and nothing is written although three replicates were fine
+        def bundles(run, replicates):
+            for r, bundle in enumerate(run_replicates(run, replicates)):
+                if r == 3:
+                    bundle = CoupledPaths(bundle.immigrant_log_j, np.full_like(bundle.y_log, math.inf), None)
+                yield bundle
+
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        out = tmp_path / "late"
+        with mock.patch.object(cli, "run_replicates", side_effect=bundles) as runner:
+            rc = cli.main(["simulate", "--config", cfg, "--seed", "1", "--replicates", "6", "--out", str(out)])
+        assert rc == 2 and runner.call_count == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: replicate 3 has a value outside the float range")
         assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
 

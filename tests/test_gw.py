@@ -180,7 +180,7 @@ def test_closed_form_stretches_match_the_stepped_kernel():
         for l_idx, law in enumerate(laws):
             for rep in range(paths):
                 seed = streams.replicate_seed(streams.replicate_seed(600, 10 * f_idx + l_idx), rep)
-                jlog = law.sample_log_j_array(streams.substream(seed, streams.IMMIGRATION), n + 1)
+                jlog = law.sample_log_j_array([streams.substream(seed, streams.IMMIGRATION)], n + 1)[0]
                 kept = jlog <= 0.5 * n
                 cohort = np.full(n + 1, -math.inf)
                 cohort[0] = 14.0 + 30.0 * rep / paths
@@ -331,7 +331,7 @@ def test_kernel_steps_only_counts_within_the_threshold():
             for l_idx, law in enumerate(laws):
                 for rep in range(40):
                     seed = streams.replicate_seed(700, 100 * f_idx + 10 * l_idx + rep)
-                    jlog = law.sample_log_j_array(streams.substream(seed, streams.IMMIGRATION), 301)
+                    jlog = law.sample_log_j_array([streams.substream(seed, streams.IMMIGRATION)], 301)[0]
                     logs = population_log_path(family, jlog, config, streams.substream(seed, streams.OFFSPRING))
                     reentries += np.count_nonzero((logs[:-1] > math.log(threshold)) & (logs[1:] <= math.log(threshold)))
     assert stepped and min(stepped) >= 1 and max(stepped) <= threshold

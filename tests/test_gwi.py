@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gwshot import streams
+from gwshot import gwi, streams
+from gwshot.checks import _REGIMES
 from gwshot.gw import FluidConfig, population_log_path
 from gwshot.gwi import (
     GwiRun,
@@ -114,6 +116,54 @@ class TestRunReplicates:
         assert np.array_equal(bundle.y_log, population_log_path(CRITICAL, founders, FluidConfig(), rng))
 
 
+def _bits(bundles):
+    """Each bundle's arrays as bit patterns (None for an absent truncated path)."""
+    return [tuple(None if a is None else a.view(np.int64).tolist()
+                  for a in (b.immigrant_log_j, b.y_log, b.truncated_log)) for b in bundles]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("case", [*_REGIMES, "cutoff", "founders"])
+    @pytest.mark.parametrize("n,horizon", [(2, 1.0), (1, 0.0)], ids=["3-generations", "horizon-0"])
+    def test_blocks_change_no_bits(self, case, n, horizon):
+        # blocks of one replicate up, capped by generations or by replicates:
+        # each replicate's bundle is the same to the bit
+        family, law = _REGIMES.get(case, _REGIMES["critical"])
+        run = GwiRun(n=n, horizon=horizon, family=family, law=law, seed=51)
+        runs = {}
+        if case == "cutoff":
+            runs["cutoff"] = 0.2 * n
+        if case == "founders":
+            runs["immigrant_log_j"] = np.full(run.num_steps + 1, -math.inf)
+            runs["immigrant_log_j"][0] = math.log(3.0)
+        replicates = 9
+        want = _bits(run_replicates(run, replicates, **runs))
+        size = run.num_steps + 1
+        for cells, most in [(1, None), (2, None), (7, None), (None, 4)]:
+            with mock.patch.object(gwi, "_BLOCK_CELLS", cells or gwi._BLOCK_CELLS), \
+                    mock.patch.object(gwi, "_BLOCK_REPLICATES", most or gwi._BLOCK_REPLICATES), \
+                    mock.patch.object(streams, "replicate_seeds", side_effect=streams.replicate_seeds) as seeds:
+                got = _bits(run_replicates(run, replicates, **runs))
+            assert got == want
+            per_block = max(1, min(most or gwi._BLOCK_REPLICATES, (cells or gwi._BLOCK_CELLS) // size))
+            spans = [(call.args[1], call.args[2]) for call in seeds.call_args_list]
+            assert spans == [(lo, min(lo + per_block, replicates)) for lo in range(0, replicates, per_block)]
+        assert per_block == 4  # the last caps hold several replicates to a block
+
+    def test_a_block_draws_its_immigrants_once(self):
+        # 801 generations: 20 replicates to a block of 2^14 cells, so 50
+        # replicates draw in three calls
+        run = _run(n=800, seed=52)
+        draws = mock.patch.object(ImmigrationLaw, "sample_log_j_array", autospec=True,
+                                  side_effect=ImmigrationLaw.sample_log_j_array)
+        with mock.patch.object(gwi, "_BLOCK_CELLS", 1 << 14), draws as sample:
+            bundles = list(run_replicates(run, 50))
+        assert [len(call.args[1]) for call in sample.call_args_list] == [20, 20, 10]
+        for r in (0, 19, 20, 49):
+            alone = immigrant_log_draws(GwiRun(800, 1.0, CRITICAL, RECIP, seed=streams.replicate_seed(52, r)))
+            assert np.array_equal(bundles[r].immigrant_log_j.view(np.int64), alone.view(np.int64))
+
+
 class TestMeanIdentities:
     def test_unit_immigration_mean(self):
         # deterministic J = 1 hook: E Y_m = sum_{k<=m} mu^{m-k}
@@ -139,7 +189,7 @@ class TestMeanIdentities:
         n, reps = 20, 10_000
         family = OffspringFamily.poisson(0.9)
         law = ImmigrationLaw.reciprocal(0.2)
-        jlog = law.sample_log_j_array(streams.substream(42, streams.IMMIGRATION), n + 1)
+        jlog = law.sample_log_j_array([streams.substream(42, streams.IMMIGRATION)], n + 1)[0]
         jlog = np.minimum(jlog, 8.0)  # keep counts in comfortably exact range
         z = np.exp(conditional_mean_path(_run(n=n, family=family, law=law), jlog))
         total = np.zeros(n + 1)

@@ -44,7 +44,7 @@ def test_truncated_never_exceeds_full(family, law, config, n, seed, gamma, c_n):
 def test_extinction_is_absorbing_once_immigration_stops(family, law, config, n, seed, stop):
     run = _run(family, law, config, n, seed)
     k = int(stop * n)
-    jlog = law.sample_log_j_array(streams.substream(seed, streams.IMMIGRATION), n + 1)
+    jlog = law.sample_log_j_array([streams.substream(seed, streams.IMMIGRATION)], n + 1)[0]
     jlog[k + 1 :] = -math.inf
     y_log = run_coupled(run, immigrant_log_j=jlog).y_log
     dead = np.nonzero(y_log[k:] == -math.inf)[0]

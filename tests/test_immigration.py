@@ -100,6 +100,25 @@ class TestInverseAndSampling:
         gap = v - floored_log(v)
         assert np.all(gap >= -1e-12) and np.all(gap <= 1.0)
 
+    @pytest.mark.parametrize(
+        "law",
+        [*ALL_LAWS, ImmigrationLaw.reciprocal(2.5), ImmigrationLaw.pareto_log(0.9)],
+        ids=["reciprocal-1", "pareto_log-0.5", "pareto_log_sv", "reciprocal-2.5", "pareto_log-0.9"],
+    )
+    @pytest.mark.parametrize("size", [1, 7, 801])
+    def test_block_rows_are_the_one_stream_draws(self, law, size):
+        # row i of a block is generator i's draws alone, bit for bit; a
+        # block of one is the one-stream sampler
+        seeds = [streams.replicate_seed(105, i) for i in range(5)]
+        block = law.sample_log_j_array([streams.substream(s, streams.IMMIGRATION) for s in seeds], size)
+        assert block.shape == (5, size) and block.dtype == np.float64
+        for seed, row in zip(seeds, block):
+            want = floored_log(law.sample_tail_value(streams.substream(seed, streams.IMMIGRATION), size))
+            one = law.sample_log_j_array([streams.substream(seed, streams.IMMIGRATION)], size)
+            assert one.shape == (1, size)
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
+            assert np.array_equal(one[0].view(np.int64), want.view(np.int64))
+
     def test_floor_transition_is_seamless(self):
         just_below = floored_log(np.array([FLOOR_EXACT_LOG - 1e-9]))[0]
         just_above = floored_log(np.array([FLOOR_EXACT_LOG + 1e-9]))[0]
