@@ -7,9 +7,7 @@ from .gw import FluidConfig, limit_profile, population_log_path
 from .gwi import (
     CoupledPaths,
     GwiRun,
-    conditional_mean_path,
     immigrant_log_draws,
-    normalized_observable,
     run_coupled,
     run_replicates,
 )
@@ -24,7 +22,7 @@ from .limit import (
 )
 from .offspring import OffspringFamily
 from .paths import CadlagPath
-from .stats import Sample, dkw_band, ks_distance, uniform_distance
+from .stats import Sample, dkw_band, ks_distance
 
 __version__ = "0.1.0"
 
@@ -34,9 +32,9 @@ __all__ = [
     "ImmigrationLaw",
     "FluidConfig", "population_log_path", "limit_profile",
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
-    "conditional_mean_path", "immigrant_log_draws", "normalized_observable",
+    "immigrant_log_draws",
     "PrmParams", "AtomSet", "sample_atoms", "shot_noise_paths",
     "marginal_cdf", "fdd_cdf",
-    "Sample", "ks_distance", "dkw_band", "uniform_distance",
+    "Sample", "ks_distance", "dkw_band",
     "CadlagPath",
 ]

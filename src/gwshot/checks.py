@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from . import limit, streams
 from .budgets import require_number, require_scale
-from .gw import limit_profile
-from .gwi import GwiRun, conditional_mean_path, normalized_observable, run_replicates
+from .gw import FluidConfig, limit_profile
+from .gwi import GwiRun, normalized_log, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
 from .stats import Sample, ks_distance
@@ -42,6 +43,9 @@ _REGIMES = {
     "critical": (OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0)),
     "supercritical": (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0)),
 }
+# The slope log mu of each regime's theorem.  A reference reads it here, not
+# from its `_REGIMES` row, so that a swapped row changes the engine alone.
+_LOG_MU = {"subcritical": -LOG2, "critical": 0.0, "supercritical": LOG2}
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,7 @@ def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> Chec
 
 
 # ----------------------------------------------------------------------
-# Truncated-process negligibility and the conditional-mean proxy
+# Truncated-process negligibility and the functional limit, coupled
 # ----------------------------------------------------------------------
 
 
@@ -282,8 +286,7 @@ def check_truncation_negligible(
         for n_idx, n in enumerate(ns):
             c_n = law.norming_bn(n)
             peaks = _rung(regime, n, streams.replicate_seed(seed, 1000 + 10 * b_idx + n_idx), replicates,
-                          lambda run, bundle: np.max(
-                              normalized_observable(bundle.truncated_log, c_n, n, correction).values),
+                          lambda run, bundle: np.max(normalized_log(bundle.truncated_log, c_n, correction)),
                           cutoff=gamma * c_n)
             seq.append(np.count_nonzero(peaks > level) / replicates)
         freqs[name] = seq
@@ -298,20 +301,55 @@ def check_truncation_negligible(
     )
 
 
-def check_conditional_mean_proxy(seed: int, n: int = 100, replicates: int = 200) -> CheckReport:
-    """log⁺Y_n stays within 0.05*n of log⁺Z_n, Z the conditional mean given
-    the immigrant counts, in at least 90% of coupled replicates."""
-    require_scale(replicates, (n,))
-    tol = 0.05
-    gaps = _rung("supercritical", n, seed, replicates, lambda run, bundle: abs(
-        max(bundle.y_log[-1], 0.0) - max(conditional_mean_path(run, bundle.immigrant_log_j)[-1], 0.0)) / n)
-    statistic = np.count_nonzero(gaps > tol) / replicates
+def _envelope(jlog: np.ndarray, log_mu: float) -> np.ndarray:
+    """e_m = max(log J_k + (m - k) log mu over k <= m with log J_k > 0), -inf before
+    the first such k: `gw.mean_recursion`'s closed form with max for logaddexp."""
+    k_log_mu = np.arange(jlog.shape[0]) * log_mu
+    return np.maximum.accumulate(np.where(jlog > 0, jlog - k_log_mu, -np.inf)) + k_log_mu
+
+
+def check_functional_coupled(seed: int, ns: tuple[int, ...] = (200, 800, 3200), replicates: int = 300) -> CheckReport:
+    """Each prelimit path against the limit path of its own immigrants.
+
+    The atoms (k/n, log J_k / c_n) converge to the limit's Poisson measure
+    (Resnick 1987, ch. 4), and their shot noise at t = m/n is e_m⁺ / c_n
+    (`_envelope`).  A replicate reads D = max_m |log⁺Y_m - e_m⁺| in nats.
+    Cell (regime, n), on block seed replicate_seed(seed, idx), passes when
+    its q99 of D is at most the sum of one budget per way a path leaves e⁺:
+    * deficit, log M, M the exactness threshold: an exact total has
+      log⁺Y_m >= 0, and a fluid one falls below no mean path J_k mu^(m-k) it
+      takes in and keeps the deficit it entered with.  For mu > 1 a dead
+      cohort's mean path rises on, but the total, fed J >= 2 a generation,
+      turns fluid about log M / log mu generations in;
+    * overshoot, log(100 (n + 1)): E[Y_m | J] = Z_m = sum_k J_k mu^(m-k), so
+      by Markov's inequality over the n + 1 generations log Y_m - log Z_m
+      stays below it in 99% of the replicates;
+    * a sum against its max, log(n + 1): Z_m has at most n + 1 terms, each
+      at most e^(e_m) since every law here gives J >= 2;
+    * the grid, |log mu|: the limit path's move between grid points, so
+      bound / c_n also bounds the J1 distance off the grid (Whitt 2002).
+    For mu > 1 the corrected pair, (log Y_m - m log mu)⁺ and (e_m - m log
+    mu)⁺, is no farther apart: x -> (x - c)⁺ is 1-Lipschitz and at most x⁺
+    for c >= 0.  Normed by n (thm1) or n^(1/alpha) (thm2) the bound
+    vanishes.  log mu is the theorem's (`_LOG_MU`), so an engine of the
+    wrong mean drifts from e linearly in n.  The statistic is the largest
+    q99 / bound of the cells."""
+    require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
+    require_scale(replicates, tuple(ns) * len(_LOG_MU))  # one path per regime per rung
+    log_m = math.log(FluidConfig().exactness_threshold)
+    q99, bounds = {regime: {} for regime in _LOG_MU}, {regime: {} for regime in _LOG_MU}
+    for idx, ((regime, log_mu), n) in enumerate(product(_LOG_MU.items(), ns)):
+        dist = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, lambda run, bundle: np.max(np.abs(
+            np.maximum(bundle.y_log, 0.0) - np.maximum(_envelope(bundle.immigrant_log_j, log_mu), 0.0))))
+        q99[regime][str(n)] = float(np.quantile(dist, 0.99))
+        bounds[regime][str(n)] = log_m + math.log(100 * (n + 1)) + math.log(n + 1) + abs(log_mu)
+    worst = max(q / bounds[regime][n] for regime, by_n in q99.items() for n, q in by_n.items())
     return CheckReport(
-        check="proxy-zn",
-        statistic=statistic,
-        threshold=0.10,
-        passed=statistic <= 0.10,
-        details={"tolerance": tol, "n": n, "replicates": replicates},
+        check="functional-coupled",
+        statistic=worst,
+        threshold=1.0,
+        passed=worst <= 1.0,
+        details={"q99_by_regime": q99, "bound_by_regime": bounds, "ns": list(ns), "replicates": replicates},
     )
 
 
@@ -326,13 +364,12 @@ _REGISTRY: dict[str, Callable[..., CheckReport]] = {
     "fdd": check_fdd,
     "lemma-aux2": check_cohort_profile,
     "lemma-aux3": check_truncation_negligible,
-    "proxy-zn": check_conditional_mean_proxy,
+    "functional-coupled": check_functional_coupled,
 }
 
 _ALIASES = {
     "cohort-profile": "lemma-aux2",
     "truncation-negligible": "lemma-aux3",
-    "conditional-mean-proxy": "proxy-zn",
 }
 
 CHECK_NAMES = tuple(_REGISTRY)

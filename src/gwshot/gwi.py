@@ -12,7 +12,8 @@ Y = T + R, which makes T <= Y hold seed by seed.
 
 Immigrant draws and offspring draws come from separate counter-based
 substreams of the run seed, so the immigrant sequence is reproducible on
-its own (the coupling point for the conditional-mean proxy Z).
+its own (the coupling point for the truncated process and for the limit
+path of a run's own atoms).
 `run_replicates` derives one run per replicate seed, the one replicate
 loop behind the CLI and the checks.  It sets replicates up a block at a
 time: one pass derives a block's seeds and one draws all its immigrants,
@@ -29,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import streams
-from .gw import FluidConfig, mean_recursion, population_log_path
+from .gw import FluidConfig, population_log_path
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
 from .paths import CadlagPath
@@ -37,10 +38,8 @@ from .paths import CadlagPath
 __all__ = [
     "GwiRun",
     "CoupledPaths",
-    "conditional_mean_path",
     "immigrant_log_draws",
     "normalized_log",
-    "normalized_observable",
     "run_coupled",
     "run_replicates",
 ]
@@ -122,7 +121,7 @@ def run_coupled(
 
 
 def immigrant_log_draws(run: GwiRun) -> np.ndarray:
-    """The run's immigrant log J sequence (the coupling point for Z)."""
+    """The run's immigrant log J sequence, as `run_coupled` draws it."""
     return run.law.sample_log_j_array([streams.substream(run.seed, streams.IMMIGRATION)], run.num_steps + 1)[0]
 
 
@@ -156,12 +155,6 @@ def run_replicates(
             yield run_coupled(replace(run, seed=seed), cutoff, row)
 
 
-def conditional_mean_path(run: GwiRun, immigrant_log_j: np.ndarray) -> np.ndarray:
-    """log Z_m, Z_m = sum_{k<=m} mu^{m-k} J_k, from the coupled immigrant draws."""
-    jlog = np.asarray(immigrant_log_j, dtype=np.float64)
-    return mean_recursion(_NEG_INF, -1, jlog, math.log(run.family.mean))[1:]  # from Z_{-1} = 0
-
-
 def normalized_log(
     log_values: np.ndarray,
     norm: float,
@@ -186,15 +179,10 @@ def normalized_log(
     return obs
 
 
-def normalized_observable(
-    log_values: np.ndarray,
-    norm: float,
-    n: int,
-    supercritical_correction: float | None = None,
-) -> CadlagPath:
-    """Step path t -> `normalized_log(log_values, ...)[floor(n t)]`, that is
-    log⁺(values[floor(n t)] * mu^{-floor(n t)}) / norm."""
+def normalized_observable(log_values: np.ndarray, norm: float, n: int,
+                          supercritical_correction: float | None = None) -> CadlagPath:
+    """`normalized_log` as a step path on the grid k/n.  Not public: the
+    benchmark's tracer (`perfbench/spans.py`) still names this function."""
     obs = normalized_log(log_values, norm, supercritical_correction)
-    times = np.arange(obs.shape[0], dtype=np.float64)
-    times /= n
-    return CadlagPath.step(times, obs)
+    times = np.arange(obs.shape[0]) / n
+    return CadlagPath(times, obs, np.zeros(obs.shape), times[-1])

@@ -1,8 +1,7 @@
 """Right-continuous piecewise-affine paths given by breakpoints.
 
-The same representation carries both prelimit normalized observables
-(step functions with breakpoints on the grid k/n) and limit shot-noise
-paths (segments of common slope between jumps, clamped at a floor).
+They carry the limit shot-noise paths (segments of common slope between
+jumps, clamped at a floor); a step function is the case of zero slopes.
 """
 
 from __future__ import annotations
@@ -46,24 +45,12 @@ class CadlagPath:
         object.__setattr__(self, "slopes", slp)
         object.__setattr__(self, "end_time", float(self.end_time))
 
-    @staticmethod
-    def step(times: np.ndarray, values: np.ndarray, end_time: float | None = None) -> "CadlagPath":
-        """Pure step function: value[i] on [times[i], times[i+1])."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if end_time is None:
-            end_time = float(times[-1])
-        return CadlagPath(times, values, np.zeros(values.shape), end_time)
-
-    def _segment_index(self, t: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, None)
-
     def value(self, t: float | np.ndarray) -> float | np.ndarray:
         """Right-continuous evaluation on [0, end_time]."""
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0) or np.any(t > self.end_time + 1e-12):
             raise ValueError("evaluation time outside [0, end_time]")
-        idx = self._segment_index(t)
+        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, None)
         out = self.values[idx] + self.slopes[idx] * (t - self.breakpoints[idx])
         return float(out) if out.ndim == 0 else out
 

@@ -1,4 +1,4 @@
-"""Empirical-distribution machinery and path metrics for the checks.
+"""Empirical-distribution machinery for the checks.
 
 KS distances here are descriptive statistics compared against stated
 thresholds, not formal hypothesis tests: the convergence rates of the
@@ -16,13 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .limit import _ROUND_ATOMS  # one slice of KS is one round of the sampler
-from .paths import CadlagPath
 
 __all__ = [
     "Sample",
     "ks_distance",
     "dkw_band",
-    "uniform_distance",
 ]
 
 
@@ -72,22 +70,3 @@ def dkw_band(n: int, confidence: float) -> float:
     if not (0 < confidence < 1):
         raise ValueError("confidence must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
-
-
-def _eval_points(f: CadlagPath, g: CadlagPath, grid: np.ndarray | None) -> np.ndarray:
-    pts = [f.breakpoints, g.breakpoints, [f.end_time]]
-    if grid is not None:
-        pts.append(np.asarray(grid, dtype=np.float64))
-    merged = np.unique(np.concatenate(pts))
-    return merged[(merged >= 0.0) & (merged <= f.end_time)]
-
-
-def uniform_distance(f: CadlagPath, g: CadlagPath, grid: np.ndarray | None = None) -> float:
-    """Supremum of |f - g| over grid, breakpoints, and their left limits."""
-    if f.end_time != g.end_time:
-        raise ValueError("paths must share a common domain")
-    pts = _eval_points(f, g, grid)
-    d_right = np.abs(f.value(pts) - g.value(pts))
-    d_left = np.abs(f.left_limit(pts) - g.left_limit(pts))
-    return float(max(d_right.max(), d_left.max()))
-

@@ -153,7 +153,7 @@ def test_criterion_10_fdd_self_consistency():
 
 def test_criterion_11a_log_plus_subadditivity():
     # the log arithmetic behind every output: logs added by np.logaddexp,
-    # and log⁺ taken as max(log, 0) (as in normalized_observable)
+    # and log⁺ taken as max(log, 0) (as in normalized_log)
     rng = np.random.default_rng(DEFAULT_SEED)
     lvs = rng.uniform(-700, 700, size=(10_000, 2))
     zero = -math.inf  # the log of an empty population
@@ -243,10 +243,14 @@ def test_criterion_aux_truncation_negligibility_trend():
 
 
 def test_criterion_aux_conditional_mean_proxy():
-    report = checks.run_check("proxy-zn", seed=DEFAULT_SEED)
+    # proxy-zn, the conditional-mean proxy, is retired into this check: Z is
+    # the fluid Y by construction, so log⁺Y_n - log⁺Z_n read 0 at every seed,
+    # while each path against its own max-plus envelope can fail
+    report = checks.run_check("functional-coupled", seed=DEFAULT_SEED)
     _report(
-        "invariant proxy-zn conditional-mean proxy",
+        "invariant functional-coupled (retires proxy-zn) path vs. its own envelope",
         report.passed,
         report.statistic,
         report.threshold,
+        note=f"q99={report.details['q99_by_regime']}",
     )

@@ -18,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gwshot import budgets, checks, cli, gwi, limit, streams
-from gwshot.gwi import CoupledPaths, GwiRun, normalized_observable, run_replicates
+from gwshot.gwi import CoupledPaths, GwiRun, normalized_log, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
 
@@ -130,7 +130,7 @@ class TestSimulate:
         run = GwiRun(n=800, horizon=1.0, family=OffspringFamily.from_config(offspring),
                      law=ImmigrationLaw.reciprocal(1.0), seed=31)
         mean = offspring["mean"] if correction else None
-        values = [normalized_observable(b.y_log, 800.0, 800, mean).values for b in run_replicates(run, 4)]
+        values = [normalized_log(b.y_log, 800.0, mean) for b in run_replicates(run, 4)]
         expected = "replicate,t,value\n" + reference_rows(values, 800)
         assert out.with_suffix(".csv").read_bytes() == expected.encode("utf-8")
         runs = sum(1 + np.count_nonzero(np.diff(v.view(np.int64))) for v in values)
@@ -298,7 +298,7 @@ def test_simulate_rows_hold_a_block_not_a_path():
     n = 199_999
     run = GwiRun(n=n, horizon=1.0, family=OffspringFamily.binary(0.5), law=ImmigrationLaw.reciprocal(1.0), seed=3)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = [normalized_observable(next(run_replicates(run, 1)).y_log, float(n), n).values]
+        values = [normalized_log(next(run_replicates(run, 1)).y_log, float(n))]
     tracemalloc.start()
     try:
         written = sum(map(len, cli._simulate_rows(values, n)))
@@ -698,9 +698,9 @@ _VERIFY_KEYS = {
     "fdd": {"mc_samples": st.integers(1, 300)},
     "lemma-aux2": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
     "lemma-aux3": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
-    "proxy-zn": {"n": st.integers(1, 20), "replicates": st.integers(1, 4)},
+    "functional-coupled": {"ns": _SMALL_LADDER, "replicates": st.integers(1, 4)},
 }
-_CHEAP_DEFAULTS = {"marginal-limit", "fdd", "lemma-aux2", "proxy-zn"}
+_CHEAP_DEFAULTS = {"marginal-limit", "fdd", "lemma-aux2"}
 _ODD_OVERRIDES = [v for v in _ODD_VALUES if v is not _MISSING] + [True, 2.5, [], [3, 2.5], [10**400], {}]
 
 
@@ -754,9 +754,10 @@ class TestVerify:
         listed = captured.err.removeprefix("error: unknown check 'no-such-check'; registered checks: ")
         assert listed.rstrip("\n").split(", ") == list(checks.CHECK_NAMES)
 
-    @pytest.mark.parametrize("name", ["lemma-aux2a", "cohort-flatness"])
+    @pytest.mark.parametrize("name", ["lemma-aux2a", "cohort-flatness", "proxy-zn", "conditional-mean-proxy"])
     def test_retired_check_exits_2(self, capsys, name):
-        # the e^(n^2) cohort is fluid from n = 5 on: acceptance criterion-06 tests its closed form
+        # the e^(n^2) cohort is fluid from n = 5 on: acceptance criterion-06 tests its closed form;
+        # Z is the fluid Y by construction: functional-coupled replaces the proxy
         assert cli.main(["verify", name, "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -823,11 +824,12 @@ class TestVerify:
         [
             ("lemma-aux2", {"replicates": 0}),  # each of these three divided by zero
             ("lemma-aux3", {"replicates": 0}),
-            ("proxy-zn", {"replicates": 0}),
+            ("functional-coupled", {"replicates": 0}),
             ("marginal-prelimit-thm1", {"ns": []}),  # these two indexed an empty list
             ("marginal-prelimit-thm2", {"ns": []}),
             ("lemma-aux2", {"n": 0}),  # these two passed on an empty statistic
             ("lemma-aux3", {"ns": []}),
+            ("functional-coupled", {"ns": []}),
         ],
     )
     def test_empty_scale_exits_2(self, tmp_path, capsys, check, overrides):
@@ -843,16 +845,16 @@ class TestVerify:
             ("lemma-aux2", {"n": budgets.PATH_GENERATION_BUDGET // 3 + 1}),  # 3n generations
             ("lemma-aux2", {"n": 10**400}),
             ("lemma-aux3", {"ns": [budgets.PATH_GENERATION_BUDGET + 1]}),
-            ("proxy-zn", {"n": 10**9}),
+            ("functional-coupled", {"ns": [10**9]}),
             ("marginal-prelimit-thm1", {"replicates": 10**12}),  # these ran without end
             ("marginal-prelimit-thm2", {"ns": [1], "replicates": 10**12}),
             ("lemma-aux2", {"replicates": 10**400}),
             ("lemma-aux2", {"n": 1, "replicates": 10**9}),
             ("lemma-aux3", {"replicates": 10**12}),
-            ("proxy-zn", {"replicates": 10**12}),
-            # n generations and the set-up per path, one path more than the budget holds
-            ("proxy-zn", {"n": 100, "replicates":
-                          budgets.ENGINE_GENERATION_BUDGET // (100 + budgets.PATH_SETUP_GENERATIONS) + 1}),
+            ("functional-coupled", {"replicates": 10**12}),
+            # three regimes per rung, each n and the set-up per path: one replicate over
+            ("functional-coupled", {"ns": [100], "replicates":
+                                    budgets.ENGINE_GENERATION_BUDGET // (3 * (100 + budgets.PATH_SETUP_GENERATIONS)) + 1}),
             # three branches per rung, each n and the set-up for n in 50, 100, 200: one replicate over
             ("lemma-aux3", {"replicates":
                             budgets.ENGINE_GENERATION_BUDGET // (3 * (350 + 3 * budgets.PATH_SETUP_GENERATIONS)) + 1}),
@@ -870,7 +872,7 @@ class TestVerify:
             ("lemma-aux2", {"n": 20.0}),
             ("lemma-aux2", {"replicates": 2.5}),
             ("lemma-aux3", {"ns": [False]}),
-            ("proxy-zn", {"n": "100"}),
+            ("functional-coupled", {"ns": ["100"]}),
             ("marginal-limit", {"sample_count": 1000.0}),
             ("fdd", {"mc_samples": True}),
             ("lemma-aux3", {"ns": 5}),  # these three raised TypeError inside the check
@@ -882,7 +884,7 @@ class TestVerify:
         assert_verify_rejects(tmp_path, capsys, check, overrides)
 
     @pytest.mark.parametrize(
-        "check,overrides", [("fdd", {"unknown": 1}), ("fdd", {"seed": 5}), ("proxy-zn", {"n": 10, "ns": [10]})]
+        "check,overrides", [("fdd", {"unknown": 1}), ("fdd", {"seed": 5}), ("functional-coupled", {"n": 10, "ns": [10]})]
     )
     def test_override_key_the_check_does_not_take_exits_2(self, tmp_path, capsys, check, overrides):
         assert_verify_rejects(tmp_path, capsys, check, overrides)
@@ -949,9 +951,9 @@ def test_jobs_is_accepted_and_ignored(tmp_path, command, jobs):
         ("simulate", dict(SIM_CONFIG, horizon=0.0), 10**12),
         ("limit-sample", dict(LIMIT_CONFIG, horizon=0.0), 10**12),  # no atoms
         ("limit-sample", dict(LIMIT_CONFIG, a=1e-300), 10**12),  # 1e-297 expected atoms each
-        ("verify", {"check": "proxy-zn", "overrides": {"replicates": 10**12}}, 10**12),
+        ("verify", {"check": "functional-coupled", "overrides": {"replicates": 10**12}}, 10**12),
     ],
-    ids=["simulate-1e7", "simulate-1e12", "limit-sample-horizon-0", "limit-sample-tiny-a", "verify-proxy-zn"],
+    ids=["simulate-1e7", "simulate-1e12", "limit-sample-horizon-0", "limit-sample-tiny-a", "verify-functional-coupled"],
 )
 def test_replicates_without_work_exceed_the_budget_at_once(tmp_path, capsys, command, config, replicates):
     # each path does almost no work of its own, but its set-up counts: the

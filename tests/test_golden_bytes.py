@@ -127,9 +127,10 @@ CHECK_DIGESTS = {
         SEED: "d53356caf611dd7070201a1fd4463a6f6f437141afd7369b82ff72c7ef8ea612",
         1: "66677faabc1ed88712dfbdbc5cb19f7653f6d161fb71d2667ec1df5d85034d7e",
     }),
-    "proxy-zn": ({"n": 3, "replicates": 40}, {
-        SEED: "9df5e059814d3bf0b52762f16394e4342f25eac3e75d9a0dc9cc18caf1c9e891",
-        1: "894786eebc56c0433870be4534b7db82b92429cc959b5405f022ae273633b90c",
+    # every q99 is a float of the draws: the envelope's distance, not a frequency
+    "functional-coupled": ({"ns": (20, 40), "replicates": 40}, {
+        SEED: "5a4a7d2836cc9847bd79aecfe8f1a45c06447ff7b409d03efda7dee5f84903f7",
+        1: "6e7a654c05061e02356ad097e8df79d80e3b9fa6c40d8a823360bc4e9e358121",
     }),
 }
 

@@ -256,7 +256,7 @@ class TestMeanRecursion:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         log_start=st.one_of(st.sampled_from([0.0, -0.0, -math.inf]), st.floats(-50.0, 50.0)),
-        start=st.integers(-1, 10**6),  # gwi starts the immigrant-only sum at -1
+        start=st.integers(-1, 10**6),  # the immigrant-only sum Z starts at -1, from Z_{-1} = 0
         jlog=st.lists(st.one_of(st.sampled_from([0.0, -0.0, -math.inf]), st.floats(-50.0, 50.0)), max_size=40),
         log_mu=st.sampled_from([0.0, -0.0]),
     )

@@ -6,10 +6,9 @@ import pytest
 
 from gwshot import gwi, streams
 from gwshot.checks import _REGIMES
-from gwshot.gw import FluidConfig, population_log_path
+from gwshot.gw import FluidConfig, mean_recursion, population_log_path
 from gwshot.gwi import (
     GwiRun,
-    conditional_mean_path,
     immigrant_log_draws,
     normalized_observable,
     run_coupled,
@@ -191,7 +190,7 @@ class TestMeanIdentities:
         law = ImmigrationLaw.reciprocal(0.2)
         jlog = law.sample_log_j_array([streams.substream(42, streams.IMMIGRATION)], n + 1)[0]
         jlog = np.minimum(jlog, 8.0)  # keep counts in comfortably exact range
-        z = np.exp(conditional_mean_path(_run(n=n, family=family, law=law), jlog))
+        z = np.exp(mean_recursion(-math.inf, -1, jlog, math.log(family.mean))[1:])  # Z_m, from Z_{-1} = 0
         total = np.zeros(n + 1)
         total_sq = np.zeros(n + 1)
         for rep in range(reps):
@@ -206,17 +205,16 @@ class TestMeanIdentities:
 
 
 class TestConditionalMeanPath:
+    # Z_m = E[Y_m | J] = sum_{k <= m} J_k mu^(m-k), `mean_recursion` from Z_{-1} = 0
+
     def test_single_immigrant_supercritical(self):
-        run = _run(n=3, family=OffspringFamily.poisson(2.0))
         jlog = np.array([10.0, -math.inf, -math.inf, -math.inf])
-        z = conditional_mean_path(run, jlog)
+        z = mean_recursion(-math.inf, -1, jlog, LOG2)[1:]
         assert z[3] == pytest.approx(10.0 + 3 * LOG2, rel=1e-12)
 
     def test_critical_is_running_sum(self):
-        run = _run(n=4)
-        z = conditional_mean_path(run, np.zeros(5))  # J = 1 each step
-        values = np.exp(z)
-        np.testing.assert_allclose(values, np.arange(1, 6), rtol=1e-12)
+        z = mean_recursion(-math.inf, -1, np.zeros(5), 0.0)[1:]  # J = 1 each step
+        np.testing.assert_allclose(np.exp(z), np.arange(1, 6), rtol=1e-12)
 
 
 class TestNormalizedObservable:

@@ -28,7 +28,7 @@ _PERFBENCH = _ROOT / "perfbench"
 _SRC = Path(gwshot.__file__).parent
 # public names that no command or check calls yet, and the ROADMAP item
 # that gives each one a caller
-_AWAITING_CALLER = {"dkw_band": "ROADMAP B", "uniform_distance": "ROADMAP B"}
+_AWAITING_CALLER = {"dkw_band": "ROADMAP P"}
 
 
 def _load(name):

@@ -3,12 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gwshot.paths import CadlagPath
-from gwshot.stats import Sample, dkw_band, ks_distance, uniform_distance
-
-
-def step(times, values, end):
-    return CadlagPath.step(np.asarray(times, dtype=float), np.asarray(values, dtype=float), end)
+from gwshot.stats import Sample, dkw_band, ks_distance
 
 
 class TestKsDistance:
@@ -105,26 +100,3 @@ class TestDkwBand:
             dkw_band(0, 0.5)
         with pytest.raises(ValueError):
             dkw_band(10, 1.0)
-
-
-class TestUniformDistance:
-    def test_identical_paths(self):
-        f = step([0.0, 0.5], [0.0, 1.0], 1.0)
-        assert uniform_distance(f, f) == 0.0
-
-    def test_constant_offset(self):
-        f = step([0.0, 0.5], [0.0, 1.0], 1.0)
-        g = step([0.0, 0.5], [0.25, 1.25], 1.0)
-        assert uniform_distance(f, g) == pytest.approx(0.25)
-
-    def test_shifted_jump(self):
-        f = step([0.0, 0.5], [0.0, 1.0], 1.0)
-        g = step([0.0, 0.6], [0.0, 1.0], 1.0)
-        assert uniform_distance(f, g) == pytest.approx(1.0)
-
-    def test_domain_mismatch_rejected(self):
-        f = step([0.0], [0.0], 1.0)
-        g = step([0.0], [0.0], 2.0)
-        with pytest.raises(ValueError):
-            uniform_distance(f, g)
-

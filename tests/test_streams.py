@@ -51,6 +51,16 @@ def test_replicate_seeds_are_numpy_spawn_key_seeds(master, index, count, to_the_
         assert type(streams.replicate_seed(master, start)) is int
 
 
+def test_replicate_seed_keeps_each_master_apart():
+    # the master's part of the hash is kept per master: seeds of two masters,
+    # asked in turn, are each master's own, and a master and its value mod
+    # 2^64 share their seeds
+    masters = [20250809, 3, 20250809 + (1 << 64), 3 + (1 << 32)]  # the last shares its low word with 3
+    got = [[streams.replicate_seed(m, i) for m in masters] for i in range(6)]
+    assert got == [[_numpy_seed(m, i) for m in masters] for i in range(6)]
+    assert [row[0] for row in got] == [row[2] for row in got] != [row[1] for row in got]
+
+
 @pytest.mark.parametrize("start,stop", [(-1, 3), (0, (1 << 32) + 1), (1 << 32, (1 << 32) + 1), (5, 4)])
 def test_replicate_seeds_refuse_an_index_outside_32_bits(start, stop):
     with pytest.raises(ValueError):
