@@ -3,7 +3,7 @@ shot noise limits: prelimit simulation at astronomical population scales,
 exact limit sampling up to a controlled truncation error, and statistical
 verification of the limiting laws."""
 
-from .gw import FluidConfig, limit_profile, population_log_path
+from .gw import FluidConfig, population_log_path
 from .gwi import (
     CoupledPaths,
     GwiRun,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "OffspringFamily",
     "ImmigrationLaw",
-    "FluidConfig", "population_log_path", "limit_profile",
+    "FluidConfig", "population_log_path",
     "GwiRun", "CoupledPaths", "run_coupled", "run_replicates",
     "immigrant_log_draws",
     "PrmParams", "AtomSet", "sample_atoms", "shot_noise_paths",

@@ -29,7 +29,7 @@ PATH_GENERATION_BUDGET = 5_000_000
 
 # Generations over all engine paths of a run: replicates x sum over the
 # n-ladder of (n x horizon + PATH_SETUP_GENERATIONS), a rung once per path
-# it runs (three for lemma-aux3's branches).  Setting up a path cost about
+# it runs (three for a check's three regimes).  Setting up a path cost about
 # as much as 370 generations cost to step when each replicate was set up
 # on its own (a ratio of 234-464, median 389).  Set up a block at a time
 # (`gwi.run_replicates`), a `simulate` replicate takes 48-65 us at

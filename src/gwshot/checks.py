@@ -23,7 +23,7 @@ import numpy as np
 
 from . import limit, streams
 from .budgets import require_number, require_scale
-from .gw import FluidConfig, limit_profile
+from .gw import FluidConfig
 from .gwi import GwiRun, normalized_log, run_replicates
 from .immigration import ImmigrationLaw
 from .offspring import OffspringFamily
@@ -35,17 +35,28 @@ DEFAULT_SEED = 20250809
 
 LOG2 = math.log(2.0)
 
-# The laws of the engine checks, one (offspring, immigration) pair per
-# regime.  Checks look their rows up when they run.  The cohort check seeds
-# each family by its index here, so the order is part of its streams.
+
+@dataclass(frozen=True)
+class _Regime:
+    """One regime of Pakes (1979): the engine laws, which `_rung` alone reads, and its
+    theorem's slope log mu and limit measure mu_{1,b}, normed by c_n = n^(1/b).  A
+    reference reads the theorem's constants, so a swapped engine leaves it in place."""
+
+    family: OffspringFamily
+    law: ImmigrationLaw
+    log_mu: float
+    b: float
+
+    def norming(self, n: int) -> float:
+        return float(n) ** (1 / self.b)
+
+
+# Looked up when a check runs; checks seed a regime by its index, so the order is part of their streams.
 _REGIMES = {
-    "subcritical": (OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5)),
-    "critical": (OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0)),
-    "supercritical": (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0)),
+    "subcritical": _Regime(OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5), -LOG2, 0.5),
+    "critical": _Regime(OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0), 0.0, 1.0),
+    "supercritical": _Regime(OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0), LOG2, 1.0),
 }
-# The slope log mu of each regime's theorem.  A reference reads it here, not
-# from its `_REGIMES` row, so that a swapped row changes the engine alone.
-_LOG_MU = {"subcritical": -LOG2, "critical": 0.0, "supercritical": LOG2}
 
 
 @dataclass(frozen=True)
@@ -112,23 +123,36 @@ def _rung(regime: str, n: int, seed: int, replicates: int, read: Callable, horiz
     """`read(run, bundle)` for each replicate of one cell, in order, as one array.  A cell is
     one (regime, n) pair run on block seed `seed`, `runs` passed to `run_replicates`; `read`
     gives one value or one tuple (a column per statistic) per replicate, never a path."""
-    run = GwiRun(n, horizon, *_REGIMES[regime], seed=seed)
+    row = _REGIMES[regime]
+    run = GwiRun(n, horizon, row.family, row.law, seed=seed)
     return np.array([read(run, bundle) for bundle in run_replicates(run, replicates, **runs)])
 
 
-def _prelimit_ladder(check: str, seed: int, regime: str, b: float, ns: tuple[int, ...],
-                     replicates: int) -> CheckReport:
-    """KS(log⁺Y_n / b_n, exp(-x^(-b))) at t = 1 along the n-ladder, b_n =
-    law.norming_bn(n), rung idx on block seed replicate_seed(seed, idx).
+def _envelope(jlog: np.ndarray, log_mu: float) -> np.ndarray:
+    """e_m = max(log J_k + (m - k) log mu over k <= m with log J_k > 0), -inf before
+    the first such k: `gw.mean_recursion`'s closed form with max for logaddexp."""
+    k_log_mu = np.arange(jlog.shape[0]) * log_mu
+    return np.maximum.accumulate(np.where(jlog > 0, jlog - k_log_mu, -np.inf)) + k_log_mu
+
+
+def _envelope_gap(log_mu: float, run: GwiRun, bundle) -> float:
+    """The `_rung` reader max_m |log⁺Y_m - e_m⁺| in nats, e the run's `_envelope` at log_mu."""
+    return np.max(np.abs(np.maximum(bundle.y_log, 0.0) - np.maximum(_envelope(bundle.immigrant_log_j, log_mu), 0.0)))
+
+
+def _prelimit_ladder(check: str, seed: int, regime: str, ns: tuple[int, ...], replicates: int) -> CheckReport:
+    """KS(log⁺Y_n / c_n, exp(-x^(-b))) at t = 1 along the n-ladder, b and c_n
+    the regime's theorem's, rung idx on block seed replicate_seed(seed, idx).
 
     Passes when the KS does not increase by more than 0.02 from one rung to
     the next and ends at or below 0.15.
     """
     require_scale(replicates, ns)
-    cdf = partial(limit.marginal_cdf, 1.0, b, 0.0, 1.0)
+    row = _REGIMES[regime]
+    cdf = partial(limit.marginal_cdf, 1.0, row.b, 0.0, 1.0)
     ks_by_n, norming = {}, {}
     for idx, n in enumerate(ns):
-        norming[str(n)] = c_n = _REGIMES[regime][1].norming_bn(n)
+        norming[str(n)] = c_n = row.norming(n)
         values = _rung(regime, n, streams.replicate_seed(seed, idx), replicates,
                        lambda run, bundle: max(bundle.y_log[-1], 0.0) / c_n)
         ks_by_n[str(n)] = ks_distance(Sample(values), cdf)
@@ -153,7 +177,7 @@ def check_marginal_prelimit_thm1(
     KS(log⁺Y_n / n, exp(-1/x)) must not increase along the n-ladder (0.02
     slack between consecutive rungs) and must end below 0.15.
     """
-    return _prelimit_ladder("marginal-prelimit-thm1", seed, "critical", 1.0, ns, replicates)
+    return _prelimit_ladder("marginal-prelimit-thm1", seed, "critical", ns, replicates)
 
 
 def check_marginal_prelimit_thm2(
@@ -164,7 +188,7 @@ def check_marginal_prelimit_thm2(
     KS(log⁺Y_n / b_n, exp(-x^(-1/2))) <= 0.15 at the top rung, and the
     coarser rung is no better than 0.02 beyond it.
     """
-    return _prelimit_ladder("marginal-prelimit-thm2", seed, "subcritical", 0.5, ns, replicates)
+    return _prelimit_ladder("marginal-prelimit-thm2", seed, "subcritical", ns, replicates)
 
 
 # ----------------------------------------------------------------------
@@ -234,30 +258,27 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
 def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> CheckReport:
     """A cohort of e^n individuals follows (1 + t log mu)^+ on the log/n scale.
 
-    Per family, the fraction of cohorts whose log⁺/n path over 3n
-    generations leaves the profile by more than 0.1.  A cohort is the run
-    whose one immigrant batch is its founders; family idx runs on block
-    seed replicate_seed(seed, idx).
+    A cohort is the run whose one immigrant batch is its founders, so its
+    envelope at the theorem's log mu is n + m log mu, n times the profile at
+    t = m/n.  Per regime, the fraction of cohorts whose `_envelope_gap` over
+    3n generations exceeds 0.1 n; regime idx on block seed replicate_seed(seed, idx).
     """
     horizon, tol = 3.0, 0.1
-    require_scale(replicates, (n,), horizon=horizon)
+    require_scale(replicates, (n,) * len(_REGIMES), horizon=horizon)  # one cohort per regime
     founders = np.full(3 * n + 1, -math.inf)  # generations 0..3n, the founders at 0
     founders[0] = n
     fractions = {}
-    for fam_idx, (regime, (family, _)) in enumerate(_REGIMES.items()):
-        target = limit_profile(1.0, family.mean, np.arange(3 * n + 1) / n)
-        gaps = _rung(regime, n, streams.replicate_seed(seed, fam_idx), replicates,
-                     lambda run, bundle: np.max(np.abs(np.maximum(bundle.y_log, 0.0) / n - target)),
+    for idx, (regime, row) in enumerate(_REGIMES.items()):
+        gaps = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, partial(_envelope_gap, row.log_mu),
                      horizon, immigrant_log_j=founders)
-        fractions[family.family] = np.count_nonzero(gaps > tol) / replicates
+        fractions[regime] = np.count_nonzero(gaps > tol * n) / replicates
     statistic = max(fractions.values())
     return CheckReport(
         check="lemma-aux2",
         statistic=statistic,
         threshold=0.05,
         passed=statistic <= 0.05,
-        details={"exceed_fraction_by_family": fractions, "tolerance": tol,
-                 "n": n, "replicates": replicates},
+        details={"exceed_fraction_by_regime": fractions, "tolerance": tol, "n": n, "replicates": replicates},
     )
 
 
@@ -273,39 +294,29 @@ def check_truncation_negligible(
     gamma + delta on the normalized log scale, more surely as n grows."""
     gamma, slack = 0.2, 0.1
     level = gamma + slack
-    branches = {"critical_cn_n": "critical", "supercritical_cn_n": "supercritical",
-                "subcritical_cn_bn": "subcritical"}
     require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
-    require_scale(replicates, tuple(ns) * len(branches))  # one path per branch per rung
+    require_scale(replicates, tuple(ns) * len(_REGIMES))  # one path per regime per rung
     freqs: dict[str, list[float]] = {}
     worst_increase = -math.inf
-    for b_idx, (name, regime) in enumerate(branches.items()):
-        family, law = _REGIMES[regime]
-        correction = family.mean if family.mean > 1.0 else None
+    for r_idx, (regime, row) in enumerate(_REGIMES.items()):
+        correction = math.exp(row.log_mu) if row.log_mu > 0 else None
         seq = []
         for n_idx, n in enumerate(ns):
-            c_n = law.norming_bn(n)
-            peaks = _rung(regime, n, streams.replicate_seed(seed, 1000 + 10 * b_idx + n_idx), replicates,
+            c_n = row.norming(n)
+            peaks = _rung(regime, n, streams.replicate_seed(seed, 1000 + 10 * r_idx + n_idx), replicates,
                           lambda run, bundle: np.max(normalized_log(bundle.truncated_log, c_n, correction)),
                           cutoff=gamma * c_n)
             seq.append(np.count_nonzero(peaks > level) / replicates)
-        freqs[name] = seq
+        freqs[regime] = seq
         worst_increase = max(worst_increase, max(np.diff(seq), default=0.0))
     return CheckReport(
         check="lemma-aux3",
         statistic=float(worst_increase),
         threshold=0.0,
         passed=worst_increase <= 0.0,
-        details={"exceed_frequency_by_branch": freqs, "ns": list(ns),
+        details={"exceed_frequency_by_regime": freqs, "ns": list(ns),
                  "gamma": gamma, "slack": slack, "replicates": replicates},
     )
-
-
-def _envelope(jlog: np.ndarray, log_mu: float) -> np.ndarray:
-    """e_m = max(log J_k + (m - k) log mu over k <= m with log J_k > 0), -inf before
-    the first such k: `gw.mean_recursion`'s closed form with max for logaddexp."""
-    k_log_mu = np.arange(jlog.shape[0]) * log_mu
-    return np.maximum.accumulate(np.where(jlog > 0, jlog - k_log_mu, -np.inf)) + k_log_mu
 
 
 def check_functional_coupled(seed: int, ns: tuple[int, ...] = (200, 800, 3200), replicates: int = 300) -> CheckReport:
@@ -330,19 +341,17 @@ def check_functional_coupled(seed: int, ns: tuple[int, ...] = (200, 800, 3200), 
       bound / c_n also bounds the J1 distance off the grid (Whitt 2002).
     For mu > 1 the corrected pair, (log Y_m - m log mu)⁺ and (e_m - m log
     mu)⁺, is no farther apart: x -> (x - c)⁺ is 1-Lipschitz and at most x⁺
-    for c >= 0.  Normed by n (thm1) or n^(1/alpha) (thm2) the bound
-    vanishes.  log mu is the theorem's (`_LOG_MU`), so an engine of the
-    wrong mean drifts from e linearly in n.  The statistic is the largest
-    q99 / bound of the cells."""
+    for c >= 0.  Normed by c_n = n^(1/b) the bound vanishes.  log mu is the
+    row's theorem's, so an engine of the wrong mean drifts from e linearly
+    in n.  The statistic is the largest q99 / bound of the cells."""
     require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
-    require_scale(replicates, tuple(ns) * len(_LOG_MU))  # one path per regime per rung
+    require_scale(replicates, tuple(ns) * len(_REGIMES))  # one path per regime per rung
     log_m = math.log(FluidConfig().exactness_threshold)
-    q99, bounds = {regime: {} for regime in _LOG_MU}, {regime: {} for regime in _LOG_MU}
-    for idx, ((regime, log_mu), n) in enumerate(product(_LOG_MU.items(), ns)):
-        dist = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, lambda run, bundle: np.max(np.abs(
-            np.maximum(bundle.y_log, 0.0) - np.maximum(_envelope(bundle.immigrant_log_j, log_mu), 0.0))))
+    q99, bounds = {regime: {} for regime in _REGIMES}, {regime: {} for regime in _REGIMES}
+    for idx, ((regime, row), n) in enumerate(product(_REGIMES.items(), ns)):
+        dist = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, partial(_envelope_gap, row.log_mu))
         q99[regime][str(n)] = float(np.quantile(dist, 0.99))
-        bounds[regime][str(n)] = log_m + math.log(100 * (n + 1)) + math.log(n + 1) + abs(log_mu)
+        bounds[regime][str(n)] = log_m + math.log(100 * (n + 1)) + math.log(n + 1) + abs(row.log_mu)
     worst = max(q / bounds[regime][n] for regime, by_n in q99.items() for n, q in by_n.items())
     return CheckReport(
         check="functional-coupled",

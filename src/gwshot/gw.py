@@ -25,7 +25,7 @@ import numpy as np
 from .budgets import reject_unknown_keys, require_count
 from .offspring import EXACT_COUNT_LIMIT, OffspringFamily
 
-__all__ = ["FluidConfig", "population_log_path", "mean_recursion", "limit_profile"]
+__all__ = ["FluidConfig", "population_log_path", "mean_recursion"]
 
 _NEG_INF = float("-inf")
 
@@ -131,13 +131,3 @@ def population_log_path(
         out[m] = math.log(count) if count else _NEG_INF
         m += 1
     return out
-
-
-def limit_profile(a: float, mu: float, t: float | np.ndarray) -> float | np.ndarray:
-    """(a + t log mu)^+ — the limiting log-growth profile of an e^{an} cohort."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    out = np.maximum(np.asarray(a + np.asarray(t, dtype=np.float64) * math.log(mu)), 0.0)
-    return float(out) if out.ndim == 0 else out

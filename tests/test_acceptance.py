@@ -67,7 +67,7 @@ def test_criterion_05_cohort_growth_profile():
         report.passed,
         report.statistic,
         report.threshold,
-        note=f"exceed={report.details['exceed_fraction_by_family']}",
+        note=f"exceed={report.details['exceed_fraction_by_regime']}",
     )
 
 
@@ -77,8 +77,8 @@ def test_criterion_06_superexponential_cohort_flatness():
     # fluid closed form log Y_k = n^2 + k log mu, with no draw, and
     # log⁺Y_k / n^2 stays within 3|log mu|/n of 1 (flat on the n^2 scale)
     worst = 0.0
-    for family, _ in checks._REGIMES.values():
-        log_mu = math.log(family.mean)
+    for row in checks._REGIMES.values():
+        family, log_mu = row.family, row.log_mu
         for n in (5, 10, 100):
             founders = np.full(3 * n + 1, -math.inf)
             founders[0] = n * n
@@ -238,7 +238,7 @@ def test_criterion_aux_truncation_negligibility_trend():
         report.passed,
         report.statistic,
         report.threshold,
-        note=f"freq={report.details['exceed_frequency_by_branch']}",
+        note=f"freq={report.details['exceed_frequency_by_regime']}",
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -62,39 +63,52 @@ def test_marginal_limit_fails_for_a_flipped_slope(monkeypatch):
     assert report.details["ks_by_regime"]["extremal"] <= 0.01 < report.statistic
 
 
-def test_lemma_aux3_budget_counts_each_branch(monkeypatch):
-    # three branches per rung: the default ladder costs 3 x (350 + 3 x 100)
-    # budgeted generations per replicate
+@pytest.mark.parametrize("check,per_regime", [
+    ("lemma-aux3", 50 + 100 + 200 + 3 * budgets.PATH_SETUP_GENERATIONS),  # the default ladder
+    ("lemma-aux2", 3 * 200 + budgets.PATH_SETUP_GENERATIONS),  # one cohort of 3n generations
+], ids=["lemma-aux3", "lemma-aux2"])
+def test_cohort_check_budget_counts_each_regime(monkeypatch, check, per_regime):
+    # one path per regime: the defaults cost 3 x `per_regime` budgeted
+    # generations per replicate
     monkeypatch.setattr(checks, "run_replicates", lambda *args, **kwargs: iter(()))
-    checks.run_check("lemma-aux3")
-    bound = budgets.ENGINE_GENERATION_BUDGET // (3 * (50 + 100 + 200 + 3 * budgets.PATH_SETUP_GENERATIONS))
-    checks.run_check("lemma-aux3", replicates=bound)
+    checks.run_check(check)
+    bound = budgets.ENGINE_GENERATION_BUDGET // (3 * per_regime)
+    checks.run_check(check, replicates=bound)
     with pytest.raises(ValueError, match="engine budget"):
-        checks.run_check("lemma-aux3", replicates=bound + 1)
+        checks.run_check(check, replicates=bound + 1)
 
 
-# check: (regime row it reads, one-rung scale, mutant row).  At 300
+def test_regime_rows_agree_with_their_engine_laws():
+    # at the default rows the theorem's constants are the engine's, bit for bit
+    for row in checks._REGIMES.values():
+        assert math.log(row.family.mean) == row.log_mu
+        for n in (1, 25, 800, 3200):
+            assert row.law.norming_bn(n) == row.norming(n)
+
+
+# check: (regime row it reads, one-rung scale, mutant engine law).  At 300
 # replicates, over DEFAULT_SEED and seeds 1-7, the default rows read KS
 # 0.035-0.065 (thm1) and 0.031-0.073 (thm2); the mutants read 0.243-0.263
-# and 0.171-0.266, against the 0.15 threshold.  thm1 cannot see a mildly
-# supercritical engine: poisson(1.2) offspring reads 0.060-0.103 here and
-# 0.057 at the default scale (ROADMAP Baseline).  Seeing it needs a sharper
-# rule than a KS against the limit, not a lower threshold.
+# and 0.832-0.919, against the 0.15 threshold.  The thm2 mutant's c_n stays
+# the theorem's n^2 = 10^4; while the norming was read from the engine law,
+# it moved with the mutant to 100 and the mutant read 0.171-0.266.  thm1
+# cannot see a mildly supercritical engine: poisson(1.2) offspring reads
+# 0.060-0.103 here and 0.057 at the default scale (ROADMAP Baseline).
+# Seeing it needs a sharper rule than a KS against the limit, not a lower
+# threshold.
 _THEOREM_MUTANTS = {
-    "marginal-prelimit-thm1": ("critical", (200,),
-                               (OffspringFamily.poisson(2.0), ImmigrationLaw.reciprocal(1.0))),
-    "marginal-prelimit-thm2": ("subcritical", (100,),
-                               (OffspringFamily.geometric(0.5), ImmigrationLaw.reciprocal(1.0))),
+    "marginal-prelimit-thm1": ("critical", (200,), {"family": OffspringFamily.poisson(2.0)}),
+    "marginal-prelimit-thm2": ("subcritical", (100,), {"law": ImmigrationLaw.reciprocal(1.0)}),
 }
 
 
 @pytest.mark.parametrize("check", list(_THEOREM_MUTANTS))
 def test_theorem_check_fails_on_a_mutant_regime(monkeypatch, check):
     # the checks read their laws from checks._REGIMES when they run, so a
-    # swapped row is the engine they test
+    # swapped engine law is the engine they test
     regime, ns, mutant = _THEOREM_MUTANTS[check]
     assert checks.run_check(check, ns=ns, replicates=300).passed is True
-    monkeypatch.setitem(checks._REGIMES, regime, mutant)
+    monkeypatch.setitem(checks._REGIMES, regime, dataclasses.replace(checks._REGIMES[regime], **mutant))
     assert checks.run_check(check, ns=ns, replicates=300).passed is False
 
 
@@ -111,19 +125,60 @@ def test_theorem_check_passes_at_its_default_scale(check, seed):
 def test_rung_reads_each_replicate_in_order():
     # a tuple reader gives one column per statistic, row r from replicate r
     pairs = checks._rung("critical", 10, 5, 4, lambda run, bundle: (bundle.y_log[-1], bundle.immigrant_log_j[0]))
-    run = GwiRun(10, 1.0, *checks._REGIMES["critical"], seed=5)
+    row = checks._REGIMES["critical"]
+    run = GwiRun(10, 1.0, row.family, row.law, seed=5)
     want = [(bundle.y_log[-1], bundle.immigrant_log_j[0]) for bundle in run_replicates(run, 4)]
     assert pairs.shape == (4, 2) and np.array_equal(pairs, want)
 
 
-def _verify_functional_coupled(tmp_path, ns):
-    """`gwshot verify functional-coupled` at 20 replicates a cell: its exit code and report."""
+def _swap_family(monkeypatch, regime, family):
+    """Run `regime`'s engine on `family` offspring; the row's theorem constants stay."""
+    monkeypatch.setitem(checks._REGIMES, regime, dataclasses.replace(checks._REGIMES[regime], family=family))
+
+
+def _verify(tmp_path, check, overrides):
+    """`gwshot verify <check>` at seed 3: its exit code and report."""
     cfg = tmp_path / "check.json"
-    cfg.write_text(json.dumps({"check": "functional-coupled", "overrides": {"ns": ns, "replicates": 20}}),
-                   encoding="utf-8")
+    cfg.write_text(json.dumps({"check": check, "overrides": overrides}), encoding="utf-8")
     out = tmp_path / "report"
     rc = cli.main(["verify", "--config", str(cfg), "--seed", "3", "--out", str(out)])
     return rc, json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+
+
+def _verify_functional_coupled(tmp_path, ns):
+    """`gwshot verify functional-coupled` at 20 replicates a cell."""
+    return _verify(tmp_path, "functional-coupled", {"ns": ns, "replicates": 20})
+
+
+# regime: its row's engine on a family of the wrong mean.  A cohort of e^50
+# drifts from n + m log mu by 3n |log(mu'/mu)| nats over its 3n generations,
+# more than the 0.1 n tolerance: 0.146 n and 0.154 n in the critical row,
+# and the geometric(0.6) cohort dies about n/|log 0.6| - n/log 2 = 25
+# generations late.  Each reads fraction 1.0 at seed 3.
+_WRONG_MEAN = [("critical", OffspringFamily.poisson(1.05)), ("critical", OffspringFamily.poisson(0.95)),
+               ("subcritical", OffspringFamily.geometric(0.6))]
+
+
+@pytest.mark.parametrize("regime,family", _WRONG_MEAN, ids=["poisson-1.05", "poisson-0.95", "geometric-0.6"])
+def test_cohort_profile_fails_on_an_engine_of_the_wrong_mean(tmp_path, monkeypatch, regime, family):
+    # the reference is the row's log mu, not the engine's mean, and a mutant
+    # sharing another row's family name keeps all three regimes in the report
+    overrides = {"n": 50, "replicates": 20}
+    assert _verify(tmp_path, "lemma-aux2", overrides)[0] == 0
+    _swap_family(monkeypatch, regime, family)
+    rc, report = _verify(tmp_path, "lemma-aux2", overrides)
+    fractions = report["details"]["exceed_fraction_by_regime"]
+    assert rc == 4 and report["pass"] is False
+    assert set(fractions) == set(checks._REGIMES)
+    assert fractions[regime] == 1.0 and all(fractions[r] == 0.0 for r in fractions if r != regime)
+
+
+def test_cohort_profile_cannot_see_an_engine_of_the_right_mean(tmp_path, monkeypatch):
+    # geometric(1.0) offspring in the critical row: a cohort of e^50 stays
+    # fluid, where only the mean acts, so the check passes; telling laws of
+    # one mean apart needs an exact law (ROADMAP J)
+    _swap_family(monkeypatch, "critical", OffspringFamily.geometric(1.0))
+    assert _verify(tmp_path, "lemma-aux2", {"n": 50, "replicates": 20})[0] == 0
 
 
 def test_functional_coupled_fails_on_a_supercritical_engine_in_the_critical_row(tmp_path, monkeypatch):
@@ -131,7 +186,7 @@ def test_functional_coupled_fails_on_a_supercritical_engine_in_the_critical_row(
     # at n = 3200 the critical q99 reads about 154 nats against a bound of
     # 34.6, where the correct engine reads 1.8
     assert _verify_functional_coupled(tmp_path, [3200])[0] == 0
-    monkeypatch.setitem(checks._REGIMES, "critical", (OffspringFamily.poisson(1.05), ImmigrationLaw.reciprocal(1.0)))
+    _swap_family(monkeypatch, "critical", OffspringFamily.poisson(1.05))
     rc, report = _verify_functional_coupled(tmp_path, [3200])
     assert rc == 4 and report["pass"] is False
     details = report["details"]
@@ -151,13 +206,13 @@ def test_functional_coupled_fails_on_an_envelope_of_the_wrong_slope(tmp_path, mo
     assert min(q99["subcritical"]["200"], q99["supercritical"]["200"]) > 5 * bound["subcritical"]["200"]
 
 
-@pytest.mark.parametrize("regime", list(checks._LOG_MU))
+@pytest.mark.parametrize("regime", list(checks._REGIMES))
 def test_envelope_is_the_shot_noise_path_of_the_run_atoms(regime):
     # the atoms (k/n, log J_k / c_n) with log J_k > 0 and slope n log mu / c_n
     # give the limit path whose value at m/n is e_m⁺ / c_n
-    n, log_mu = 50, checks._LOG_MU[regime]
-    run = GwiRun(n, 1.0, *checks._REGIMES[regime], seed=11)
-    c_n = run.law.norming_bn(n)
+    n, row = 50, checks._REGIMES[regime]
+    log_mu, c_n = row.log_mu, row.norming(n)
+    run = GwiRun(n, 1.0, row.family, row.law, seed=11)
     bundles = list(run_replicates(run, 5))
     atom_sets = [AtomSet(np.flatnonzero(b.immigrant_log_j > 0) / n, b.immigrant_log_j[b.immigrant_log_j > 0] / c_n)
                  for b in bundles]
@@ -192,6 +247,6 @@ def test_envelope_keeps_the_larger_of_two_mean_paths():
 def test_functional_coupled_bound_is_the_sum_of_its_terms():
     # log M + log(100 (n + 1)) + log(n + 1) + |log mu|, M = 10^6
     details = checks.run_check("functional-coupled", ns=(7,), replicates=2).details
-    for regime, log_mu in checks._LOG_MU.items():
-        want = math.log(1e6) + math.log(800) + math.log(8) + abs(log_mu)
+    for regime, row in checks._REGIMES.items():
+        want = math.log(1e6) + math.log(800) + math.log(8) + abs(row.log_mu)
         assert details["bound_by_regime"][regime]["7"] == pytest.approx(want, rel=1e-15)

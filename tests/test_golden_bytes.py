@@ -2,12 +2,12 @@
 on it, for fixed seeds.
 
 The digests of runs without a descending fluid stretch (critical,
-supercritical, thm1, and lemma-aux2 at its small scale, where every
-cohort stays exact) were computed before the kernel's scalar fast path
-(scalar offspring draws, skipped zero counts), before thm1/thm2 were
-folded into one shared loop and before lemma-aux2 drew its cohorts
-through `run_replicates` with the founders as the one immigrant batch;
-the code must reproduce them exactly.  The subcritical ones (simulate, truncated pair,
+supercritical and thm1) were computed before the kernel's scalar fast path
+(scalar offspring draws, skipped zero counts) and before thm1/thm2 were
+folded into one shared loop; the code must reproduce them exactly.  The
+lemma-aux2 digests were re-made when its fractions were keyed by regime,
+every fraction kept, and the lemma-aux3 ones when it ran the regime table
+in its order, which moved its keys and block seeds.  The subcritical ones (simulate, truncated pair,
 cohort, thm2) were made when a descending fluid stretch became the closed
 form `mean_recursion`.  The marginal-limit and fdd digests pin the limit
 sampler's draws as they are since its rounds were cut to 2^14 atoms, so
@@ -118,14 +118,15 @@ CHECK_DIGESTS = {
         1: "fa80e5705d825a56237fb422fd61a72b7a6dde5d1521329fae0255f560cf3808",
     }),
     "lemma-aux2": ({"n": 5, "replicates": 40}, {
-        SEED: "c1cda6933cef14700e16a6b591e41feb3cfeec49511237415c690f9c5336ba00",
-        1: "4bd14e6e0effcd79781c0e50559a0e02f720f93a0003cb1d3e7c00a7169b97c2",
+        SEED: "420b6c9d59ed0910aa8796cc5064103f6a818556e2dfc2bbdf96531a7b7aaa2d",
+        1: "6823af2d1ad9d14420d25badf8a903b9b96c85b0f6ee6c02ce82fa515d9b3d94",
     }),
-    # at this scale the critical and supercritical exceed frequencies are not
-    # all 0 (0.1/0.475 and 0.025/0.0 at seed 1), so the mu^(-k) correction counts
+    # at this scale the critical exceed frequencies are not all 0 (0.05/0.525
+    # at seed 1), and without the mu^(-k) correction the supercritical ones
+    # would read 0.3/1.0 in place of 0.0/0.0, so the correction counts
     "lemma-aux3": ({"ns": (5, 10), "replicates": 40}, {
-        SEED: "d53356caf611dd7070201a1fd4463a6f6f437141afd7369b82ff72c7ef8ea612",
-        1: "66677faabc1ed88712dfbdbc5cb19f7653f6d161fb71d2667ec1df5d85034d7e",
+        SEED: "84a1782feeb4e81d37f9f718081c09fc1ff36884727797de0ff4d2fc0a7dd5a8",
+        1: "0bb0595baa93f0abe36c0baabf2bdf5d8ecdcd0ccf95ab594fedec392692193b",
     }),
     # every q99 is a float of the draws: the envelope's distance, not a frequency
     "functional-coupled": ({"ns": (20, 40), "replicates": 40}, {

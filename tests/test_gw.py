@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwshot import gw, streams
-from gwshot.gw import FluidConfig, limit_profile, population_log_path
+from gwshot.gw import FluidConfig, population_log_path
 from gwshot.gwi import normalized_observable
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -293,7 +293,7 @@ class TestNormalizedLogPath:
         n, horizon, reps = 60, 3.0, 30
         grid = np.arange(int(n * horizon) + 1) / n
         for family in (OffspringFamily.geometric(0.5), OffspringFamily.poisson(2.0)):
-            profile = limit_profile(1.0, family.mean, grid)
+            profile = np.maximum(1.0 + grid * math.log(family.mean), 0.0)  # (1 + t log mu)⁺
             bad = 0
             for rep in range(reps):
                 rng = streams.substream(streams.replicate_seed(500, rep), streams.OFFSPRING)
@@ -336,16 +336,3 @@ def test_kernel_steps_only_counts_within_the_threshold():
                     reentries += np.count_nonzero((logs[:-1] > math.log(threshold)) & (logs[1:] <= math.log(threshold)))
     assert stepped and min(stepped) >= 1 and max(stepped) <= threshold
     assert max(stepped) > threshold // 2 and reentries > 20  # the counts reach up to the threshold and back
-
-
-class TestLimitProfile:
-    def test_trivial_values(self):
-        assert limit_profile(1.0, 1.0, 7.0) == 1.0
-        assert limit_profile(1.0, math.e, 2.0) == pytest.approx(3.0, rel=1e-15)
-        assert limit_profile(1.0, 1.0 / math.e, 2.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            limit_profile(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            limit_profile(1.0, 0.0, 1.0)

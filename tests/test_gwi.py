@@ -127,8 +127,8 @@ class TestBlocks:
     def test_blocks_change_no_bits(self, case, n, horizon):
         # blocks of one replicate up, capped by generations or by replicates:
         # each replicate's bundle is the same to the bit
-        family, law = _REGIMES.get(case, _REGIMES["critical"])
-        run = GwiRun(n=n, horizon=horizon, family=family, law=law, seed=51)
+        row = _REGIMES.get(case, _REGIMES["critical"])
+        run = GwiRun(n=n, horizon=horizon, family=row.family, law=row.law, seed=51)
         runs = {}
         if case == "cutoff":
             runs["cutoff"] = 0.2 * n

@@ -115,6 +115,19 @@ def test_checks_run_the_engine_only_through_the_rung_reader():
     assert sorted(calls) == [("_rung", "GwiRun"), ("_rung", "run_replicates")]
 
 
+def test_checks_read_the_engine_laws_only_in_the_rung_reader():
+    # a reference reads its row's log_mu, b and norming, never the row's
+    # engine laws, so a swapped engine law cannot move the reference it is
+    # scored against
+    engine = {"family", "law", "mean", "norming_bn"}
+    reads = []
+    for top in ast.parse((_SRC / "checks.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in engine:
+                reads.append((getattr(top, "name", None), node.attr))
+    assert sorted(reads) == [("_rung", "family"), ("_rung", "law")]
+
+
 def test_cli_import_graph():
     # scipy is a test-only dependency, and no command starts a process pool;
     # orjson is loaded by the limit-sample writer alone, so that no other
