@@ -6,8 +6,8 @@ limit shot-noise paths, `verify` executes a registered statistical check
 and writes its report.  Outputs are byte-stable for a fixed seed: CSV is
 ASCII with LF endings and shortest-roundtrip floats, JSON is pretty-printed
 with sorted keys, and both are written as bytes.  The `limit-sample`
-floats are laid out by orjson through `_repr_dumps`, which gives each
-one in `repr`'s digits.
+floats are laid out by orjson through `_pair_cells`, one flat array per
+list of pairs, with each float in `repr`'s digits.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 verification
 failure.
@@ -24,7 +24,7 @@ import sys
 import time
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,25 +89,27 @@ def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.
         fh.write(tail.encode() + b"\n")
 
 
-def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option: int) -> bytes:
-    """orjson's bytes for `obj(values)`, with each float of `values` in
-    `repr`'s digits.
+_PAIR_CHUNK = 1 << 11  # atoms per orjson call: a few cache-sized texts at a time, whatever the replicate
+_ATOM_BREAK = b"\n      ],\n      ["  # between two pairs of a replicate's atom list in the sidecar
+_NESTED = slice(len(b"[\n  [\n    [\n      ["), -len(b"\n      ]\n    ]\n  ]\n]"))  # the cells of [[[v]]]
 
-    orjson writes the same shortest round-trip digits as `repr`, and lays
-    out only the cells with x != 0 and |x| < 1e-4 or |x| >= 1e16 apart
-    from it (`0.00001` and `1e16` where `repr` has `1e-05` and `1e+16`).
-    Those few go in as NaN, which orjson writes as `null`, and each `null`
-    is then replaced, in order, by its cell's `repr`.  orjson writes a NaN
-    or infinite value as `null` too, which the splice would take for a
-    cell, so such a value raises ValueError before anything is written.
-    That is checked on the values, not by counting the `null`s: a scan of
-    the bytes would cost a third of orjson's own time.  `values` is
-    copied only when it has such cells, or is not a contiguous float64
-    array (orjson takes no strided one).
+
+def _pair_cells(pairs: np.ndarray, sep: bytes, indent: bool) -> bytes:
+    """The floats of the (n, 2) array `pairs` in `repr`'s digits, row after
+    row, `sep` between two rows: compact, or indented as the cells of a pair
+    list at indent level 3 of `json.dump(indent=2)` (there n >= 1).
+
+    orjson lays out the flat list t0, j0, t1, j1, ... (at a third to a half
+    of its cost for (n, 2) rows), one scan marks every second comma, the one
+    between two rows, and one `replace` turns each mark into `sep`.  orjson's digits are
+    `repr`'s but for x != 0 with |x| < 1e-4 or |x| >= 1e16 (`0.00001` for
+    `1e-05`): those go in as NaN, come out as `null`, and each `null` is
+    replaced in order by its cell's `repr`.  A NaN or inf, also written as
+    `null`, raises ValueError before anything is written.
     """
     import orjson  # only limit-sample writes through here, so no other command loads it
 
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(pairs, dtype=np.float64).ravel()  # orjson takes no strided array
     if not np.isfinite(values).all():
         raise ValueError("only finite floats can be written")
     size = np.abs(values)
@@ -116,40 +118,30 @@ def _repr_dumps(obj: Callable[[np.ndarray], object], values: np.ndarray, option:
     if cells:
         values = values.copy()
         values[odd] = np.nan
-    out = orjson.dumps(obj(values), option=option | orjson.OPT_SERIALIZE_NUMPY)
+    obj, option, cells_of = ([[[values]]], orjson.OPT_INDENT_2, _NESTED) if indent else (values, 0, slice(1, -1))
+    out = bytearray(memoryview(orjson.dumps(obj, option=option | orjson.OPT_SERIALIZE_NUMPY))[cells_of])
+    view = np.frombuffer(out, dtype=np.uint8)
+    view[(view == ord(",")).nonzero()[0][1::2]] = ord("|")  # a byte no float and no layout has
+    out = bytes(out).replace(b"|", sep)
     if not cells:
         return out
     parts = out.split(b"null")
     return b"".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
 
 
-_ATOMS_HEAD = len(b'{\n  "": [\n    ')  # the layout around one replicate's list in
-_ATOMS_TAIL = len(b"\n  ]\n}")  # {"": [pairs]}, which puts the list at indent level 2
-_LIST_END = len(b"\n    ]")  # the end of a replicate's list, dropped from all but its last chunk
-_PAIR_CHUNK = 1 << 16  # atoms per orjson call, which bounds the writer's memory on a large replicate
-
-
-def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes | memoryview]:
-    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it out.
-
-    A replicate's list is laid out `_PAIR_CHUNK` pairs at a time: each
-    chunk is a list of its own, and a chunk's pairs follow the previous
-    chunk's after a comma, in place of the closing of the one list and
-    the opening of the other."""
-    import orjson
-
+def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
+    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it
+    out, a replicate's list `_PAIR_CHUNK` pairs at a time."""
     yield b"["
     for r, (times, marks) in enumerate(atoms):
         yield b",\n    " if r else b"\n    "
-        for lo in range(0, max(len(times), 1), _PAIR_CHUNK):  # an empty list is one chunk, []
-            hi = lo + _PAIR_CHUNK
-            pairs = np.column_stack((times[lo:hi], marks[lo:hi]))
-            text = _repr_dumps(lambda v: {"": [v]}, pairs, orjson.OPT_INDENT_2)
-            start = _ATOMS_HEAD + 1 if lo else _ATOMS_HEAD  # a later chunk drops its "["
-            end = len(text) - _ATOMS_TAIL - (_LIST_END if hi < len(times) else 0)
+        yield b"[\n      [" if len(times) else b"[]"
+        for lo in range(0, len(times), _PAIR_CHUNK):
             if lo:
-                yield b","
-            yield memoryview(text)[start:end]
+                yield _ATOM_BREAK
+            pairs = np.column_stack((times[lo : lo + _PAIR_CHUNK], marks[lo : lo + _PAIR_CHUNK]))
+            yield _pair_cells(pairs, _ATOM_BREAK, indent=True)
+        yield b"\n      ]\n    ]" if len(times) else b""
     yield b"\n  ]"
 
 
@@ -320,16 +312,24 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
 _PATH_BLOCK_CELLS = 1 << 16  # padded (replicate x atom) cells of one block of paths built at once
 
 
-def _limit_path_lines(paths: list, end_values: np.ndarray) -> Iterator[bytes]:
-    """CSV lines of each path at its breakpoints and at its end time, where
-    it takes the matching entry of `end_values`."""
-    for r, (path, end_value) in enumerate(zip(paths, end_values.tolist())):
-        size = len(path.breakpoints)
-        rows = np.empty((size + 1, 2))
-        rows[:size, 0], rows[size, 0] = path.breakpoints, path.end_time
-        rows[:size, 1], rows[size, 1] = path.values, end_value
-        pairs = _repr_dumps(lambda v: v, rows, 0)  # [[t,v],[t,v],...]
-        yield b"%d,%s\n" % (r, pairs[2:-2].replace(b"],[", b"\n%d," % r))
+_CSV_PATHS = 1 << 10  # paths laid out at once by the CSV writer, which bounds its memory at horizon 0
+
+
+def _limit_path_lines(paths: list, end_values: list, first: int) -> Iterator[bytes]:
+    """CSV lines of replicates first, first + 1, ... at their paths' breakpoints and at
+    their end times, where they take `end_values`: `_CSV_PATHS` paths' rows at once."""
+    for lo in range(0, len(paths), _CSV_PATHS):
+        chunk, r0 = paths[lo : lo + _CSV_PATHS], first + lo
+        ends = np.cumsum([len(path.breakpoints) + 1 for path in chunk])
+        inner = np.ones(ends[-1], dtype=bool)
+        inner[ends - 1] = False  # each path's last row, at its end time
+        rows = np.empty((ends[-1], 2))
+        rows[inner, 0] = np.concatenate([path.breakpoints for path in chunk])
+        rows[inner, 1] = np.concatenate([path.values for path in chunk])
+        rows[ends - 1, 0], rows[ends - 1, 1] = [path.end_time for path in chunk], end_values[lo : lo + len(chunk)]
+        lines = _pair_cells(rows, b"\n", indent=False).split(b"\n")
+        yield b"".join(b"%d,%s\n" % (r, (b"\n%d," % r).join(lines[a:b]))
+                       for r, a, b in zip(range(r0, r0 + len(chunk)), [0, *ends[:-1].tolist()], ends.tolist()))
 
 
 def _limit_blocks(params: limit.PrmParams, seed: int, replicates: int) -> Iterator[list[limit.AtomSet]]:
@@ -354,14 +354,14 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
     require_scale(args.replicates, atoms=params.expected_atoms)
     seed = _resolve_seed(args)
 
-    paths = []
-    end_values = np.empty(args.replicates)  # 8 bytes a path, where a list of floats takes 32
+    csv_blocks = []  # the CSV text, far smaller than the paths it is laid out from
     atom_arrays = []
     # an overflow is reported by the finiteness check below, as one error line
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _limit_blocks(params, seed, args.replicates):
-            for atoms, path in zip(block, limit.shot_noise_paths(block, params.horizon, slope)):
-                r = len(paths)
+            paths, end_values = limit.shot_noise_paths(block, params.horizon, slope), []
+            for atoms, path in zip(block, paths):
+                r = len(atom_arrays)
                 # the last segment at the end time, as `path.value(path.end_time)` gives it
                 end_value = path.values[-1] + path.slopes[-1] * (path.end_time - path.breakpoints[-1])
                 if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
@@ -374,11 +374,11 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
                     jumps = np.diff(np.append(path.values, end_value))
                     if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
                         raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
-                paths.append(path)
-                end_values[r] = end_value
+                end_values.append(end_value)
                 atom_arrays.append((atoms.times, atoms.marks))
+            csv_blocks.extend(_limit_path_lines(paths, end_values, len(atom_arrays) - len(block)))
 
-    _write_csv(Path(f"{args.out}.csv"), _limit_path_lines(paths, end_values), ("replicate", "t", "value"))
+    _write_csv(Path(f"{args.out}.csv"), csv_blocks, ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {

@@ -125,11 +125,6 @@ class ImmigrationLaw:
     # Sampling
     # ------------------------------------------------------------------
 
-    def sample_tail_value(self, rng: np.random.Generator, size: int | None = None):
-        """V = tail^{-1}(U), U uniform on (0, 1]."""
-        v = self._inverse_tail(np.asarray(1.0 - rng.random(size)))
-        return float(v) if v.ndim == 0 else v
-
     def sample_log_j_array(self, rngs: Sequence[np.random.Generator], size: int) -> np.ndarray:
         """log J draws, J = max(1, floor(e^V)), as a (len(rngs), size) float64
         log-value array: row i holds `size` draws from generator i.

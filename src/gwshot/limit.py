@@ -188,15 +188,19 @@ def shot_noise_paths(atom_sets: Sequence[AtomSet], horizon: float, slope: float)
     width = max(counts)
     times = np.full((len(counts), width), np.inf)
     marks = np.zeros_like(times)
-    for t_row, j_row, atoms, count in zip(times, marks, atom_sets, counts):
-        t_row[:count], j_row[:count] = atoms.times, atoms.marks
+    for row, (atoms, count) in enumerate(zip(atom_sets, counts)):  # no row view outlives the loop
+        times[row, :count], marks[row, :count] = atoms.times, atoms.marks
     order = np.argsort(times, axis=1)  # ties in any order: of them the last record has the largest c
     order += np.arange(len(counts))[:, None] * width  # positions in the flat arrays
-    times, marks = times.ravel().take(order), marks.ravel().take(order)
+    # each padded array goes once it is used: at most four are held at once
+    times = times.ravel().take(order)
+    marks = marks.ravel().take(order)
+    del order
     inside = times <= horizon
     c = np.full(times.shape, -np.inf)  # c_k, and -inf for a pad or an atom after the horizon
     np.multiply(times, s, out=c, where=inside)
     np.subtract(marks, c, out=c, where=inside)
+    del marks, inside
 
     # a record beats every earlier c and the floor (0 for s > 0)
     best = np.maximum.accumulate(c, axis=1)

@@ -53,10 +53,3 @@ class CadlagPath:
         idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, None)
         out = self.values[idx] + self.slopes[idx] * (t - self.breakpoints[idx])
         return float(out) if out.ndim == 0 else out
-
-    def left_limit(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Limit from the left; at t = 0 the value itself."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="left") - 1, 0, None)
-        out = self.values[idx] + self.slopes[idx] * (t - self.breakpoints[idx])
-        return float(out) if out.ndim == 0 else out

@@ -311,9 +311,9 @@ def test_simulate_rows_hold_a_block_not_a_path():
 
 def test_atom_lists_hold_a_chunk_not_a_replicate():
     # one replicate of 6e5 atoms, 43 MiB of sidecar with a few times below
-    # 1e-4 to splice: laid out 2^16 pairs per orjson call, the writer
-    # peaks at about 30 MiB, a few chunks' text whatever the replicate's
-    # size (in one call it peaks at about 220 MiB)
+    # 1e-4 to splice: laid out 2^11 pairs per orjson call, the writer
+    # peaks at about 1 MiB (25 MiB at 2^16 pairs a call), a few chunks'
+    # text whatever the replicate's size (in one call it peaks at 234 MiB)
     rng = np.random.default_rng(41)
     times = rng.uniform(0.0, 1.0, 600_000)
     marks = 1e-3 / (1.0 - rng.random(600_000))
@@ -327,7 +327,7 @@ def test_atom_lists_hold_a_chunk_not_a_replicate():
     assert peak < 40 * 2**20
 
 
-def _repr_dumps_inputs():
+def _pair_cells_inputs():
     rng = np.random.default_rng(19)
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000, dtype=np.int64,
                         endpoint=True).view(np.float64)
@@ -339,31 +339,50 @@ def _repr_dumps_inputs():
     yield "uniform", u
     for b in (0.1, 1.0, 3.0):
         yield f"marks-b{b}", 1e-3 * (1.0 - u) ** (-1.0 / b)  # 1 - u: never 0
+    yield "all-spliced", np.nextafter(1e-4, 0.0) * (1.0 - u)  # every cell in (0, 1e-4), as marks at delta < 1e-4
     yield "boundary", np.array(boundary + [-x for x in boundary])
     yield "strided", (np.arange(30_000.0) / 7.0)[1::3]  # orjson takes no strided view
     yield "empty", np.array([])
 
 
-@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _repr_dumps_inputs()])
-def test_repr_dumps_gives_repr_digits(values):
-    # orjson's shortest digits in repr's layout: the bytes of every
-    # limit-sample file rest on this, whatever orjson version is installed
-    import orjson
+def _sidecar_atoms(atoms):
+    """The sidecar's bytes for the "atoms" value alone, through the writer."""
+    return b'{\n  "atoms": ' + b"".join(cli._json_atom_lists(atoms)) + b"\n}"
 
-    flat = cli._repr_dumps(lambda v: v, values, 0)
-    assert flat == b"[" + b",".join(repr(x).encode() for x in values.tolist()) + b"]"
+
+@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _pair_cells_inputs()])
+def test_pair_cells_give_repr_digits(values):
+    # orjson's shortest digits in repr's layout, the CSV rows and the
+    # sidecar's indented pair lists: the bytes of every limit-sample file
+    # rest on this, whatever orjson version is installed
     pairs = np.column_stack((values, values[::-1]))
-    nested = cli._repr_dumps(lambda v: {"": [v]}, pairs, orjson.OPT_INDENT_2)
-    assert nested == json.dumps({"": [pairs.tolist()]}, indent=2).encode()
+    rows = cli._pair_cells(pairs, b"\n7,", indent=False)
+    assert rows == b"\n7,".join(b"%s,%s" % (repr(t).encode(), repr(j).encode()) for t, j in pairs.tolist())
+    assert cli._pair_cells(np.asfortranarray(pairs), b"\n7,", indent=False) == rows
+    assert _sidecar_atoms([(values, values[::-1])]) == json.dumps({"atoms": [pairs.tolist()]}, indent=2).encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_spliced_cells_at_the_edges_of_a_chunk(chunk):
+    # at 3 pairs a chunk the first chunk starts and ends with a spliced
+    # cell, the next starts with one, and the last holds only spliced cells
+    times = np.array([1e-5, 0.5, 0.25, 3e-7, 0.75, 0.125, 2e-5])
+    marks = np.array([2.0, 1e-6, 1e16, 4.0, 5e-5, 1.5, 3e-6])
+    atoms = [(times, marks), (marks, times)]
+    with mock.patch.object(cli, "_PAIR_CHUNK", chunk):
+        written = _sidecar_atoms(atoms)
+    want = {"atoms": [np.column_stack(pair).tolist() for pair in atoms]}
+    assert written == json.dumps(want, indent=2).encode()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("others", [[], [0.5, 2.0], [1e-5, 1e16]], ids=["alone", "plain", "spliced"])
-def test_repr_dumps_refuses_non_finite(bad, others):
+def test_pair_cells_refuse_non_finite(bad, others):
     # a NaN or inf is written as null, like a spliced cell, so it must stop
     # the write rather than shift the cells after it
+    values = np.array([*others, bad, *others])
     with pytest.raises(ValueError, match="finite"):
-        cli._repr_dumps(lambda v: v, np.array([*others, bad, *others]), 0)
+        cli._pair_cells(np.column_stack((values, values[::-1])), b"\n0,", indent=False)
 
 
 class TestLimitSample:
@@ -514,6 +533,19 @@ class TestLimitSample:
             outputs[size] = out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
         assert outputs[1] == outputs[2] == outputs[7] == outputs[None]
         assert shared[None] and shared[7] == (delta == 0.5)  # the default cap takes all 12 in one block
+
+    def test_csv_does_not_depend_on_the_paths_laid_out_at_once(self, tmp_path):
+        # the CSV writer lays out _CSV_PATHS paths' rows per orjson call;
+        # from one path up, the replicate cells and bytes stay the same
+        cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693, delta=0.05))
+        csv = {}
+        for size in (1, 2, 7, None):
+            with mock.patch.object(cli, "_CSV_PATHS", size or cli._CSV_PATHS):
+                out = tmp_path / f"size{size}"
+                args = ["limit-sample", "--config", cfg, "--seed", "31", "--replicates", "12"]
+                assert cli.main(args + ["--out", str(out)]) == 0
+            csv[size] = out.with_suffix(".csv").read_bytes()
+        assert csv[1] == csv[2] == csv[7] == csv[None]
 
     @pytest.mark.parametrize("cap", [1, 2, 7, 64])
     def test_a_large_set_among_small_ones_gets_a_block_of_its_own(self, cap):

@@ -28,16 +28,14 @@ class TestValidation:
 
 
 class TestEvaluation:
-    def test_right_continuity_and_left_limits(self):
+    def test_right_continuity(self):
         f = step(np.array([0.0, 0.5]), np.array([1.0, 2.0]), 1.0)
         assert f.value(0.5) == 2.0
-        assert f.left_limit(0.5) == 1.0
-        assert f.left_limit(0.0) == f.value(0.0) == 1.0
+        assert f.value(0.0) == 1.0
 
     def test_affine_segments(self):
         f = CadlagPath(np.array([0.0, 1.0]), np.array([0.0, 3.0]), np.array([2.0, -1.0]), 2.0)
         assert f.value(0.5) == pytest.approx(1.0)
-        assert f.left_limit(1.0) == pytest.approx(2.0)
         assert f.value(1.0) == pytest.approx(3.0)
         assert f.value(2.0) == pytest.approx(2.0)
 
@@ -60,4 +58,4 @@ class TestEvaluation:
     def test_constant_path(self):
         f = step(np.array([0.0]), np.array([2.5]), 3.0)
         np.testing.assert_array_equal(f.value(np.linspace(0, 3, 7)), np.full(7, 2.5))
-        assert f.value(3.0) == 2.5 and f.left_limit(3.0) == 2.5
+        assert f.value(3.0) == 2.5
