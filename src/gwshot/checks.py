@@ -38,7 +38,7 @@ LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class _Regime:
-    """One regime of Pakes (1979): the engine laws, which `_rung` alone reads, and its
+    """One regime of Pakes (1979): the engine laws, which `_cells` alone reads, and its
     theorem's slope log mu and limit measure mu_{1,b}, normed by c_n = n^(1/b).  A
     reference reads the theorem's constants, so a swapped engine leaves it in place."""
 
@@ -51,7 +51,7 @@ class _Regime:
         return float(n) ** (1 / self.b)
 
 
-# Looked up when a check runs; checks seed a regime by its index, so the order is part of their streams.
+# Looked up when a check runs; `_cells` seeds the cells in this order, so it is part of their streams.
 _REGIMES = {
     "subcritical": _Regime(OffspringFamily.geometric(0.5), ImmigrationLaw.pareto_log(0.5), -LOG2, 0.5),
     "critical": _Regime(OffspringFamily.binary(0.5), ImmigrationLaw.reciprocal(1.0), 0.0, 1.0),
@@ -118,14 +118,23 @@ def check_marginal_limit(seed: int, sample_count: int = 100_000, delta: float = 
 # ----------------------------------------------------------------------
 
 
-def _rung(regime: str, n: int, seed: int, replicates: int, read: Callable, horizon: float = 1.0,
-          **runs) -> np.ndarray:
-    """`read(run, bundle)` for each replicate of one cell, in order, as one array.  A cell is
-    one (regime, n) pair run on block seed `seed`, `runs` passed to `run_replicates`; `read`
-    gives one value or one tuple (a column per statistic) per replicate, never a path."""
-    row = _REGIMES[regime]
-    run = GwiRun(n, horizon, row.family, row.law, seed=seed)
-    return np.array([read(run, bundle) for bundle in run_replicates(run, replicates, **runs)])
+def _cells(seed: int, regimes: tuple[str, ...], ns: tuple[int, ...], replicates: int, read: Callable,
+           horizon: float = 1.0, runs: Callable | None = None) -> dict[str, list[np.ndarray]]:
+    """`read(row, run, bundle)` for each replicate of each cell, in order, as one array per
+    cell: {regime: [one array per n]}.  The cells are product(regimes, ns), budgeted as one
+    grid before any runs; cell idx runs its `_REGIMES` row's engine on block seed
+    replicate_seed(seed, idx), with the `run_replicates` keywords `runs(row, n)` gives.
+    `read` gives one value or one tuple (a column per statistic) per replicate, never a path."""
+    require_scale(replicates, ns, horizon)  # the counts themselves, before tuple() reads them
+    require_scale(replicates, tuple(ns) * len(regimes), horizon)  # one path per cell a replicate
+    block_seeds = streams.replicate_seeds(seed, 0, len(regimes) * len(ns)).tolist()
+    out: dict[str, list[np.ndarray]] = {regime: [] for regime in regimes}
+    for (regime, n), block_seed in zip(product(regimes, ns), block_seeds):
+        row = _REGIMES[regime]
+        run = GwiRun(n, horizon, row.family, row.law, seed=block_seed)
+        bundles = run_replicates(run, replicates, **(runs(row, n) if runs else {}))
+        out[regime].append(np.array([read(row, run, bundle) for bundle in bundles]))
+    return out
 
 
 def _envelope(jlog: np.ndarray, log_mu: float) -> np.ndarray:
@@ -135,28 +144,25 @@ def _envelope(jlog: np.ndarray, log_mu: float) -> np.ndarray:
     return np.maximum.accumulate(np.where(jlog > 0, jlog - k_log_mu, -np.inf)) + k_log_mu
 
 
-def _envelope_gap(log_mu: float, run: GwiRun, bundle) -> float:
-    """The `_rung` reader max_m |log⁺Y_m - e_m⁺| in nats, e the run's `_envelope` at log_mu."""
-    return np.max(np.abs(np.maximum(bundle.y_log, 0.0) - np.maximum(_envelope(bundle.immigrant_log_j, log_mu), 0.0)))
+def _envelope_gap(row: _Regime, run: GwiRun, bundle) -> float:
+    """The `_cells` reader max_m |log⁺Y_m - e_m⁺| in nats, e the run's `_envelope` at the row's log mu."""
+    return np.max(np.abs(np.maximum(bundle.y_log, 0.0) - np.maximum(_envelope(bundle.immigrant_log_j, row.log_mu), 0.0)))
 
 
 def _prelimit_ladder(check: str, seed: int, regime: str, ns: tuple[int, ...], replicates: int) -> CheckReport:
     """KS(log⁺Y_n / c_n, exp(-x^(-b))) at t = 1 along the n-ladder, b and c_n
-    the regime's theorem's, rung idx on block seed replicate_seed(seed, idx).
+    the regime's theorem's, one `_cells` rung per n.
 
     Passes when the KS does not increase by more than 0.02 from one rung to
     the next and ends at or below 0.15.
     """
-    require_scale(replicates, ns)
+    rungs = _cells(seed, (regime,), ns, replicates,
+                   lambda row, run, bundle: max(bundle.y_log[-1], 0.0) / row.norming(run.n))[regime]
     row = _REGIMES[regime]
     cdf = partial(limit.marginal_cdf, 1.0, row.b, 0.0, 1.0)
-    ks_by_n, norming = {}, {}
-    for idx, n in enumerate(ns):
-        norming[str(n)] = c_n = row.norming(n)
-        values = _rung(regime, n, streams.replicate_seed(seed, idx), replicates,
-                       lambda run, bundle: max(bundle.y_log[-1], 0.0) / c_n)
-        ks_by_n[str(n)] = ks_distance(Sample(values), cdf)
-    seq = [ks_by_n[str(n)] for n in ns]
+    seq = [ks_distance(Sample(values), cdf) for values in rungs]
+    ks_by_n = {str(n): ks for n, ks in zip(ns, seq)}
+    norming = {str(n): row.norming(n) for n in ns}
     monotone = all(seq[i] >= seq[i + 1] - 0.02 for i in range(len(seq) - 1))
     statistic = seq[-1]
     return CheckReport(
@@ -261,17 +267,13 @@ def check_cohort_profile(seed: int, n: int = 200, replicates: int = 200) -> Chec
     A cohort is the run whose one immigrant batch is its founders, so its
     envelope at the theorem's log mu is n + m log mu, n times the profile at
     t = m/n.  Per regime, the fraction of cohorts whose `_envelope_gap` over
-    3n generations exceeds 0.1 n; regime idx on block seed replicate_seed(seed, idx).
+    3n generations exceeds 0.1 n; one `_cells` cell per regime.
     """
-    horizon, tol = 3.0, 0.1
-    require_scale(replicates, (n,) * len(_REGIMES), horizon=horizon)  # one cohort per regime
-    founders = np.full(3 * n + 1, -math.inf)  # generations 0..3n, the founders at 0
-    founders[0] = n
-    fractions = {}
-    for idx, (regime, row) in enumerate(_REGIMES.items()):
-        gaps = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, partial(_envelope_gap, row.log_mu),
-                     horizon, immigrant_log_j=founders)
-        fractions[regime] = np.count_nonzero(gaps > tol * n) / replicates
+    tol = 0.1
+    # one cohort per regime: e^n founders at generation 0, no immigrants in 1..3n
+    gaps = _cells(seed, tuple(_REGIMES), (n,), replicates, _envelope_gap, horizon=3.0,
+                  runs=lambda row, n: {"immigrant_log_j": np.append(float(n), np.full(3 * n, -math.inf))})
+    fractions = {regime: np.count_nonzero(cell > tol * n) / replicates for regime, (cell,) in gaps.items()}
     statistic = max(fractions.values())
     return CheckReport(
         check="lemma-aux2",
@@ -291,24 +293,19 @@ def check_truncation_negligible(
     seed: int, ns: tuple[int, ...] = (50, 100, 200), replicates: int = 400
 ) -> CheckReport:
     """Cohorts founded while immigration is not extremely active stay below
-    gamma + delta on the normalized log scale, more surely as n grows."""
+    gamma + delta on the normalized log scale, more surely as n grows; one
+    `_cells` cell per (regime, n), its cohorts cut off at gamma c_n."""
     gamma, slack = 0.2, 0.1
-    level = gamma + slack
-    require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
-    require_scale(replicates, tuple(ns) * len(_REGIMES))  # one path per regime per rung
-    freqs: dict[str, list[float]] = {}
-    worst_increase = -math.inf
-    for r_idx, (regime, row) in enumerate(_REGIMES.items()):
+
+    def peak(row: _Regime, run: GwiRun, bundle) -> float:
         correction = math.exp(row.log_mu) if row.log_mu > 0 else None
-        seq = []
-        for n_idx, n in enumerate(ns):
-            c_n = row.norming(n)
-            peaks = _rung(regime, n, streams.replicate_seed(seed, 1000 + 10 * r_idx + n_idx), replicates,
-                          lambda run, bundle: np.max(normalized_log(bundle.truncated_log, c_n, correction)),
-                          cutoff=gamma * c_n)
-            seq.append(np.count_nonzero(peaks > level) / replicates)
-        freqs[regime] = seq
-        worst_increase = max(worst_increase, max(np.diff(seq), default=0.0))
+        return np.max(normalized_log(bundle.truncated_log, row.norming(run.n), correction))
+
+    peaks = _cells(seed, tuple(_REGIMES), ns, replicates, peak,
+                   runs=lambda row, n: {"cutoff": gamma * row.norming(n)})
+    freqs = {regime: [np.count_nonzero(cell > gamma + slack) / replicates for cell in cells]
+             for regime, cells in peaks.items()}
+    worst_increase = max(max(np.diff(seq), default=0.0) for seq in freqs.values())
     return CheckReport(
         check="lemma-aux3",
         statistic=float(worst_increase),
@@ -325,8 +322,8 @@ def check_functional_coupled(seed: int, ns: tuple[int, ...] = (200, 800, 3200), 
     The atoms (k/n, log J_k / c_n) converge to the limit's Poisson measure
     (Resnick 1987, ch. 4), and their shot noise at t = m/n is e_m⁺ / c_n
     (`_envelope`).  A replicate reads D = max_m |log⁺Y_m - e_m⁺| in nats.
-    Cell (regime, n), on block seed replicate_seed(seed, idx), passes when
-    its q99 of D is at most the sum of one budget per way a path leaves e⁺:
+    Each `_cells` cell (regime, n) passes when its q99 of D is at most the
+    sum of one budget per way a path leaves e⁺:
     * deficit, log M, M the exactness threshold: an exact total has
       log⁺Y_m >= 0, and a fluid one falls below no mean path J_k mu^(m-k) it
       takes in and keeps the deficit it entered with.  For mu > 1 a dead
@@ -344,14 +341,11 @@ def check_functional_coupled(seed: int, ns: tuple[int, ...] = (200, 800, 3200), 
     for c >= 0.  Normed by c_n = n^(1/b) the bound vanishes.  log mu is the
     row's theorem's, so an engine of the wrong mean drifts from e linearly
     in n.  The statistic is the largest q99 / bound of the cells."""
-    require_scale(replicates, ns)  # the counts themselves, before tuple() reads them
-    require_scale(replicates, tuple(ns) * len(_REGIMES))  # one path per regime per rung
+    dists = _cells(seed, tuple(_REGIMES), ns, replicates, _envelope_gap)
     log_m = math.log(FluidConfig().exactness_threshold)
-    q99, bounds = {regime: {} for regime in _REGIMES}, {regime: {} for regime in _REGIMES}
-    for idx, ((regime, row), n) in enumerate(product(_REGIMES.items(), ns)):
-        dist = _rung(regime, n, streams.replicate_seed(seed, idx), replicates, partial(_envelope_gap, row.log_mu))
-        q99[regime][str(n)] = float(np.quantile(dist, 0.99))
-        bounds[regime][str(n)] = log_m + math.log(100 * (n + 1)) + math.log(n + 1) + abs(row.log_mu)
+    q99 = {regime: {str(n): float(np.quantile(d, 0.99)) for n, d in zip(ns, cells)} for regime, cells in dists.items()}
+    bounds = {regime: {str(n): log_m + math.log(100 * (n + 1)) + math.log(n + 1) + abs(_REGIMES[regime].log_mu)
+                       for n in ns} for regime in dists}
     worst = max(q / bounds[regime][n] for regime, by_n in q99.items() for n, q in by_n.items())
     return CheckReport(
         check="functional-coupled",

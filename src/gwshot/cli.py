@@ -310,37 +310,35 @@ def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
 
 
 _PATH_BLOCK_CELLS = 1 << 16  # padded (replicate x atom) cells of one block of paths built at once
+_PATH_BLOCK_PATHS = 1 << 10  # paths of one block, which bounds a block of empty paths at horizon 0
 
 
-_CSV_PATHS = 1 << 10  # paths laid out at once by the CSV writer, which bounds its memory at horizon 0
-
-
-def _limit_path_lines(paths: list, end_values: list, first: int) -> Iterator[bytes]:
+def _limit_path_lines(paths: list, end_values: list, first: int) -> bytes:
     """CSV lines of replicates first, first + 1, ... at their paths' breakpoints and at
-    their end times, where they take `end_values`: `_CSV_PATHS` paths' rows at once."""
-    for lo in range(0, len(paths), _CSV_PATHS):
-        chunk, r0 = paths[lo : lo + _CSV_PATHS], first + lo
-        ends = np.cumsum([len(path.breakpoints) + 1 for path in chunk])
-        inner = np.ones(ends[-1], dtype=bool)
-        inner[ends - 1] = False  # each path's last row, at its end time
-        rows = np.empty((ends[-1], 2))
-        rows[inner, 0] = np.concatenate([path.breakpoints for path in chunk])
-        rows[inner, 1] = np.concatenate([path.values for path in chunk])
-        rows[ends - 1, 0], rows[ends - 1, 1] = [path.end_time for path in chunk], end_values[lo : lo + len(chunk)]
-        lines = _pair_cells(rows, b"\n", indent=False).split(b"\n")
-        yield b"".join(b"%d,%s\n" % (r, (b"\n%d," % r).join(lines[a:b]))
-                       for r, a, b in zip(range(r0, r0 + len(chunk)), [0, *ends[:-1].tolist()], ends.tolist()))
+    their end times, where they take `end_values`."""
+    ends = np.cumsum([len(path.breakpoints) + 1 for path in paths])
+    inner = np.ones(ends[-1], dtype=bool)
+    inner[ends - 1] = False  # each path's last row, at its end time
+    rows = np.empty((ends[-1], 2))
+    rows[inner, 0] = np.concatenate([path.breakpoints for path in paths])
+    rows[inner, 1] = np.concatenate([path.values for path in paths])
+    rows[ends - 1, 0], rows[ends - 1, 1] = [path.end_time for path in paths], end_values
+    lines = _pair_cells(rows, b"\n", indent=False).split(b"\n")
+    return b"".join(b"%d,%s\n" % (r, (b"\n%d," % r).join(lines[a:b]))
+                    for r, a, b in zip(range(first, first + len(paths)), [0, *ends[:-1].tolist()], ends.tolist()))
 
 
 def _limit_blocks(params: limit.PrmParams, seed: int, replicates: int) -> Iterator[list[limit.AtomSet]]:
     """Each replicate's atoms, drawn on its own substream, in blocks of
     consecutive replicates that lay out at most `_PATH_BLOCK_CELLS` padded
-    cells (one atom or none counting as one), or of one replicate."""
+    cells (one atom or none counting as one) and `_PATH_BLOCK_PATHS` paths,
+    or of one replicate."""
     block: list[limit.AtomSet] = []
     widest = 1
     for replicate_seed in streams.replicate_seeds(seed, 0, replicates).tolist():
         atoms = limit.sample_atoms(params, streams.substream(replicate_seed, streams.ATOMS))
-        if block and (len(block) + 1) * max(widest, len(atoms)) > _PATH_BLOCK_CELLS:
+        if block and (len(block) >= _PATH_BLOCK_PATHS
+                      or (len(block) + 1) * max(widest, len(atoms)) > _PATH_BLOCK_CELLS):
             yield block
             block, widest = [], 1
         block.append(atoms)
@@ -376,7 +374,7 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
                         raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
                 end_values.append(end_value)
                 atom_arrays.append((atoms.times, atoms.marks))
-            csv_blocks.extend(_limit_path_lines(paths, end_values, len(atom_arrays) - len(block)))
+            csv_blocks.append(_limit_path_lines(paths, end_values, len(atom_arrays) - len(block)))
 
     _write_csv(Path(f"{args.out}.csv"), csv_blocks, ("replicate", "t", "value"))
     _write_json(

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from gwshot import budgets, checks, cli, limit
+from gwshot import budgets, checks, cli, limit, streams
 from gwshot.gwi import GwiRun, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.limit import AtomSet, shot_noise_paths
@@ -122,13 +123,55 @@ def test_theorem_check_passes_at_its_default_scale(check, seed):
     assert checks.run_check(check, seed=seed).passed is True
 
 
-def test_rung_reads_each_replicate_in_order():
-    # a tuple reader gives one column per statistic, row r from replicate r
-    pairs = checks._rung("critical", 10, 5, 4, lambda run, bundle: (bundle.y_log[-1], bundle.immigrant_log_j[0]))
-    row = checks._REGIMES["critical"]
-    run = GwiRun(10, 1.0, row.family, row.law, seed=5)
-    want = [(bundle.y_log[-1], bundle.immigrant_log_j[0]) for bundle in run_replicates(run, 4)]
-    assert pairs.shape == (4, 2) and np.array_equal(pairs, want)
+def test_cells_read_each_replicate_in_order():
+    # a tuple reader gives one column per statistic, row r from replicate r;
+    # each cell is its own run_replicates pass on its block seed
+    regimes, ns = ("critical", "supercritical"), (10, 15)
+    cells = checks._cells(5, regimes, ns, 4,
+                          lambda row, run, bundle: (bundle.y_log[-1], bundle.immigrant_log_j[0] / row.norming(run.n)))
+    assert list(cells) == list(regimes)
+    seeds = iter(streams.replicate_seeds(5, 0, len(regimes) * len(ns)).tolist())
+    for regime in regimes:
+        row = checks._REGIMES[regime]
+        assert len(cells[regime]) == len(ns)
+        for n, pairs in zip(ns, cells[regime]):
+            run = GwiRun(n, 1.0, row.family, row.law, seed=next(seeds))
+            want = [(bundle.y_log[-1], bundle.immigrant_log_j[0] / row.norming(n)) for bundle in run_replicates(run, 4)]
+            assert pairs.shape == (4, 2) and np.array_equal(pairs, want)
+
+
+# check: its overrides at 11 rungs of small n (lemma-aux2 has one n)
+_GRID_SCALE = {
+    "marginal-prelimit-thm1": (("critical",), {"ns": tuple(range(2, 13))}),
+    "marginal-prelimit-thm2": (("subcritical",), {"ns": tuple(range(2, 13))}),
+    "lemma-aux2": (tuple(checks._REGIMES), {"n": 4}),
+    "lemma-aux3": (tuple(checks._REGIMES), {"ns": tuple(range(2, 13))}),
+    "functional-coupled": (tuple(checks._REGIMES), {"ns": tuple(range(2, 13))}),
+}
+
+
+@pytest.mark.parametrize("check", list(_GRID_SCALE))
+def test_each_cell_gets_its_own_block_seed(monkeypatch, check):
+    # cell idx of product(regimes, ns) runs on block seed replicate_seed(seed, idx),
+    # so no two cells of one check draw the same streams
+    regimes, overrides = _GRID_SCALE[check]
+    ns = overrides.get("ns", (overrides.get("n"),))
+    cells = list(product(regimes, ns))
+    seen = []
+
+    def record(run, replicates, **runs):
+        seen.append((run.n, run.seed))
+        return run_replicates(run, replicates, **runs)
+
+    monkeypatch.setattr(checks, "run_replicates", record)
+    checks.run_check(check, seed=7, replicates=1, **overrides)
+    assert [n for n, _ in seen] == [n for _, n in cells]
+    assert [s for _, s in seen] == streams.replicate_seeds(7, 0, len(cells)).tolist()
+
+
+def test_grid_scale_names_every_engine_check():
+    # marginal-limit and fdd run the limit sampler alone
+    assert set(_GRID_SCALE) == set(checks.CHECK_NAMES) - {"marginal-limit", "fdd"}
 
 
 def _swap_family(monkeypatch, regime, family):

@@ -514,14 +514,16 @@ class TestLimitSample:
     @pytest.mark.parametrize("slope", [-0.693, 0.0, 0.693])
     @pytest.mark.parametrize("delta", [0.05, 0.5], ids=["20-atoms", "2-atoms"])
     def test_bytes_do_not_depend_on_the_block_sizes(self, tmp_path, slope, delta):
-        # blocks of paths and chunks of atom pairs, from one cell or pair
-        # up: at 2 atoms a path, caps of 2 and 7 put several paths in a block
+        # blocks of paths and chunks of atom pairs, from one cell, path or
+        # pair up: at 2 atoms a path, caps of 2 and 7 put several paths in a block
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=slope, delta=delta))
         builder = limit.shot_noise_paths
         outputs, shared = {}, {}
         for size in (1, 2, 7, None):
             cap = cli._PATH_BLOCK_CELLS if size is None else size
+            paths = cli._PATH_BLOCK_PATHS if size is None else size
             with mock.patch.object(cli, "_PATH_BLOCK_CELLS", cap), \
+                    mock.patch.object(cli, "_PATH_BLOCK_PATHS", paths), \
                     mock.patch.object(cli, "_PAIR_CHUNK", size or cli._PAIR_CHUNK), \
                     mock.patch.object(limit, "shot_noise_paths", side_effect=builder) as build:
                 out = tmp_path / f"size{size}"
@@ -529,42 +531,42 @@ class TestLimitSample:
                 assert cli.main(args + ["--out", str(out)]) == 0
             blocks = [call.args[0] for call in build.call_args_list]
             shared[size] = any(len(b) > 1 for b in blocks)
-            assert all(len(b) * max(1, *map(len, b)) <= cap for b in blocks if len(b) > 1)
+            assert all(len(b) * max(1, *map(len, b)) <= cap and len(b) <= paths for b in blocks if len(b) > 1)
             outputs[size] = out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
         assert outputs[1] == outputs[2] == outputs[7] == outputs[None]
         assert shared[None] and shared[7] == (delta == 0.5)  # the default cap takes all 12 in one block
 
     def test_csv_does_not_depend_on_the_paths_laid_out_at_once(self, tmp_path):
-        # the CSV writer lays out _CSV_PATHS paths' rows per orjson call;
-        # from one path up, the replicate cells and bytes stay the same
+        # the CSV writer lays out one block's rows per orjson call, at most
+        # _PATH_BLOCK_PATHS paths; from one path up, the bytes stay the same
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693, delta=0.05))
-        csv = {}
+        outputs = {}
         for size in (1, 2, 7, None):
-            with mock.patch.object(cli, "_CSV_PATHS", size or cli._CSV_PATHS):
+            with mock.patch.object(cli, "_PATH_BLOCK_PATHS", size or cli._PATH_BLOCK_PATHS):
                 out = tmp_path / f"size{size}"
                 args = ["limit-sample", "--config", cfg, "--seed", "31", "--replicates", "12"]
                 assert cli.main(args + ["--out", str(out)]) == 0
-            csv[size] = out.with_suffix(".csv").read_bytes()
-        assert csv[1] == csv[2] == csv[7] == csv[None]
+            outputs[size] = out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
+        assert outputs[1] == outputs[2] == outputs[7] == outputs[None]
 
-    @pytest.mark.parametrize("cap", [1, 2, 7, 64])
-    def test_a_large_set_among_small_ones_gets_a_block_of_its_own(self, cap):
-        # blocks go in replicate order, hold at most `cap` padded cells
-        # unless they hold one replicate, and end only where the next
-        # replicate would take them over the cap
+    @pytest.mark.parametrize("cap,paths", [(1, 1024), (2, 1024), (7, 1024), (64, 1024), (64, 3)])
+    def test_a_large_set_among_small_ones_gets_a_block_of_its_own(self, cap, paths):
+        # blocks go in replicate order, hold at most `cap` padded cells and
+        # `paths` paths unless they hold one replicate, and end only where
+        # the next replicate would take them over either cap
         sizes = [1, 2, 0, 1, 40, 1, 3, 0, 0, 2, 5, 0]
         draws = [limit.AtomSet(np.linspace(0.0, 1.0, n), np.full(n, 2.0)) for n in sizes]
         params = limit.PrmParams(1.0, 1.0, 1.0, 0.5)
         with mock.patch.object(limit, "sample_atoms", side_effect=draws), \
-                mock.patch.object(cli, "_PATH_BLOCK_CELLS", cap):
+                mock.patch.object(cli, "_PATH_BLOCK_CELLS", cap), mock.patch.object(cli, "_PATH_BLOCK_PATHS", paths):
             blocks = list(cli._limit_blocks(params, 3, len(sizes)))
         assert [len(a) for b in blocks for a in b] == sizes
         def cells(b):
             return len(b) * max(1, *map(len, b))
-        assert all(cells(b) <= cap for b in blocks if len(b) > 1)
-        assert all(cells(b + nxt[:1]) > cap for b, nxt in zip(blocks, blocks[1:]))
-        if cap == 64:
-            assert [len(b) for b in blocks] == [4, 1, 7]  # the 40-atom set alone
+        assert all(cells(b) <= cap and len(b) <= paths for b in blocks if len(b) > 1)
+        assert all(cells(b + nxt[:1]) > cap or len(b) == paths for b, nxt in zip(blocks, blocks[1:]))
+        if cap == 64:  # the 40-atom set alone, the others in blocks of at most `paths`
+            assert [len(b) for b in blocks] == ([4, 1, 7] if paths == 1024 else [3, 1, 1, 3, 3, 1])
 
     def test_replicates_are_a_prefix_of_a_longer_run(self, tmp_path):
         cfg = write_config(tmp_path, dict(LIMIT_CONFIG, slope=-0.693))

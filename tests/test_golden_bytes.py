@@ -7,8 +7,9 @@ supercritical and thm1) were computed before the kernel's scalar fast path
 folded into one shared loop; the code must reproduce them exactly.  The
 lemma-aux2 digests were re-made when its fractions were keyed by regime,
 every fraction kept, and the lemma-aux3 ones when it ran the regime table
-in its order, which moved its keys and block seeds.  The subcritical ones (simulate, truncated pair,
-cohort, thm2) were made when a descending fluid stretch became the closed
+in its order, which moved its keys and block seeds, and again when its
+cells took the one block-seed rule of `checks._cells`.  The subcritical
+ones (simulate, truncated pair, cohort, thm2) were made when a descending fluid stretch became the closed
 form `mean_recursion`.  The marginal-limit and fdd digests pin the limit
 sampler's draws as they are since its rounds were cut to 2^14 atoms, so
 that a later change to the draws has to show its byte move; each of
@@ -121,12 +122,12 @@ CHECK_DIGESTS = {
         SEED: "420b6c9d59ed0910aa8796cc5064103f6a818556e2dfc2bbdf96531a7b7aaa2d",
         1: "6823af2d1ad9d14420d25badf8a903b9b96c85b0f6ee6c02ce82fa515d9b3d94",
     }),
-    # at this scale the critical exceed frequencies are not all 0 (0.05/0.525
+    # at this scale the critical exceed frequencies are not all 0 (0.1/0.375
     # at seed 1), and without the mu^(-k) correction the supercritical ones
-    # would read 0.3/1.0 in place of 0.0/0.0, so the correction counts
+    # would read 0.225/1.0 in place of 0.025/0.0, so the correction counts
     "lemma-aux3": ({"ns": (5, 10), "replicates": 40}, {
-        SEED: "84a1782feeb4e81d37f9f718081c09fc1ff36884727797de0ff4d2fc0a7dd5a8",
-        1: "0bb0595baa93f0abe36c0baabf2bdf5d8ecdcd0ccf95ab594fedec392692193b",
+        SEED: "f6fdef341a0d89d4de009f6c22b0e1fdbf8f76ea14fd1b146a173571c25362ec",
+        1: "fd5b9c4797f81f46223c4ff60136be38b788d59e21ddd1a94e5f479537070185",
     }),
     # every q99 is a float of the draws: the envelope's distance, not a frequency
     "functional-coupled": ({"ns": (20, 40), "replicates": 40}, {

@@ -101,21 +101,34 @@ def test_workload_command_line_parses(name, tmp_path):
         assert w.config["check"] in CHECK_NAMES
 
 
-def test_checks_run_the_engine_only_through_the_rung_reader():
-    # one engine pass per cell, read by as many readers as a check needs: a
-    # check that builds its own run or replicate loop goes through `_rung`
-    engine = {"GwiRun", "run_coupled", "run_replicates"}
+def _checks_calls(names):
+    """(top-level function, name) for each call in checks.py of a name in `names`."""
     calls = []
     for top in ast.parse((_SRC / "checks.py").read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in engine:
+                if name in names:
                     calls.append((getattr(top, "name", None), name))
-    assert sorted(calls) == [("_rung", "GwiRun"), ("_rung", "run_replicates")]
+    return sorted(calls)
 
 
-def test_checks_read_the_engine_laws_only_in_the_rung_reader():
+def test_checks_run_the_engine_only_through_the_cell_grid():
+    # one budget and one engine pass per cell, read by as many readers as a
+    # check needs: a check that builds its own run, replicate loop or budget
+    # goes through `_cells`
+    calls = _checks_calls({"GwiRun", "run_coupled", "run_replicates", "require_scale"})
+    assert [c for c in calls if c[1] != "require_scale"] == [("_cells", "GwiRun"), ("_cells", "run_replicates")]
+    assert {top for top, name in calls if name == "require_scale"} == {"_cells", "check_marginal_limit", "check_fdd"}
+
+
+def test_checks_seed_the_engine_only_in_the_cell_grid():
+    # one block-seed rule for every engine cell: no check brings back its own
+    calls = _checks_calls({"replicate_seed", "replicate_seeds"})
+    assert {top for top, _ in calls} == {"_cells", "check_marginal_limit", "check_fdd"}
+
+
+def test_checks_read_the_engine_laws_only_in_the_cell_grid():
     # a reference reads its row's log_mu, b and norming, never the row's
     # engine laws, so a swapped engine law cannot move the reference it is
     # scored against
@@ -125,7 +138,7 @@ def test_checks_read_the_engine_laws_only_in_the_rung_reader():
         for node in ast.walk(top):
             if isinstance(node, ast.Attribute) and node.attr in engine:
                 reads.append((getattr(top, "name", None), node.attr))
-    assert sorted(reads) == [("_rung", "family"), ("_rung", "law")]
+    assert sorted(reads) == [("_cells", "family"), ("_cells", "law")]
 
 
 def test_cli_import_graph():
