@@ -44,13 +44,13 @@ PATH_SETUP_GENERATIONS = 370
 
 # Atoms over all limit-sample paths: replicates x (expected atoms +
 # PATH_SETUP_ATOMS).  Every atom is kept as two float64s and written to the
-# JSON sidecar, about 18 traced bytes and 0.4 us each (4545 paths of 10^3
-# atoms in 2.0-2.3 s).  A path without atoms still holds about 850 bytes and
-# takes 25-29 us (at horizon 0), as much time as 60-75 atoms.  A run at the
-# budget peaks near 0.11 GB RSS and takes 1.4-2.3 s at delta = 1e-3 or at
-# horizon 0; one path that holds all its atoms (delta = 2.1e-7) peaks near
-# 0.26 GB and takes 7-8 s, most of it writing marks below 1e-4, which the
-# sidecar writer formats one by one.
+# JSON sidecar, about 18 traced bytes and 0.2-0.3 us each (4545 paths of
+# 10^3 atoms in 1.3-1.6 s).  A path without atoms still holds about 850 bytes
+# and takes about 20 us (at horizon 0), as much time as 80-100 atoms.  A run
+# at the budget takes 1.3-1.6 s at delta = 1e-3 or at horizon 0 and peaks
+# near 0.11 GB RSS (0.06 GB at horizon 0); one path that holds all its atoms
+# (delta = 2.1e-7) peaks near 0.26 GB and takes about 1.5 s, with a 0.2 GB
+# sidecar.
 LIMIT_ATOM_BUDGET = 5_000_000
 PATH_SETUP_ATOMS = 100
 

@@ -7,7 +7,8 @@ and writes its report.  Outputs are byte-stable for a fixed seed: CSV is
 ASCII with LF endings and shortest-roundtrip floats, JSON is pretty-printed
 with sorted keys, and both are written as bytes.  The `limit-sample`
 floats are laid out by orjson through `_pair_cells`, one flat array per
-list of pairs, with each float in `repr`'s digits.
+list of pairs, in orjson's shortest round-trip digits, and each
+replicate's atom list is one line of the sidecar.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 verification
 failure.
@@ -75,9 +76,8 @@ def _write_csv(path: Path, lines: Iterable[bytes], header: tuple[str, ...]) -> N
 
 
 def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> None:
-    """`payload` pretty-printed with sorted keys, plus an "atoms" key when
-    `atoms` holds (times, marks) arrays of finite floats: one [[t, j], ...]
-    list per replicate, in the bytes `json.dump` writes for those lists."""
+    """`payload` pretty-printed with sorted keys, plus an "atoms" key when `atoms` holds
+    (times, marks) arrays of finite floats: one [[t,j],...] line per replicate."""
     text = json.dumps(dict(payload, atoms=0) if atoms else payload, indent=2, sort_keys=True)
     # the first '"atoms": 0' is the key's own: only "atom_counts", a list of ints, sorts before it
     head, _, tail = text.partition('"atoms": 0') if atoms else (text, "", "")
@@ -90,58 +90,38 @@ def _write_json(path: Path, payload: dict, atoms: Sequence[tuple[np.ndarray, np.
 
 
 _PAIR_CHUNK = 1 << 11  # atoms per orjson call: a few cache-sized texts at a time, whatever the replicate
-_ATOM_BREAK = b"\n      ],\n      ["  # between two pairs of a replicate's atom list in the sidecar
-_NESTED = slice(len(b"[\n  [\n    [\n      ["), -len(b"\n      ]\n    ]\n  ]\n]"))  # the cells of [[[v]]]
 
 
-def _pair_cells(pairs: np.ndarray, sep: bytes, indent: bool) -> bytes:
-    """The floats of the (n, 2) array `pairs` in `repr`'s digits, row after
-    row, `sep` between two rows: compact, or indented as the cells of a pair
-    list at indent level 3 of `json.dump(indent=2)` (there n >= 1).
+def _pair_cells(pairs: np.ndarray, sep: bytes) -> bytes:
+    """The floats of the (n, 2) array `pairs` in orjson's shortest round-trip
+    digits (`0.00001`, `1e-7`, `1e16`), row after row, `sep` between two rows.
 
-    orjson lays out the flat list t0, j0, t1, j1, ... (at a third to a half
-    of its cost for (n, 2) rows), one scan marks every second comma, the one
-    between two rows, and one `replace` turns each mark into `sep`.  orjson's digits are
-    `repr`'s but for x != 0 with |x| < 1e-4 or |x| >= 1e16 (`0.00001` for
-    `1e-05`): those go in as NaN, come out as `null`, and each `null` is
-    replaced in order by its cell's `repr`.  A NaN or inf, also written as
-    `null`, raises ValueError before anything is written.
-    """
+    orjson lays out the flat list t0, j0, t1, j1, ... (at a third to a half of
+    its cost for (n, 2) rows), one scan marks every second comma, the one
+    between two rows, and one `replace` turns each mark into `sep`.  A NaN or
+    inf, which orjson writes as `null`, raises ValueError."""
     import orjson  # only limit-sample writes through here, so no other command loads it
 
     values = np.ascontiguousarray(pairs, dtype=np.float64).ravel()  # orjson takes no strided array
     if not np.isfinite(values).all():
         raise ValueError("only finite floats can be written")
-    size = np.abs(values)
-    odd = ((size < 1e-4) & (values != 0.0)) | (size >= 1e16)
-    cells = [repr(x).encode() for x in values[odd].tolist()]
-    if cells:
-        values = values.copy()
-        values[odd] = np.nan
-    obj, option, cells_of = ([[[values]]], orjson.OPT_INDENT_2, _NESTED) if indent else (values, 0, slice(1, -1))
-    out = bytearray(memoryview(orjson.dumps(obj, option=option | orjson.OPT_SERIALIZE_NUMPY))[cells_of])
+    out = bytearray(memoryview(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1])
     view = np.frombuffer(out, dtype=np.uint8)
-    view[(view == ord(",")).nonzero()[0][1::2]] = ord("|")  # a byte no float and no layout has
-    out = bytes(out).replace(b"|", sep)
-    if not cells:
-        return out
-    parts = out.split(b"null")
-    return b"".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
+    view[(view == ord(",")).nonzero()[0][1::2]] = ord("|")  # a byte no float has
+    return bytes(out).replace(b"|", sep)
 
 
 def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
-    """The "atoms" value at indent level 1, as `json.dump(indent=2)` lays it
-    out, a replicate's list `_PAIR_CHUNK` pairs at a time."""
+    """The "atoms" value at indent level 1: one line at indent level 2 per
+    replicate, the bytes orjson gives for its (n, 2) array of pairs, laid out
+    `_PAIR_CHUNK` pairs at a time."""
     yield b"["
     for r, (times, marks) in enumerate(atoms):
         yield b",\n    " if r else b"\n    "
-        yield b"[\n      [" if len(times) else b"[]"
         for lo in range(0, len(times), _PAIR_CHUNK):
-            if lo:
-                yield _ATOM_BREAK
-            pairs = np.column_stack((times[lo : lo + _PAIR_CHUNK], marks[lo : lo + _PAIR_CHUNK]))
-            yield _pair_cells(pairs, _ATOM_BREAK, indent=True)
-        yield b"\n      ]\n    ]" if len(times) else b""
+            yield b"],[" if lo else b"[["
+            yield _pair_cells(np.column_stack((times[lo : lo + _PAIR_CHUNK], marks[lo : lo + _PAIR_CHUNK])), b"],[")
+        yield b"]]" if len(times) else b"[]"
     yield b"\n  ]"
 
 
@@ -323,7 +303,7 @@ def _limit_path_lines(paths: list, end_values: list, first: int) -> bytes:
     rows[inner, 0] = np.concatenate([path.breakpoints for path in paths])
     rows[inner, 1] = np.concatenate([path.values for path in paths])
     rows[ends - 1, 0], rows[ends - 1, 1] = [path.end_time for path in paths], end_values
-    lines = _pair_cells(rows, b"\n", indent=False).split(b"\n")
+    lines = _pair_cells(rows, b"\n").split(b"\n")
     return b"".join(b"%d,%s\n" % (r, (b"\n%d," % r).join(lines[a:b]))
                     for r, a, b in zip(range(first, first + len(paths)), [0, *ends[:-1].tolist()], ends.tolist()))
 

@@ -9,10 +9,12 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -310,10 +312,10 @@ def test_simulate_rows_hold_a_block_not_a_path():
 
 
 def test_atom_lists_hold_a_chunk_not_a_replicate():
-    # one replicate of 6e5 atoms, 43 MiB of sidecar with a few times below
-    # 1e-4 to splice: laid out 2^11 pairs per orjson call, the writer
-    # peaks at about 1 MiB (25 MiB at 2^16 pairs a call), a few chunks'
-    # text whatever the replicate's size (in one call it peaks at 234 MiB)
+    # one replicate of 6e5 atoms, 24 MiB of sidecar on one line: laid out
+    # 2^11 pairs per orjson call, the writer peaks at about 1 MiB, a few
+    # chunks' text whatever the replicate's size (in one call it would hold
+    # the whole line and orjson's output for it)
     rng = np.random.default_rng(41)
     times = rng.uniform(0.0, 1.0, 600_000)
     marks = 1e-3 / (1.0 - rng.random(600_000))
@@ -323,7 +325,7 @@ def test_atom_lists_hold_a_chunk_not_a_replicate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert written > 42 * 2**20
+    assert written > 24 * 2**20
     assert peak < 40 * 2**20
 
 
@@ -332,7 +334,7 @@ def _pair_cells_inputs():
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000, dtype=np.int64,
                         endpoint=True).view(np.float64)
     u = rng.random(20_000)
-    edges = [0.0, 1e-4, 1e16]
+    edges = [0.0, 1e-5, 1e-4, 1e16]  # where repr or orjson switch between positional and exponent form
     boundary = [np.nextafter(e, d) for e in edges[1:] for d in (0.0, np.inf)] + edges
     boundary += [2.0**53, 5e-324, np.finfo(np.float64).max]
     yield "bit-patterns", bits[np.isfinite(bits)]
@@ -345,44 +347,95 @@ def _pair_cells_inputs():
     yield "empty", np.array([])
 
 
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e-?[1-9][0-9]*)?")
+
+
+def _significand(cell: str) -> tuple:
+    """Sign, significant digits and decimal exponent of a number, whatever its layout."""
+    return Decimal(cell).normalize().as_tuple()
+
+
 def _sidecar_atoms(atoms):
     """The sidecar's bytes for the "atoms" value alone, through the writer."""
     return b'{\n  "atoms": ' + b"".join(cli._json_atom_lists(atoms)) + b"\n}"
 
 
+def _reference_atoms(atoms):
+    """The same bytes from an independent layout: a line per replicate, the
+    bytes orjson gives for the replicate's whole (n, 2) array."""
+    lines = [orjson.dumps(np.asarray(pairs, float).reshape(-1, 2), option=orjson.OPT_SERIALIZE_NUMPY)
+             for pairs in atoms]
+    return b'{\n  "atoms": [\n    ' + b",\n    ".join(lines) + b"\n  ]\n}"
+
+
 @pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _pair_cells_inputs()])
 def test_pair_cells_give_repr_digits(values):
-    # orjson's shortest digits in repr's layout, the CSV rows and the
-    # sidecar's indented pair lists: the bytes of every limit-sample file
-    # rest on this, whatever orjson version is installed
+    # every cell of every limit-sample file is orjson's shortest round-trip
+    # number: a JSON number that parses back to its float bit for bit, with
+    # repr's significant digits (`0.00001` for `1e-05`, `1e16` for `1e+16`),
+    # whatever orjson version is installed
     pairs = np.column_stack((values, values[::-1]))
-    rows = cli._pair_cells(pairs, b"\n7,", indent=False)
-    assert rows == b"\n7,".join(b"%s,%s" % (repr(t).encode(), repr(j).encode()) for t, j in pairs.tolist())
-    assert cli._pair_cells(np.asfortranarray(pairs), b"\n7,", indent=False) == rows
-    assert _sidecar_atoms([(values, values[::-1])]) == json.dumps({"atoms": [pairs.tolist()]}, indent=2).encode()
+    rows = cli._pair_cells(pairs, b"\n7,")
+    assert cli._pair_cells(np.asfortranarray(pairs), b"\n7,") == rows
+    split = [row.split(b",") for row in rows.split(b"\n7,")] if len(pairs) else []
+    assert [len(row) for row in split] == [2] * len(pairs)
+    cells = [cell.decode() for row in split for cell in row]
+    assert all(map(_JSON_NUMBER.fullmatch, cells))
+    parsed = np.array(list(map(float, cells)), dtype=np.float64)
+    assert parsed.view(np.int64).tolist() == pairs.ravel().view(np.int64).tolist()
+    assert list(map(_significand, cells)) == [_significand(repr(x)) for x in pairs.ravel().tolist()]
+    written = _sidecar_atoms([(values, values[::-1])])
+    assert written == _reference_atoms([pairs])
+    assert np.array(json.loads(written)["atoms"][0], dtype=np.float64).reshape(-1, 2).tobytes() == pairs.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_spliced_cells_at_the_edges_of_a_chunk(chunk):
-    # at 3 pairs a chunk the first chunk starts and ends with a spliced
-    # cell, the next starts with one, and the last holds only spliced cells
+    # cells that orjson writes in another form than repr (`0.00001`, `3e-7`,
+    # `1e16`): at 3 pairs a chunk the first chunk starts and ends with one,
+    # the next starts with one, and the last holds only such cells
     times = np.array([1e-5, 0.5, 0.25, 3e-7, 0.75, 0.125, 2e-5])
     marks = np.array([2.0, 1e-6, 1e16, 4.0, 5e-5, 1.5, 3e-6])
-    atoms = [(times, marks), (marks, times)]
+    atoms = [(times, marks), (marks, times), (times[:0], marks[:0])]
     with mock.patch.object(cli, "_PAIR_CHUNK", chunk):
         written = _sidecar_atoms(atoms)
-    want = {"atoms": [np.column_stack(pair).tolist() for pair in atoms]}
-    assert written == json.dumps(want, indent=2).encode()
+    assert written == _sidecar_atoms(atoms)  # at the default chunk size
+    assert written == _reference_atoms([np.column_stack(pair) for pair in atoms])
+    assert b'1e16' in written and b"0.00001," in written and b"3e-7" in written
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("others", [[], [0.5, 2.0], [1e-5, 1e16]], ids=["alone", "plain", "spliced"])
 def test_pair_cells_refuse_non_finite(bad, others):
-    # a NaN or inf is written as null, like a spliced cell, so it must stop
-    # the write rather than shift the cells after it
+    # orjson writes a NaN or inf as null, which parses back to no float, so
+    # it must stop the write, among cells of any form
     values = np.array([*others, bad, *others])
     with pytest.raises(ValueError, match="finite"):
-        cli._pair_cells(np.column_stack((values, values[::-1])), b"\n0,", indent=False)
+        cli._pair_cells(np.column_stack((values, values[::-1])), b"\n0,")
+
+
+def test_only_limit_sample_loads_orjson(tmp_path):
+    # orjson is imported inside the limit-sample writer, so that simulate's
+    # and verify's set-up do not pay for its import
+    probe = ("import json, sys; from gwshot import cli; "
+             "print(json.dumps([cli.main(sys.argv[1:]), 'orjson' in sys.modules]))")
+    verify = write_config(tmp_path, {"check": "marginal-limit", "overrides": {"sample_count": 200}}, "verify.json")
+    commands = {
+        "simulate": (["simulate", "--config", write_config(tmp_path, SIM_CONFIG, "sim.json"), "--replicates", "2"], {0}),
+        # at 200 samples the check may fail; it still runs and writes its report
+        "verify": (["verify", "--config", verify], {0, 4}),
+        "limit-sample": (["limit-sample", "--config", write_config(tmp_path, LIMIT_CONFIG, "lim.json")], {0}),
+    }
+    loaded = {}
+    for name, (args, codes) in commands.items():
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", probe, *args, "--seed", "3", "--out", str(out)],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        rc, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert rc in codes, proc.stderr
+        assert out.with_suffix(".json").exists()
+    assert loaded == {"simulate": False, "verify": False, "limit-sample": True}
 
 
 class TestLimitSample:
@@ -474,11 +527,11 @@ class TestLimitSample:
     @pytest.mark.parametrize(
         "config,replicates,seed,form",
         [
-            ({"a": 1.0, "b": 1.0, "slope": -0.693, "horizon": 1.0, "delta": 1e-3}, 3, 11, "e-"),
+            ({"a": 1.0, "b": 1.0, "slope": -0.693, "horizon": 1.0, "delta": 1e-3}, 3, 11, r"0\.0000[1-9]"),
             (dict(LIMIT_CONFIG, delta=1.0), 40, 3, None),  # mostly 0 or 1 atom
             (dict(LIMIT_CONFIG, horizon=0.0), 3, 3, None),  # every atom list empty
-            ({"a": 100.0, "b": 0.1, "slope": 0.5, "horizon": 1.0, "delta": 0.05}, 3, 4, "e+"),
-            ({"a": 100.0, "b": 1.0, "slope": -0.693, "horizon": 1e-3, "delta": 1e-3}, 3, 5, "e-05"),
+            ({"a": 100.0, "b": 0.1, "slope": 0.5, "horizon": 1.0, "delta": 0.05}, 3, 4, r"[0-9]e[1-9]"),
+            ({"a": 100.0, "b": 1.0, "slope": -0.693, "horizon": 1e-3, "delta": 1e-3}, 3, 5, r"[0-9]e-[1-9]"),
         ],
         ids=["default", "delta-1", "horizon-0", "exponent-marks", "exponent-times"],
     )
@@ -489,27 +542,32 @@ class TestLimitSample:
         assert cli.main(args + ["--out", str(out)]) == 0
         text = out.with_suffix(".json").read_text(encoding="utf-8")
         meta = json.loads(text)
-        assert text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        # json.dump's header around one line per replicate, orjson's bytes for its (n, 2) array
+        lines = [orjson.dumps(np.asarray(a, float).reshape(-1, 2), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+                 for a in meta["atoms"]]
+        header = json.dumps(dict(meta, atoms="@"), indent=2, sort_keys=True)
+        assert text == header.replace('"@"', "[\n    " + ",\n    ".join(lines) + "\n  ]") + "\n"
         assert meta["atom_counts"] == [len(a) for a in meta["atoms"]]
         if config["horizon"] == 0.0:
             assert meta["atoms"] == [[]] * replicates
         if config.get("delta") == 1.0:
             assert {0, 1} <= set(meta["atom_counts"])
-        # the CSV against its rows formatted one by one from the same paths
+        # the atoms bit for bit, and the CSV against its rows formatted one
+        # by one, each float through orjson alone, from the same paths
         params, slope = cli._parse_limit_config(config)
         rows = []
         for r in range(replicates):
             atoms = limit.sample_atoms(params, streams.substream(streams.replicate_seed(seed, r), streams.ATOMS))
+            written = np.asarray(meta["atoms"][r], float).reshape(-1, 2)
+            assert written.tobytes() == np.column_stack((atoms.times, atoms.marks)).tobytes()
             path = limit.shot_noise_paths([atoms], params.horizon, slope)[0]
             ts = [*path.breakpoints.tolist(), path.end_time]
             vs = [*path.values.tolist(), path.value(path.end_time)]
-            rows += [f"{r},{t!r},{v!r}" for t, v in zip(ts, vs)]
+            rows += [f"{r},{orjson.dumps(t).decode()},{orjson.dumps(v).decode()}" for t, v in zip(ts, vs)]
         csv = out.with_suffix(".csv").read_text(encoding="utf-8")
         assert csv.splitlines() == ["replicate,t,value", *rows]
-        if form is not None:  # floats printed in exponent form are covered
-            assert form in text
-        if form == "e-05":  # in the CSV's times too
-            assert form in csv
+        if form is not None:  # floats below 1e-4, or in exponent form, are covered in both files
+            assert re.search(form, text) and re.search(form, csv)
 
     @pytest.mark.parametrize("slope", [-0.693, 0.0, 0.693])
     @pytest.mark.parametrize("delta", [0.05, 0.5], ids=["20-atoms", "2-atoms"])

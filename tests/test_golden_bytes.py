@@ -18,10 +18,10 @@ slices left them as they were.  The thm1 digests were re-made when its
 report gained `details.norming` (b_n = n), with every KS value kept to
 the bit.  The limit-sample digests pin
 `sample_atoms`, `shot_noise_paths` and the CSV and JSON atom writers,
-which the marginal sampler does not share; they were made when each
-path was built on its own and each replicate's atoms laid out in one
-orjson call, and hold for paths built a block at a time and atoms
-written in chunks.  numpy may change its
+which the marginal sampler does not share; they were re-made when every
+limit-sample float took orjson's shortest digits (one time cell below
+1e-4 moved each CSV) and each replicate's atom list became one line of
+the sidecar, with every float kept to the bit.  numpy may change its
 Generator streams between versions, so the digests are only
 checked on the numpy major.minor that made them.
 """
@@ -83,18 +83,18 @@ COHORT_DIGEST = "e879baefa1ad484f6689f874c041dbfc3c89fdebf920861c2b9af62233acb90
 LIMIT_SAMPLE_DIGESTS = {
     "negative": (
         -math.log(2.0),
-        "8469edea052e6dbd2a74b729afa0ca11bdb86533aa7e45bfba1f9758c8be29ce",
-        "f6dd0fd1cbee605c4a6eb42aea853aa2a6c5ed0eca520bf3276dfde309105e60",
+        "17041e82ccbdce4236bc55d586990f0036c8996ccbcda122d6daafc260747e6a",
+        "53287fa1c6572730ef174f597c068c5e8d56b49a51abef1e58c6f92cac187ab4",
     ),
     "extremal": (
         0.0,
-        "8de7a677b6a46818acfe44712f5edd9157ad121197ffa3ce4fb38edcfc6fdd4c",
-        "8d48b01026a918ff8a3930703c4b37e528ae6aa8af3300ef180a6cf4f0ee8be4",
+        "4445dc894e47a397d837fc773cf33cea7ef5171d299b9beb6c73cf3ecbb4353e",
+        "d96d08a48a05dc65a9f1bdd2456a5d07563fe3822e7d72c5554c379452191e16",
     ),
     "positive": (
         math.log(2.0),
-        "d35ba1de2f4ea3f87ddac8a6ba9caaf452446b46878d83721ac377030d4868ab",
-        "0f7ebe5942190c4cf51db7a55867b453708285618e7cbb92015d770ee65f7a92",
+        "0fe6a4c433b14ea7ad800aac1ed467bdebf2e27a2a0f5cdf7aebaf5721dc201b",
+        "a13f13eb1b6f3a666d1849016a1854041495fc3b225e64f0931e9b7348cdd316",
     ),
 }
 # check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
