@@ -14,9 +14,9 @@ from typing import Sequence
 
 __all__ = ["reject_unknown_keys", "require_count", "require_number", "require_scale"]
 
-# Limit-sampler draws per check run.  A marginal sample peaks at about 90
-# traced bytes (8.2 MB for 10^5 marginal-limit samples, 9.1 MB for 10^5 fdd
-# samples), so a run at the budget peaks near 0.5 GB.
+# Limit-sampler draws per check run, 24 bytes a sample kept by the sampler:
+# marginal-limit peaks at 24.9 / 121 traced MB at 10^6 / the budget, fdd, which
+# holds both windows, at 32.8 / 161 MB (`verify` at the budget: 152 / 160 MB RSS).
 MARGINAL_SAMPLE_BUDGET = 5_000_000
 
 # Generations in one engine path: a prelimit replicate (n x horizon of

@@ -204,7 +204,8 @@ def check_marginal_prelimit_thm2(
 
 def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
     """fdd_cdf: d=1 reduction to the marginals, the hand-integrated d=2
-    value, and a Monte Carlo joint frequency."""
+    value, and a Monte Carlo joint frequency from two one-time windows
+    joined by the perpetuity of the `limit` module docstring."""
     require_scale(samples=mc_samples)
     tol_exact = 1e-9
     sweep_err = 0.0
@@ -233,11 +234,13 @@ def check_fdd(seed: int, mc_samples: int = 100_000) -> CheckReport:
         abs(limit.fdd_cdf(1, 1, 0.0, np.array([1.0, 2.0]), np.array([2.0, 1.0])) - math.exp(-2.0)),
     )
 
-    # Monte Carlo joint frequency for the (1, 2) example.  Marks at or
-    # below min(x)=1 cannot affect the events, so delta=0.5 is exact.
+    # Monte Carlo joint frequency for the (1, 2) example, v(2) = max(v(1), w)
+    # at slope 0 with w an independent window.  Marks at or below min(x)=1
+    # cannot affect the events, so delta=0.5 is exact.
     rng = streams.substream(streams.replicate_seed(seed, 0), streams.ATOMS)
-    values = limit.sample_shot_noise_marginal(1.0, 1.0, 0.0, np.array([1.0, 2.0]), mc_samples, 0.5, rng)
-    mc_freq = int(np.count_nonzero((values[:, 0] <= 1.0) & (values[:, 1] <= 2.0))) / mc_samples
+    v1 = limit.sample_shot_noise_marginal(1.0, 1.0, 0.0, 1.0, mc_samples, 0.5, rng)
+    w = limit.sample_shot_noise_marginal(1.0, 1.0, 0.0, 1.0, mc_samples, 0.5, rng)
+    mc_freq = int(np.count_nonzero((v1 <= 1.0) & (np.maximum(v1, w) <= 2.0))) / mc_samples
     mc_err = abs(mc_freq - math.exp(-1.5))
 
     passed = sweep_err <= tol_exact and d2_err <= tol_exact and mc_err <= 0.01

@@ -11,42 +11,47 @@ at least t*s).  Atoms below the truncation level delta contribute at most
 delta on top of the floor, so truncated evaluation is exact to within an
 additive delta.
 
+With a common slope the process is a max-plus perpetuity: for u < u',
+v(u') = max(v(u) + s (u' - u), w), where w is the value at u' of the
+atoms in (u, u'] alone, with floor floor(u' - u).  w reads no atom of
+[0, u], so it is independent of v(u), and the intensity does not depend on
+time, so w has the law of v(u' - u).  Proof: split the sup in v(u') at u.
+The atoms up to u give A + s (u' - u), A their sup in v(u), and the floors
+agree: for s > 0, floor(u) + s (u' - u) = u' s is the floor at u' and w's
+floor (u' - u) s is below it; for s <= 0, floor(u) + s (u' - u) <= 0 loses
+to w's floor 0, the floor at u'.  So values at several times come from
+independent draws at one time each.
+
 Paths draw every atom above delta (`sample_atoms`) and are built a block
-at a time (`shot_noise_paths`).
-Values at a few fixed times (`sample_shot_noise_marginal`) use the LePage
-series instead (LePage, Woodroofe & Zinn 1981): with Gamma_i the arrival
-times of a unit-rate Poisson process, the marks in decreasing order are
-j_i = (a T / Gamma_i)^{1/b}, each with an independent uniform time on
-[0, T].  An atom drawn after atom i has mark at most j_i, so it adds at
-most j_i + max(s, 0) t to the value at t; once that bound is at or below
-the running value (floor included) at every evaluation time, no later
-atom can change any value and drawing stops (the stopping rule of Dombry,
-Engelke & Oesting 2016).  Drawing also stops at the delta cap
-Gamma_i >= a T delta^{-b}, i.e. once marks fall to delta, so the values
-have exactly the law of the delta-truncated atoms above; the stopping
-rule only saves draws.  A sample whose values all sit at the floor never
-meets the rule (marks are positive) and runs to the cap, so the cap also
-bounds the work: at most a T delta^{-b} atoms per sample.
+at a time (`shot_noise_paths`).  The value at one time T
+(`sample_shot_noise_marginal`) uses the LePage series instead (LePage,
+Woodroofe & Zinn 1981): with Gamma_i the arrival times of a unit-rate
+Poisson process, the marks in decreasing order are j_i = (a T /
+Gamma_i)^{1/b}, each with an independent uniform time on [0, T].  An atom
+drawn after atom i adds at most j_i + max(s, 0) T to the value; once that
+bound is at or below the running value (floor included), drawing stops
+(the stopping rule of Dombry, Engelke & Oesting 2016).  Drawing also stops
+at the delta cap Gamma_i >= a T delta^{-b}, once marks fall to delta, so
+the values have exactly the law of the delta-truncated atoms above; the
+stopping rule only saves draws.  A sample at the floor never meets the
+rule (marks are positive) and runs to the cap, so the cap also bounds the
+work: at most a T delta^{-b} atoms per sample.
 
 The sampler draws in rounds.  A round gives each active sample
 max(1, _ROUND_ATOMS // active) atoms and then applies the rule and the
 cap once, to the last atom of each sample.  While more samples than
 _ROUND_ATOMS = 2^14 are active, that is one atom each, the fewest a sample
 can need.  Once fewer are left, a round draws about 2^14 atoms in all, so
-the number of rounds stays small at any delta.  A sample may then draw up
-to block - 1 atoms past the one where it could have stopped.  Those atoms
-change no value, so the law does not depend on the round size, only the
-draws do.  At 10^5 samples, T = 1 and delta = 1e-3, a sloped regime needs
-about 4.1 atoms per sample and draws about 4.6; slope 0 needs and draws
-one (its first mark is its value).
+the number of rounds stays small at any delta; the up to block - 1 atoms a
+sample draws past its stopping point change no value, so the law does not
+depend on the round size, only the draws do.  At 10^5 samples, T = 1 and
+delta = 1e-3, a sloped regime needs about 4.1 atoms per sample and draws
+about 4.6; slope 0 needs and draws one (its first mark is its value).
 
-A round walks its active samples in slices of about 2^14 atoms: 2^14
-samples while each draws one atom, and a single slice once fewer are
-left.  What a sample keeps between rounds is its value at each time
-(held in the output rows, which start at the floor), its last arrival
-and its entry in the list of active samples, compacted in place.  So the
-working set is 24 bytes per sample at one time, 8 more per further time,
-plus a few arrays of one slice, at any sample count.
+A round walks its active samples in slices of about 2^14 atoms.  Between
+rounds a sample keeps its value (in the output, which starts at the
+floor), its last arrival and its entry in the list of active samples,
+compacted in place: 24 bytes per sample, plus a few arrays of one slice.
 
 Marginal distributions have closed forms; finite-dimensional ones are
 void probabilities of the measure over a union of wedges, integrated in
@@ -153,10 +158,6 @@ def sample_atoms(params: PrmParams, rng: np.random.Generator) -> AtomSet:
     return AtomSet(times=times, marks=marks)
 
 
-def _floor_value(slope: float, t: float | np.ndarray):
-    return slope * np.asarray(t, dtype=np.float64) if slope > 0 else np.zeros_like(np.asarray(t, dtype=np.float64))
-
-
 def shot_noise_paths(atom_sets: Sequence[AtomSet], horizon: float, slope: float) -> list[CadlagPath]:
     """Exact piecewise-affine paths on [0, horizon], one per atom set, with
     common response slope s = log mu.  The path of one set is
@@ -259,42 +260,30 @@ def sample_shot_noise_marginal(
     a: float,
     b: float,
     slope: float,
-    u: float | np.ndarray,
+    u: float,
     count: int,
     delta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """`count` independent draws of the process value at time(s) u.
+    """`count` independent draws of the process value at one time u.
 
-    Equal in law to the values at u of `shot_noise_paths([sample_atoms(...)],
-    max(u), slope)[0]`, repeated.  A scalar u gives a 1-d array of length
-    `count`; a 1-d increasing array of times gives a (count, len(u)) array,
-    one row per path (the transpose of the sampler's one row per time).
-    Atoms come in decreasing mark order (LePage series), and a sample
-    draws atoms only until the stopping rule or the delta cap holds at
-    every time.  Draws go in rounds of one atom per active sample, or of
-    about `_ROUND_ATOMS` atoms in all once fewer samples are active, and a
-    round walks its samples in slices of about `_ROUND_ATOMS` atoms; see
-    the module docstring.
+    Equal in law to the value at u of `shot_noise_paths([sample_atoms(...)],
+    u, slope)[0]`, repeated: atoms in decreasing mark order (LePage series)
+    until the stopping rule or the delta cap holds, in rounds walked a slice
+    at a time; see the module docstring, whose perpetuity joins one-time
+    draws into values at several times.
     """
-    times = np.asarray(u, dtype=np.float64)
-    scalar = times.ndim == 0
-    times = np.atleast_1d(times)
-    if times.ndim != 1 or not np.all(np.isfinite(times)) or times[0] < 0:
-        raise ValueError("evaluation times must be finite, nonnegative, and scalar or 1-d")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("evaluation times must be strictly increasing")
+    if np.ndim(u) != 0 or not 0 <= float(u) < math.inf:
+        raise ValueError(f"evaluation time must be a finite nonnegative scalar, got {u!r}")
     if count < 1:
         raise ValueError("sample count must be >= 1")
     if not math.isfinite(slope):
         raise ValueError("slope must be finite")
-    horizon = float(times[-1])
-    gamma_cap = PrmParams(a=a, b=b, horizon=horizon, delta=delta).expected_atoms
-    scale = a * horizon
-    at_times = times.tolist()
-    rise = (max(slope, 0.0) * times).tolist()  # most a later atom can add above its mark
-    # row k holds every sample's value at times[k] so far, from the floor up
-    values = np.repeat(_floor_value(slope, times)[:, None], count, axis=1)
+    u = float(u)
+    gamma_cap = PrmParams(a=a, b=b, horizon=u, delta=delta).expected_atoms
+    scale = a * u
+    rise = max(slope, 0.0) * u  # most a later atom can add above its mark
+    values = np.full(count, slope * u if slope > 0 else 0.0)  # every sample's value so far, from the floor up
     active = np.arange(count)  # samples still drawing atoms, in order
     gamma = np.zeros(count)  # their last arrivals, gamma[i] that of active[i]
     live = count
@@ -313,38 +302,26 @@ def sample_shot_noise_marginal(
             arrivals += gamma[lo:hi]
             marks = np.divide(scale, arrivals)
             marks **= 1.0 / b
-            at = rng.uniform(0.0, horizon, arrivals.shape)
+            reach = rng.uniform(0.0, u, arrivals.shape)  # atom times, then each atom's response at u
+            np.subtract(u, reach, out=reach)
+            reach *= slope
+            reach += marks
             last_arrival = arrivals[-1]
             # arrivals increase down a column, so a sample's last one decides
             # whether any of its marks fell to delta
             uncapped = last_arrival < gamma_cap
-            below = None if uncapped.all() else arrivals >= gamma_cap  # marks at or below delta
-            last = marks[-1]
-            more = np.zeros(hi - lo, dtype=bool)  # whether a later atom could raise a value
-            for k, t in enumerate(at_times):
-                if t < horizon:
-                    hidden = at > t if below is None else (at > t) | below
-                    reach = np.subtract(t, at)
-                else:  # no atom time exceeds the last time, whose responses take the place of `at`
-                    hidden = below
-                    reach = np.subtract(t, at, out=at)
-                reach *= slope
-                reach += marks
-                if hidden is not None:
-                    reach[hidden] = -np.inf
-                row = values[k]
-                value = row[samples]
-                np.maximum(value, reach[0] if block == 1 else reach.max(axis=0), out=value)
-                row[samples] = value
-                more |= last + rise[k] > value
-            more &= uncapped
-            go = np.flatnonzero(more)
+            if not uncapped.all():
+                reach[arrivals >= gamma_cap] = -np.inf  # marks at or below delta
+            value = values[samples]
+            np.maximum(value, reach[0] if block == 1 else reach.max(axis=0), out=value)
+            values[samples] = value
+            go = np.flatnonzero((marks[-1] + rise > value) & uncapped)  # a later atom could raise the value
             # in place: the slice has been read, and kept <= lo
             active[kept:kept + go.size] = samples[go]
             gamma[kept:kept + go.size] = last_arrival[go]
             kept += go.size
         live = kept
-    return values[0] if scalar else values.T
+    return values
 
 
 # ----------------------------------------------------------------------

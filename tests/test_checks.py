@@ -64,6 +64,25 @@ def test_marginal_limit_fails_for_a_flipped_slope(monkeypatch):
     assert report.details["ks_by_regime"]["extremal"] <= 0.01 < report.statistic
 
 
+def test_fdd_fails_when_the_second_window_repeats_the_first(tmp_path, monkeypatch):
+    # the check must be able to fail: with w = v(1) in place of an
+    # independent window, v(2) = v(1) and the Monte Carlo reads
+    # P{v(1) <= 1} = e^-1 ~ 0.368 against e^-1.5 ~ 0.223
+    assert _verify(tmp_path, "fdd", {"mc_samples": 20_000})[0] == 0
+    sampler, calls = limit.sample_shot_noise_marginal, []
+
+    def second_repeats_first(*args):
+        calls.append(calls[-1] if len(calls) % 2 else sampler(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(limit, "sample_shot_noise_marginal", second_repeats_first)
+    rc, report = _verify(tmp_path, "fdd", {"mc_samples": 20_000})
+    details = report["details"]
+    assert rc == 4 and report["pass"] is False and len(calls) == 2
+    assert abs(details["mc_frequency"] - math.exp(-1.0)) <= 0.01
+    assert details["marginal_sweep_max_err"] <= 1e-9 and details["d2_exact_max_err"] <= 1e-9
+
+
 @pytest.mark.parametrize("check,per_regime", [
     ("lemma-aux3", 50 + 100 + 200 + 3 * budgets.PATH_SETUP_GENERATIONS),  # the default ladder
     ("lemma-aux2", 3 * 200 + budgets.PATH_SETUP_GENERATIONS),  # one cohort of 3n generations

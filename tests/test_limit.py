@@ -393,6 +393,14 @@ class TestMarginalCdf:
 _LAW_CASES = [(1.0, 1.0, 1e-2), (2.0, 0.5, 1e-2), (1.0, 2.0, 0.5)]
 
 
+def _two_times(slope, count, delta, rng):
+    """(v(1), v(2)) at a = b = 1 from two one-time draws on one stream, by
+    the perpetuity v(2) = max(v(1) + s, w) with w independent of v(1)."""
+    v1 = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, count, delta, rng)
+    w = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, count, delta, rng)
+    return v1, np.maximum(v1 + slope, w)
+
+
 class TestLePageSampler:
     @pytest.mark.parametrize("a,b,delta", _LAW_CASES)
     @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
@@ -418,18 +426,35 @@ class TestLePageSampler:
         monkeypatch.setattr(limit, "_ROUND_ATOMS", round_atoms)
         self.test_same_law_as_every_atom_above_delta(a, b, delta, slope)
 
+    @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
+    def test_two_windows_have_the_law_of_one_path_at_two_times(self, slope):
+        # the perpetuity v(2) = max(v(1) + s, w), w an independent draw of
+        # v(1), against every atom above delta on [0, 2] read at t = 1 and
+        # t = 2; v(2) - v(1) sees whether the windows are independent.  Its
+        # atom at s, where no atom falls in (1, 2] above v(1) + s, is rounded
+        # apart by either side's float steps, so it is compared to 1e-9
+        n, delta = 3000, 1e-2
+        params = PrmParams(a=1.0, b=1.0, horizon=2.0, delta=delta)
+        rng = streams.substream(28, streams.ATOMS)
+        brute = np.array([[shot_noise_value(atoms, slope, t) for t in (1.0, 2.0)]
+                          for atoms in (sample_atoms(params, rng) for _ in range(n))])
+        drawn = np.column_stack(_two_times(slope, n, delta, streams.substream(29, streams.ATOMS)))
+        for col in (0, 1):
+            assert ks_2samp(brute[:, col], drawn[:, col]).pvalue >= 0.01
+        rise = [np.round(pair[:, 1] - pair[:, 0], 9) for pair in (brute, drawn)]
+        assert ks_2samp(*rise).pvalue >= 0.01
+
     @pytest.mark.parametrize(
         "slope,thresholds,delta",
-        [(0.0, (1.0, 2.0), 0.5), (-LOG2, (0.5, 0.8), 0.25)],
+        [(0.0, (1.0, 2.0), 0.5), (-LOG2, (0.5, 0.8), 0.25), (LOG2, (1.2, 2.0), 1e-4)],
     )
     def test_two_times_match_fdd_cdf(self, slope, thresholds, delta):
         # marks at or below delta < min(x) cannot exceed a threshold when
-        # slope <= 0, so the truncated joint law is the exact one here
+        # slope <= 0, so the truncated joint law is the exact one there; for
+        # slope log 2 truncation lowers a value by at most delta = 1e-4
         times, x = np.array([1.0, 2.0]), np.array(thresholds)
-        values = sample_shot_noise_marginal(1.0, 1.0, slope, times, 100_000, delta,
-                                            streams.substream(23, streams.ATOMS))
-        assert values.shape == (100_000, 2)
-        freq = np.mean(np.all(values <= x, axis=1))
+        v1, v2 = _two_times(slope, 200_000, delta, streams.substream(23, streams.ATOMS))
+        freq = np.mean((v1 <= x[0]) & (v2 <= x[1]))
         assert abs(freq - fdd_cdf(1.0, 1.0, slope, times, x)) <= 0.01
 
     @pytest.mark.parametrize("slope", [-LOG2, 0.0, LOG2])
@@ -440,23 +465,21 @@ class TestLePageSampler:
         values = sample_shot_noise_marginal(1.0, 1.0, slope, 1.0, n, 1e-12, streams.substream(24, streams.ATOMS))
         assert ks_distance(Sample(values), partial(marginal_cdf, 1.0, 1.0, slope, 1.0)) <= dkw_band(n, 0.999)
 
-    @pytest.mark.parametrize("times", [1.0, np.array([0.5, 1.0])], ids=["one-time", "two-times"])
-    def test_working_set_is_the_samples_and_one_slice(self, times):
-        # per sample: its value at each time, its entry in the active list
-        # and its last arrival, 8 bytes each; per slice: a few arrays of
-        # 2^14 atoms.  A sampler that tiles the running values and draws a
-        # round of one atom per sample whole peaks at 74 bytes per sample
-        # here at one time (14.1 MiB)
-        n, width = 200_000, np.size(times)
+    def test_working_set_is_the_samples_and_one_slice(self):
+        # per sample: its value, its entry in the active list and its last
+        # arrival, 8 bytes each; per slice: a few arrays of 2^14 atoms.  A
+        # sampler that tiles the running values and draws a round of one
+        # atom per sample whole peaks at 74 bytes per sample here (14.1 MiB)
+        n = 200_000
         rng = streams.substream(27, streams.ATOMS)
         tracemalloc.start()
         try:
-            values = sample_shot_noise_marginal(1.0, 1.0, -LOG2, times, n, 1e-3, rng)
+            values = sample_shot_noise_marginal(1.0, 1.0, -LOG2, 1.0, n, 1e-3, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert values.shape == ((n,) if width == 1 else (n, width))
-        assert peak <= (8 * width + 16) * n + 16 * 8 * limit._ROUND_ATOMS
+        assert values.shape == (n,)
+        assert peak <= 24 * n + 16 * 8 * limit._ROUND_ATOMS
 
     def test_zero_time_is_the_floor(self):
         values = sample_shot_noise_marginal(1.0, 1.0, -1.0, 0.0, 10, 1e-3, streams.substream(25, streams.ATOMS))
@@ -464,8 +487,8 @@ class TestLePageSampler:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"count": 0}, {"count": -5}, {"u": np.array([2.0, 1.0])}, {"u": -1.0},
-         {"slope": math.nan}, {"a": math.nan}, {"delta": 0.0}],
+        [{"count": 0}, {"count": -5}, {"u": np.array([2.0, 1.0])}, {"u": np.array([0.5, 1.0])},
+         {"u": -1.0}, {"u": math.nan}, {"u": math.inf}, {"slope": math.nan}, {"a": math.nan}, {"delta": 0.0}],
     )
     def test_rejections(self, kwargs):
         args = dict(a=1.0, b=1.0, slope=0.0, u=1.0, count=10, delta=1e-3,
