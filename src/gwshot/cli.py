@@ -3,12 +3,14 @@
 Three subcommands: `simulate` runs replicated prelimit experiments and
 writes normalized-path CSV plus a metadata sidecar, `limit-sample` draws
 limit shot-noise paths, `verify` executes a registered statistical check
-and writes its report.  Outputs are byte-stable for a fixed seed: CSV is
-ASCII with LF endings and shortest-roundtrip floats, JSON is pretty-printed
-with sorted keys, and both are written as bytes.  The `limit-sample`
-floats are laid out by orjson through `_pair_cells`, one flat array per
-list of pairs, in orjson's shortest round-trip digits, and each
-replicate's atom list is one line of the sidecar.
+and writes its report.  Each reads its config in one function
+(`_parse_simulate_config`, `_parse_limit_config`, `cmd_verify`).
+Outputs are byte-stable for a fixed seed: CSV is ASCII with LF endings
+and shortest-roundtrip floats, JSON is pretty-printed with sorted keys,
+and both are written as bytes.  The `limit-sample` floats are laid out
+by orjson through `_pair_cells`, one flat array per list of pairs, in
+orjson's shortest round-trip digits, and each replicate's atom list is
+one line of the sidecar.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 verification
 failure.
@@ -130,55 +132,45 @@ def _json_atom_lists(atoms: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator
 # ----------------------------------------------------------------------
 
 
-def _parse_simulate_config(cfg: dict) -> dict:
+def _parse_simulate_config(cfg: dict, replicates: int) -> tuple[dict, float, float | None]:
+    """The `GwiRun` fields but the seed, the norm and the supercritical correction (None
+    for none) of a `simulate` config, each checked, and `replicates` paths held to the
+    engine budgets before the norm reads n."""
     try:
         reject_unknown_keys("top-level", cfg, ("n", "horizon", "offspring", "immigration", "fluid", "norm",
                                                "supercritical_correction"))
-        parsed = {
-            "n": cfg["n"],  # an integer count, which require_scale checks
-            "horizon": require_number("horizon", cfg["horizon"]),
-            "family": OffspringFamily.from_config(cfg["offspring"]),
-            "law": ImmigrationLaw.from_config(cfg["immigration"]),
-            "fluid": FluidConfig.from_config(cfg.get("fluid", {})),
-            "norm_spec": cfg.get("norm", "n"),
-            "correction": cfg.get("supercritical_correction", False),
-        }
-        if not math.isfinite(parsed["n"] * parsed["horizon"]):
+        n = cfg["n"]  # an integer count, which require_scale checks
+        horizon = require_number("horizon", cfg["horizon"])
+        family = OffspringFamily.from_config(cfg["offspring"])
+        law = ImmigrationLaw.from_config(cfg["immigration"])
+        fluid = FluidConfig.from_config(cfg.get("fluid", {}))
+        if not math.isfinite(n * horizon):
             raise ValueError("horizon and n x horizon must be finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
-    return parsed
+    require_scale(replicates, (n,), horizon)
+    fields = dict(n=n, horizon=horizon, family=family, law=law, config=fluid)
 
-
-def _simulate_norm(parsed: dict) -> float:
-    spec = parsed["norm_spec"]
+    spec = cfg.get("norm", "n")
     try:
-        if spec == "n":
-            value = float(parsed["n"])
-        elif spec == "bn":
-            value = float(parsed["law"].norming_bn(parsed["n"]))
-        else:
-            value = require_number("norm", spec)
+        norm = float(n) if spec == "n" else float(law.norming_bn(n)) if spec == "bn" else require_number("norm", spec)
     except OverflowError as exc:
         raise ConfigError(f"norm {spec!r} exceeds the float range") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid norm {spec!r}: expected 'n', 'bn', or a number") from exc
-    if not 0 < value < math.inf:
-        raise ConfigError(f"norm must be finite and positive, got {value!r}")
-    return value
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"norm must be finite and positive, got {norm!r}")
 
-
-def _simulate_correction(parsed: dict) -> float | None:
-    corr = parsed["correction"]
+    corr = cfg.get("supercritical_correction", False)
     if corr is False or corr is None:
-        return None
+        return fields, norm, None
     try:
-        value = parsed["family"].mean if corr is True else require_number("supercritical_correction", corr)
+        correction = family.mean if corr is True else require_number("supercritical_correction", corr)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid supercritical_correction {corr!r}: expected true, false or a mean") from exc
-    if not 0 < value < math.inf:
-        raise ConfigError(f"supercritical_correction must be finite and positive, got {value!r}")
-    return value
+    if not 0 < correction < math.inf:
+        raise ConfigError(f"supercritical_correction must be finite and positive, got {correction!r}")
+    return fields, norm, correction
 
 
 _ROW_BLOCK = 1 << 16  # rows per string the writer yields, which bounds its memory on long paths
@@ -232,21 +224,8 @@ def _block_rows(r: int, block: np.ndarray, text: str, offsets: np.ndarray) -> st
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    parsed = _parse_simulate_config(cfg)
-    require_scale(args.replicates, (parsed["n"],), parsed["horizon"])
-    norm = _simulate_norm(parsed)  # validate early, before any work
-    correction = _simulate_correction(parsed)
-    seed = _resolve_seed(args)
-
-    n = parsed["n"]
-    run = GwiRun(
-        n=n,
-        horizon=parsed["horizon"],
-        family=parsed["family"],
-        law=parsed["law"],
-        config=parsed["fluid"],
-        seed=seed,
-    )
+    fields, norm, correction = _parse_simulate_config(cfg, args.replicates)
+    run = GwiRun(**fields, seed=_resolve_seed(args))
 
     values = np.empty((args.replicates, run.num_steps + 1))
     # an overflow is reported by the finiteness check below, as one error line
@@ -259,14 +238,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "lower the immigration scale or raise norm"
                 )
 
-    _write_csv(Path(f"{args.out}.csv"), map(str.encode, _simulate_rows(values, n)), ("replicate", "t", "value"))
+    _write_csv(Path(f"{args.out}.csv"), map(str.encode, _simulate_rows(values, run.n)), ("replicate", "t", "value"))
     _write_json(
         Path(f"{args.out}.json"),
         {
             "command": "simulate",
             "params": cfg,
             "replicate_count": args.replicates,
-            "seed": seed,
+            "seed": run.seed,
             "version": __version__,
         },
     )
@@ -280,10 +259,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _parse_limit_config(cfg: dict) -> tuple[limit.PrmParams, float]:
     try:
-        params = limit.PrmParams.from_config(cfg, also_read=("slope",))
-        slope = require_number("slope", cfg["slope"])
+        reject_unknown_keys("limit-sample", cfg, ("a", "b", "horizon", "delta", "slope"))
+        a, b, horizon, slope = (require_number(key, cfg[key]) for key in ("a", "b", "horizon", "slope"))
         if not math.isfinite(slope):
             raise ValueError("slope must be finite")
+        params = limit.PrmParams(a, b, horizon, require_number("delta", cfg.get("delta", 1e-3)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid limit-sample config: {exc}") from exc
     return params, slope
@@ -293,16 +273,40 @@ _PATH_BLOCK_CELLS = 1 << 16  # padded (replicate x atom) cells of one block of p
 _PATH_BLOCK_PATHS = 1 << 10  # paths of one block, which bounds a block of empty paths at horizon 0
 
 
-def _limit_path_lines(paths: list, end_values: list, first: int) -> bytes:
-    """CSV lines of replicates first, first + 1, ... at their paths' breakpoints and at
-    their end times, where they take `end_values`."""
+def _limit_path_lines(block: list[limit.AtomSet], horizon: float, slope: float, first: int) -> bytes:
+    """CSV lines of the paths of `block`'s atoms, replicates first, first + 1, ..., at
+    their breakpoints and at the horizon, where each takes its last segment's value.
+
+    The block is checked in the same pass, before any row is laid out: the first
+    replicate whose marks (which only the sidecar writes), path values or end value
+    leave the float range is named in a ConfigError, and at slope 0 a path that is not
+    a nondecreasing step function is a fault (RuntimeError)."""
+    paths = limit.shot_noise_paths(block, horizon, slope)
     ends = np.cumsum([len(path.breakpoints) + 1 for path in paths])
     inner = np.ones(ends[-1], dtype=bool)
-    inner[ends - 1] = False  # each path's last row, at its end time
-    rows = np.empty((ends[-1], 2))
+    inner[ends - 1] = False  # each path's last row, at the horizon
+    rows, slopes = np.empty((ends[-1], 2)), np.zeros(ends[-1])
     rows[inner, 0] = np.concatenate([path.breakpoints for path in paths])
     rows[inner, 1] = np.concatenate([path.values for path in paths])
-    rows[ends - 1, 0], rows[ends - 1, 1] = [path.end_time for path in paths], end_values
+    slopes[inner] = np.concatenate([path.slopes for path in paths])
+    rows[ends - 1, 0] = horizon
+    rows[ends - 1, 1] = rows[ends - 2, 1] + slopes[ends - 2] * (horizon - rows[ends - 2, 0])
+
+    # the replicate of the first bad mark and of the first bad row, each found by its offset
+    bad_mark = np.flatnonzero(~np.isfinite(np.concatenate([atoms.marks for atoms in block])))[:1]
+    over = [*np.searchsorted(np.cumsum([len(atoms) for atoms in block]), bad_mark, side="right").tolist(),
+            *np.searchsorted(ends, np.flatnonzero(~np.isfinite(rows[:, 1]))[:1], side="right").tolist()]
+    if over:
+        raise ConfigError(
+            f"replicate {first + min(over)} overflows the float range (a mark above 1.8e308 or slope x time); "
+            "raise b or delta, or lower |slope| x horizon"
+        )
+    if slope == 0.0:
+        jumps = np.diff(rows[:, 1])
+        jumps[ends[:-1] - 1] = 0.0  # from one path's end to the next one's start
+        if np.any(jumps < -1e-12) or np.any(slopes != 0.0):
+            raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
+
     lines = _pair_cells(rows, b"\n").split(b"\n")
     return b"".join(b"%d,%s\n" % (r, (b"\n%d," % r).join(lines[a:b]))
                     for r, a, b in zip(range(first, first + len(paths)), [0, *ends[:-1].tolist()], ends.tolist()))
@@ -334,27 +338,11 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
 
     csv_blocks = []  # the CSV text, far smaller than the paths it is laid out from
     atom_arrays = []
-    # an overflow is reported by the finiteness check below, as one error line
+    # an overflow is reported by the block's finiteness check, as one error line
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _limit_blocks(params, seed, args.replicates):
-            paths, end_values = limit.shot_noise_paths(block, params.horizon, slope), []
-            for atoms, path in zip(block, paths):
-                r = len(atom_arrays)
-                # the last segment at the end time, as `path.value(path.end_time)` gives it
-                end_value = path.values[-1] + path.slopes[-1] * (path.end_time - path.breakpoints[-1])
-                if not (np.isfinite(atoms.marks).all() and np.isfinite(path.values).all()
-                        and math.isfinite(end_value)):
-                    raise ConfigError(
-                        f"replicate {r} overflows the float range (a mark above 1.8e308 or slope x time); "
-                        "raise b or delta, or lower |slope| x horizon"
-                    )
-                if slope == 0.0:
-                    jumps = np.diff(np.append(path.values, end_value))
-                    if np.any(jumps < -1e-12) or np.any(path.slopes != 0.0):
-                        raise RuntimeError("slope-0 limit path failed the nondecreasing validation")
-                end_values.append(end_value)
-                atom_arrays.append((atoms.times, atoms.marks))
-            csv_blocks.append(_limit_path_lines(paths, end_values, len(atom_arrays) - len(block)))
+            csv_blocks.append(_limit_path_lines(block, params.horizon, slope, len(atom_arrays)))
+            atom_arrays += [(atoms.times, atoms.marks) for atoms in block]
 
     _write_csv(Path(f"{args.out}.csv"), csv_blocks, ("replicate", "t", "value"))
     _write_json(
@@ -378,15 +366,11 @@ def cmd_limit_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    name = args.check
-    overrides: dict = {}
-    if args.config:
-        cfg = _load_config(args.config)
-        reject_unknown_keys("verify", cfg, ("check", "overrides"))
-        name = cfg.get("check", name)
-        overrides = cfg.get("overrides", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("verify config 'overrides' must be an object")
+    cfg = _load_config(args.config) if args.config else {}
+    reject_unknown_keys("verify", cfg, ("check", "overrides"))
+    name, overrides = cfg.get("check", args.check), cfg.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("verify config 'overrides' must be an object")
     if name is None:
         raise ConfigError("verify needs a check name (argument or config 'check')")
     seed = _resolve_seed(args)
@@ -394,7 +378,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check = _lookup(name)
     except KeyError:
         raise ConfigError(f"unknown check {name!r}; registered checks: {', '.join(CHECK_NAMES)}") from None
-    overrides = {str(k): _coerce_override(v) for k, v in overrides.items()}
     try:  # an unknown or missing key, before the check runs: its own TypeErrors are faults
         inspect.signature(check).bind(seed, **overrides)
     except TypeError as exc:
@@ -418,12 +401,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def _coerce_override(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .budgets import reject_unknown_keys, require_number
 from .paths import CadlagPath
 
 __all__ = [
@@ -113,17 +112,6 @@ class PrmParams:
         except OverflowError:
             return math.inf  # even where T a underflows to 0
         return self.horizon * self.a * level
-
-    @staticmethod
-    def from_config(cfg: dict, also_read: tuple[str, ...] = ()) -> "PrmParams":
-        """Read `a`, `b`, `horizon` and `delta`; refuse other keys unless in `also_read`."""
-        reject_unknown_keys("limit-sample", cfg, ("a", "b", "horizon", "delta", *also_read))
-        return PrmParams(
-            a=require_number("a", cfg["a"]),
-            b=require_number("b", cfg["b"]),
-            horizon=require_number("horizon", cfg["horizon"]),
-            delta=require_number("delta", cfg.get("delta", 1e-3)),
-        )
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,16 @@ def test_functional_coupled_fails_on_an_envelope_of_the_wrong_slope(tmp_path, mo
     assert min(q99["subcritical"]["200"], q99["supercritical"]["200"]) > 5 * bound["subcritical"]["200"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP A: a saturated exceed frequency never increases along n")
+def test_truncation_check_fails_on_a_supercritical_engine_in_the_critical_row(tmp_path, monkeypatch):
+    # poisson(1.5) offspring in the critical row exceed gamma + slack in every
+    # replicate at n = 50 and 100 (frequencies 1.0 and 1.0), so the largest
+    # increase along n reads 0.0 and the check passes; a level per cell
+    # derived from Doob's inequality would fail it
+    _swap_family(monkeypatch, "critical", OffspringFamily.poisson(1.5))
+    assert _verify(tmp_path, "lemma-aux3", {"ns": [50, 100], "replicates": 40})[0] == 4
+
+
 @pytest.mark.parametrize("regime", list(checks._REGIMES))
 def test_envelope_is_the_shot_noise_path_of_the_run_atoms(regime):
     # the atoms (k/n, log J_k / c_n) with log J_k > 0 and slope n log mu / c_n

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gwshot import budgets, checks, cli, gwi, limit, streams
+from gwshot import __version__, budgets, checks, cli, gwi, limit, streams
 from gwshot.gwi import CoupledPaths, GwiRun, normalized_log, run_replicates
 from gwshot.immigration import ImmigrationLaw
 from gwshot.offspring import OffspringFamily
@@ -659,6 +659,28 @@ class TestLimitSample:
             assert "overflows the float range" in lines[0]
             assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
 
+    def test_overflow_names_the_first_replicate_across_blocks(self, tmp_path, capsys):
+        # blocks of two paths, and an inf mark in replicate 3, the second path
+        # of the second block: it is named, and nothing is written although
+        # replicates 0-2 were fine
+        sample_atoms, draws = limit.sample_atoms, []
+
+        def draw(params, rng):
+            atoms = sample_atoms(params, rng)
+            if len(draws) == 3:
+                atoms.marks[0] = math.inf
+            draws.append(atoms)
+            return atoms
+
+        cfg = write_config(tmp_path, LIMIT_CONFIG)
+        out = tmp_path / "late"
+        with mock.patch.object(cli, "_PATH_BLOCK_PATHS", 2), mock.patch.object(limit, "sample_atoms", side_effect=draw):
+            rc = cli.main(["limit-sample", "--config", cfg, "--seed", "1", "--replicates", "6", "--out", str(out)])
+        assert rc == 2 and math.isinf(draws[3].marks[0])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: replicate 3 overflows the float range")
+        assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
 
 _MISSING = object()
 _ODD_VALUES = [0.0, -1.0, -1e300, 1e300, 1.7e308, 5e-324, 10**400,
@@ -1002,6 +1024,18 @@ class TestVerify:
     @pytest.mark.parametrize("delta", [True, "0.001"])  # True ran at delta = 1
     def test_non_number_delta_exits_2(self, tmp_path, capsys, delta):
         assert_verify_rejects(tmp_path, capsys, "marginal-limit", {"sample_count": 100, "delta": delta})
+
+    @pytest.mark.parametrize("check", ["marginal-prelimit-thm1", "marginal-prelimit-thm2", "lemma-aux3",
+                                       "functional-coupled"])
+    def test_list_overrides_write_the_report_of_tuple_overrides(self, tmp_path, check):
+        # a JSON list reaches the check as the config gives it: every check
+        # reads `ns` as a sequence, and a report writes list(ns)
+        cfg = write_config(tmp_path, {"check": check, "overrides": {"ns": [5, 10], "replicates": 3}})
+        out = tmp_path / "rep"
+        assert cli.main(["verify", "--config", cfg, "--seed", "3", "--out", str(out)]) in (0, 4)
+        report = dict(checks.run_check(check, seed=3, ns=(5, 10), replicates=3).to_json(), seed=3, version=__version__)
+        written = out.with_suffix(".json").read_text(encoding="utf-8")
+        assert written == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def assert_verify_rejects(tmp_path, capsys, check, overrides, key="overrides"):

@@ -17,7 +17,9 @@ their rounds fits in one slice of the sampler, so walking rounds in
 slices left them as they were.  When `fdd` took its two times from two
 one-time windows its draws moved, but its report holds only a count of
 2000 samples, which at the DEFAULT and 1 seeds read as before; seed 2
-(0.2195 -> 0.2285) was added then, so that the set pins the draws.  The
+(0.2195 -> 0.2285) was added then.  A count still lets different draws
+share a report (seeds 11, 13 and 14 read 0.216), so the two windows
+themselves are pinned too, as the check draws them.  The
 thm1 digests were re-made when its report gained `details.norming`
 (b_n = n), with every KS value kept to the bit.  The limit-sample digests pin
 `sample_atoms`, `shot_noise_paths` and the CSV and JSON atom writers,
@@ -36,7 +38,7 @@ import math
 import numpy as np
 import pytest
 
-from gwshot import cli, streams
+from gwshot import cli, limit, streams
 from gwshot.checks import CHECK_NAMES, run_check
 from gwshot.gw import FluidConfig, population_log_path
 from gwshot.gwi import GwiRun, run_coupled
@@ -99,6 +101,12 @@ LIMIT_SAMPLE_DIGESTS = {
         "0fe6a4c433b14ea7ad800aac1ed467bdebf2e27a2a0f5cdf7aebaf5721dc201b",
         "a13f13eb1b6f3a666d1849016a1854041495fc3b225e64f0931e9b7348cdd316",
     ),
+}
+# seed: digest of the two windows v(1) and w that `fdd` draws at 2000
+# samples, in draw order
+FDD_DRAW_DIGESTS = {
+    SEED: "2b43e71481a5308b6dccd2be4c516abb11413020c870e830566781c89102284e",
+    1: "d3c297da14bbef20a31156276fdcce62ba24a4018dab938141698744eef01fd3",
 }
 # check: (small-scale overrides, {seed: digest of the sorted-key report JSON}).
 # At these cohort scales some family's exceed fraction lies strictly between
@@ -187,6 +195,20 @@ def test_cohort_bytes():
     rng = streams.substream(SEED, streams.OFFSPRING)
     logs = population_log_path(OffspringFamily.geometric(0.5), founders, FluidConfig(), rng)
     assert sha256(logs.tobytes()) == COHORT_DIGEST
+
+
+@pytest.mark.parametrize("seed", list(FDD_DRAW_DIGESTS))
+def test_fdd_draw_bytes(monkeypatch, seed):
+    sampler, windows = limit.sample_shot_noise_marginal, []
+
+    def record(*args):
+        windows.append(sampler(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(limit, "sample_shot_noise_marginal", record)
+    run_check("fdd", seed=seed, mc_samples=2000)
+    assert [w.shape for w in windows] == [(2000,), (2000,)]
+    assert sha256(*(w.tobytes() for w in windows)) == FDD_DRAW_DIGESTS[seed]
 
 
 def test_check_digests_name_registered_checks():

@@ -94,7 +94,7 @@ def test_workload_command_line_parses(name, tmp_path):
     args = cli.build_parser().parse_args(w.argv(tmp_path / "config.json", 7, tmp_path / "out"))
     assert (args.command, args.seed, args.replicates) == (w.command, 7, w.replicates)
     if w.command == "simulate":
-        cli._parse_simulate_config(w.config)
+        cli._parse_simulate_config(w.config, w.replicates)
     elif w.command == "limit-sample":
         cli._parse_limit_config(w.config)
     else:
@@ -139,6 +139,19 @@ def test_checks_read_the_engine_laws_only_in_the_cell_grid():
             if isinstance(node, ast.Attribute) and node.attr in engine:
                 reads.append((getattr(top, "name", None), node.attr))
     assert sorted(reads) == [("_cells", "family"), ("_cells", "law")]
+
+
+def test_cli_reads_each_config_in_one_place():
+    # a config key is read, by a string subscript or a `.get`, only where its
+    # command parses its config, so that every check of a key sits beside its read
+    readers = set()
+    for top in ast.parse((_SRC / "cli.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            keyed = isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) \
+                and isinstance(node.slice.value, str)
+            if keyed or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+                readers.add(getattr(top, "name", None))
+    assert readers == {"_parse_simulate_config", "_parse_limit_config", "cmd_verify"}
 
 
 def test_cli_import_graph():
